@@ -17,7 +17,6 @@ from .automata import (
     determinize,
     dfa_from_dict,
     dfa_to_dict,
-    isomorphic_with_letter_renaming,
     load_dfa,
     dump_dfa,
     minimize,

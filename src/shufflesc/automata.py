@@ -192,57 +192,70 @@ def accepts(a: Automaton, word: Iterable[str]) -> bool:
     return a.accepts(word)
 
 
+def subset_table(a: Nfa) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Accessible subset automaton of `a` as a table, in BFS discovery order.
+
+    subsets[i] is the subset carried by state i+1, as a bitmask with bit q-1
+    for NFA state q (subsets[0] is {initial}); table[i][li] is the state id
+    of its successor on alphabet[li].
+    """
+    succ = [[0] * a.state_count for _ in a.alphabet]
+    for q, row in enumerate(a.transitions):
+        for li, targets in enumerate(row):
+            for s in targets:
+                succ[li][q] |= 1 << (s - 1)
+    start = 1 << (a.initial - 1)
+    ids = {start: 1}
+    subsets = [start]
+    table = []
+    for current in subsets:  # subsets grows while it is scanned
+        members = [q for q in range(a.state_count) if current >> q & 1]
+        row = []
+        for images in succ:
+            nxt = 0
+            for q in members:
+                nxt |= images[q]
+            if nxt not in ids:
+                ids[nxt] = len(subsets) + 1
+                subsets.append(nxt)
+            row.append(ids[nxt])
+        table.append(tuple(row))
+    return subsets, table
+
+
 def determinize(a: Nfa) -> tuple[Dfa, list[frozenset[int]]]:
     """Accessible subset automaton of `a`.
 
     Returns the DFA together with the subset carried by each new state id
     (state i corresponds to subsets[i-1]; state 1 is {initial}).
     """
-    start = frozenset([a.initial])
-    ids: dict[frozenset[int], int] = {start: 1}
-    subsets: list[frozenset[int]] = [start]
-    table: list[list[int]] = []
-    i = 0
-    while i < len(subsets):
-        current = subsets[i]
-        row = []
-        for x in a.alphabet:
-            nxt = a.step(current, x)
-            if nxt not in ids:
-                ids[nxt] = len(subsets) + 1
-                subsets.append(nxt)
-            row.append(ids[nxt])
-        table.append(row)
-        i += 1
-    count = len(subsets)
-    transitions = tuple(
-        Transformation(tuple(table[q][li] for q in range(count)))
-        for li in range(len(a.alphabet))
-    )
-    finals = frozenset(
-        ids[s] for s in subsets if s & a.finals
-    )
-    return Dfa(count, a.alphabet, transitions, finals), subsets
+    subsets, table = subset_table(a)
+    final_mask = sum(1 << (f - 1) for f in a.finals)
+    finals = frozenset(i for i, s in enumerate(subsets, 1) if s & final_mask)
+    transitions = tuple(map(Transformation, zip(*table)))
+    return Dfa(len(subsets), a.alphabet, transitions, finals), [
+        frozenset(q + 1 for q in range(a.state_count) if s >> q & 1) for s in subsets
+    ]
 
 
 def trim(d: Dfa) -> Dfa:
     """Restrict to states reachable from the initial state, relabeled in
     BFS discovery order (initial becomes 1). Completeness is preserved."""
+    images = [t.images for t in d.transitions]
     order = [d.initial]
     pos = {d.initial: 1}
     qi = 0
     while qi < len(order):
         q = order[qi]
-        for t in d.transitions:
-            nxt = t.apply(q)
+        for img in images:
+            nxt = img[q - 1]
             if nxt not in pos:
                 pos[nxt] = len(order) + 1
                 order.append(nxt)
         qi += 1
     count = len(order)
     transitions = tuple(
-        Transformation(tuple(pos[t.apply(q)] for q in order))
-        for t in d.transitions
+        Transformation(tuple(pos[img[q - 1]] for q in order)) for img in images
     )
     finals = frozenset(pos[f] for f in d.finals if f in pos)
     return Dfa(count, d.alphabet, transitions, finals)
@@ -252,11 +265,12 @@ def minimize(d: Dfa) -> Dfa:
     """Minimal complete DFA of the same language (Moore partition refinement)."""
     d = trim(d)
     m = d.state_count
+    images = [t.images for t in d.transitions]
     block = [1 if q in d.finals else 0 for q in range(1, m + 1)]
     while True:
         sigs = [
-            (block[q - 1],) + tuple(block[t.apply(q) - 1] for t in d.transitions)
-            for q in range(1, m + 1)
+            (block[q],) + tuple(block[img[q] - 1] for img in images)
+            for q in range(m)
         ]
         renum: dict[tuple, int] = {}
         new_block = []
@@ -274,8 +288,8 @@ def minimize(d: Dfa) -> Dfa:
     for q in range(m, 0, -1):
         reps[block[q - 1]] = q
     transitions = tuple(
-        Transformation(tuple(block[t.apply(reps[b]) - 1] + 1 for b in range(count)))
-        for t in d.transitions
+        Transformation(tuple(block[img[reps[b] - 1] - 1] + 1 for b in range(count)))
+        for img in images
     )
     finals = frozenset(block[f - 1] + 1 for f in d.finals)
     return Dfa(count, d.alphabet, transitions, finals, initial=block[d.initial - 1] + 1)
@@ -301,26 +315,29 @@ class CanonicalForm:
 MAX_CANONICAL_LETTERS = 8
 
 
-def _bfs_key(d: Dfa, letter_order: Sequence[int]) -> tuple:
-    """Relabel states by BFS from the initial state, visiting letters in the
-    given order; all states must be reachable (trim first)."""
+def bfs_key(d: Dfa, letter_order: Sequence[int]) -> tuple:
+    """Key of a DFA under state relabeling with the letter order fixed.
+
+    States are renumbered in BFS discovery order from the initial state,
+    visiting letters in the given order; all states must be reachable
+    (trim first). The key is (state count, rows, sorted finals), where row
+    i lists the successors of state i+1 over the letters in that order.
+    """
+    images = [d.transitions[li].images for li in letter_order]
     order = [d.initial]
     pos = {d.initial: 1}
     qi = 0
     while qi < len(order):
         q = order[qi]
-        for li in letter_order:
-            nxt = d.transitions[li].apply(q)
+        for img in images:
+            nxt = img[q - 1]
             if nxt not in pos:
                 pos[nxt] = len(order) + 1
                 order.append(nxt)
         qi += 1
     if len(order) != d.state_count:
         raise ValueError("unreachable states; trim before canonicalizing")
-    rows = tuple(
-        tuple(pos[d.transitions[li].apply(q)] for q in order)
-        for li in letter_order
-    )
+    rows = tuple(tuple(pos[img[q - 1]] for img in images) for q in order)
     finals = tuple(sorted(pos[f] for f in d.finals))
     return (d.state_count, rows, finals)
 
@@ -331,54 +348,9 @@ def canonicalize(d: Dfa) -> CanonicalForm:
     d = trim(d)
     k = len(d.alphabet)
     if k <= MAX_CANONICAL_LETTERS:
-        best = min(_bfs_key(d, perm) for perm in permutations(range(k)))
+        best = min(bfs_key(d, perm) for perm in permutations(range(k)))
         return CanonicalForm(best, True)
-    return CanonicalForm(_bfs_key(d, tuple(range(k))), False)
-
-
-def isomorphic_with_letter_renaming(d1: Dfa, d2: Dfa) -> bool:
-    """Explicit letter-permutation matching for large alphabets."""
-    d1, d2 = trim(d1), trim(d2)
-    k = len(d1.alphabet)
-    if len(d2.alphabet) != k or d1.state_count != d2.state_count:
-        return False
-    if k <= MAX_CANONICAL_LETTERS:
-        return canonicalize(d1) == canonicalize(d2)
-    # prune with a letter-renaming-invariant signature per letter
-    def sig(d: Dfa, li: int) -> tuple:
-        images = d.transitions[li].images
-        return (tuple(sorted(images)), images[d.initial - 1] == d.initial)
-
-    groups1: dict[tuple, list[int]] = {}
-    groups2: dict[tuple, list[int]] = {}
-    for li in range(k):
-        groups1.setdefault(sig(d1, li), []).append(li)
-        groups2.setdefault(sig(d2, li), []).append(li)
-    if set(groups1) != set(groups2):
-        return False
-    if any(len(groups1[g]) != len(groups2[g]) for g in groups1):
-        return False
-    base = _bfs_key(d1, tuple(range(k)))
-
-    def assignments(gkeys: list[tuple]):
-        if not gkeys:
-            yield []
-            return
-        head, *rest = gkeys
-        for perm in permutations(groups2[head]):
-            for tail in assignments(rest):
-                yield list(perm) + tail
-
-    gkeys = sorted(groups1)
-    order1 = [li for g in gkeys for li in groups1[g]]
-    inv1 = [0] * k
-    for i, li in enumerate(order1):
-        inv1[li] = i
-    for assigned in assignments(gkeys):
-        # assigned[i] is the d2 letter matched with order1[i]
-        if _bfs_key(d2, tuple(assigned)) == _bfs_key(d1, tuple(order1)):
-            return True
-    return False
+    return CanonicalForm(bfs_key(d, tuple(range(k))), False)
 
 
 # -- DFA file format ---------------------------------------------------------

@@ -183,8 +183,7 @@ def cmd_distinguish(args) -> int:
 def cmd_search(args) -> int:
     try:
         result = search.max_shuffle_complexity(
-            args.m, args.n, args.k,
-            result_cap=args.cap, force=args.force, workers=args.workers,
+            args.m, args.n, args.k, result_cap=args.cap, force=args.force
         )
     except search.SearchVolumeError as e:
         print(str(e), file=sys.stderr)
@@ -273,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=10, help="max witnesses reported")
     p.add_argument("--force", action="store_true",
                    help="override the search volume guard")
-    p.add_argument("--workers", type=int, default=_default_workers())
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("okhotin", help="unary-left ideal witness family")

@@ -122,12 +122,16 @@ def brute_subsets_pairwise_distinct(a: Nfa) -> bool:
 
 
 def ternary_witness(m: int, n: int) -> tuple[Dfa, Dfa]:
-    """The three-letter witness pair whose shuffle meets the bound f(m, n).
+    """The three-letter distinguishability witness pair.
 
     K over {a, b, c}: a cycles 1 -> 2 -> ... -> m -> 1, b is constant 1,
     c sends 1 to 2 and everything else to 1; final state m. L swaps the
     roles: a constant 1, b the cycle, c constant n; final state n. Both are
-    minimal, so their complexities are exactly m and n.
+    minimal, so their complexities are exactly m and n. The closure of
+    uniquely_distinguishable covers every state of their shuffle NFA, so
+    its reachable subsets are pairwise inequivalent. Three letters do not
+    reach every valid subset, though: the shuffle's complexity stays below
+    f(m, n), for example 9 of 10 at 2x2 and 509 of 3392 at 3x4.
     """
     if m < 2 or n < 2:
         raise ValueError("the witness family needs m, n >= 2")

@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -43,7 +44,7 @@ from .shuffle import (
     bound_f,
     col1_mask,
     is_valid,
-    row1_mask,
+    valid_encodings,
 )
 
 
@@ -182,14 +183,6 @@ def _successor_bitmap(
     return out
 
 
-def _valid_bitmap(m: int, n: int) -> np.ndarray:
-    total = 1 << (m * n)
-    r1 = np.uint64(row1_mask(m, n))
-    c1 = np.uint64(col1_mask(m, n))
-    x = np.arange(total, dtype=np.uint64)
-    return ((x & r1) != 0) & ((x & c1) != 0)
-
-
 # -- reach report ------------------------------------------------------------
 
 
@@ -278,11 +271,20 @@ def write_checkpoint(
     }
     name = _checkpoint_name(generation)
     body = b"\n".join(str(int(e)).encode() for e in frontier)
-    with open(directory / name, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(bitmap)
-        fh.write(b"\n" + body + (b"\n" if frontier.size else b""))
-    (directory / "LATEST").write_text(name + "\n")
+    _write_atomically(directory / name, [
+        json.dumps(header, sort_keys=True).encode() + b"\n", bitmap,
+        b"\n" + body + (b"\n" if frontier.size else b""),
+    ])
+    _write_atomically(directory / "LATEST", [(name + "\n").encode()])
+
+
+def _write_atomically(path: Path, parts: list[bytes]) -> None:
+    """Write through a temp file in the same directory, then rename it over
+    path, so a crash leaves either the old file or the new one."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        fh.writelines(parts)
+    os.replace(tmp, path)
 
 
 def read_checkpoint(directory, m: int, n: int, aid: str):
@@ -321,12 +323,16 @@ def read_checkpoint(directory, m: int, n: int, aid: str):
     rest = raw[nl + 1 + nbytes:]
     if rest[:1] == b"\n":
         rest = rest[1:]
-    frontier_items = [int(line) for line in rest.split(b"\n") if line]
+    frontier_items = sorted(int(line) for line in rest.split(b"\n") if line)
     if len(frontier_items) != header.get("frontier_len"):
         raise CheckpointError("frontier length does not match header")
     if int(visited.sum()) != header.get("visited_count"):
         raise CheckpointError("visited count does not match header")
-    frontier = np.array(sorted(frontier_items), dtype=np.uint64)
+    if frontier_items and (frontier_items[0] < 0 or frontier_items[-1] >= total):
+        raise CheckpointError(f"frontier entry outside 0..2^{m * n}-1")
+    frontier = np.array(frontier_items, dtype=np.uint64)
+    if not visited[frontier].all():
+        raise CheckpointError("frontier entry missing from the visited bitmap")
     return header["generation"], visited, frontier
 
 
@@ -399,8 +405,11 @@ def bfs_reach(
 
     bound = bound_f(m, n)
     reached = int(visited.sum())
-    valid = _valid_bitmap(m, n)
-    unreached = np.flatnonzero(valid & ~visited)[:32]
+    unreached: list[int] = []
+    for chunk in valid_encodings(m, n):
+        unreached += chunk[~visited[chunk]][:32 - len(unreached)].tolist()
+        if len(unreached) == 32:
+            break
     return ReachReport(
         m=m,
         n=n,
@@ -413,17 +422,11 @@ def bfs_reach(
         bound=bound,
         reached=reached,
         complete=reached == bound,
-        unreached_sample=tuple(int(e) for e in unreached),
+        unreached_sample=tuple(unreached),
         lineage=_lineage(m, n, aid),
         generations=generation,
         elapsed_seconds=time.monotonic() - start_time,
     )
-
-
-def reached_condition_c_violations(m: int, n: int, report: ReachReport) -> int:
-    """Reached-count excess over the valid-subset count; nonzero would
-    falsify the reachability validity lemma and signals a bug."""
-    return max(0, report.reached - report.bound)
 
 
 # -- reductions --------------------------------------------------------------
@@ -709,14 +712,6 @@ class Certificate:
         return cls.from_dict(json.loads(text))
 
 
-def _iter_valid_encodings(m: int, n: int) -> Iterator[int]:
-    r1 = row1_mask(m, n)
-    c1 = col1_mask(m, n)
-    for enc in range(1, 1 << (m * n)):
-        if enc & r1 and enc & c1:
-            yield enc
-
-
 def _first_empty_line(S: ProductSubset) -> tuple[str, int] | None:
     for q in range(1, S.n + 1):
         if not S.column(q):
@@ -778,13 +773,13 @@ def _justify_subset(S: ProductSubset) -> dict | None:
 
 def _exhaustive_entry(mi: int, ni: int, gaps: list[str]) -> InstanceEntry:
     table: dict[str, dict] = {}
-    for enc in _iter_valid_encodings(mi, ni):
-        S = ProductSubset(mi, ni, enc)
-        j = _justify_subset(S)
-        if j is None:
-            gaps.append(f"instance ({mi},{ni}): subset encoding {enc} unjustified")
-        else:
-            table[str(enc)] = j
+    for chunk in valid_encodings(mi, ni):
+        for enc in chunk.tolist():
+            j = _justify_subset(ProductSubset(mi, ni, enc))
+            if j is None:
+                gaps.append(f"instance ({mi},{ni}): subset encoding {enc} unjustified")
+            else:
+                table[str(enc)] = j
     return InstanceEntry(mi, ni, STRATEGY_EXHAUSTIVE, {"justifications": table})
 
 
@@ -999,9 +994,10 @@ def _verify_exhaustive(
 ) -> None:
     table = entry.data["justifications"]
     mi, ni = entry.m, entry.n
-    for enc in _iter_valid_encodings(mi, ni):
-        if str(enc) not in table:
-            failures.append(f"({mi},{ni}): valid subset {enc} has no justification")
+    for chunk in valid_encodings(mi, ni):
+        for enc in chunk.tolist():
+            if str(enc) not in table:
+                failures.append(f"({mi},{ni}): valid subset {enc} has no justification")
     edges: dict[int, list[int]] = {}
     for key, j in table.items():
         enc = int(key)
@@ -1164,8 +1160,9 @@ def direct_smaller_check(m: int, n: int) -> DirectSmallerReport:
         raise GridSizeError(
             f"direct_smaller_check enumerates pairs; {m}x{n} exceeds 16 cells"
         )
+    valid = [enc for chunk in valid_encodings(m, n) for enc in chunk.tolist()]
     covered: set[int] = set()
-    for enc in _iter_valid_encodings(m, n):
+    for enc in valid:
         T = ProductSubset(m, n, enc)
         size = len(T)
         for R in _distinct_row_maps(T):
@@ -1175,7 +1172,7 @@ def direct_smaller_check(m: int, n: int) -> DirectSmallerReport:
                     covered.add(succ)
     checked = 0
     exceptions = []
-    for enc in _iter_valid_encodings(m, n):
+    for enc in valid:
         if enc.bit_count() < 3:
             continue
         checked += 1

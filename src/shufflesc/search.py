@@ -6,20 +6,29 @@ choice of final sets. Letter order never matters to the shuffle, so
 multisets are generated in nondecreasing canonical order, killing letter
 permutations at the source; remaining symmetry (per-DFA state relabeling
 and joint letter renaming) is removed by canonicalizing reported
-witnesses. The guard formula deliberately overcounts — it prices the raw
-space before the minimality and reachability filters bite.
+witnesses with automata.bfs_key. Each multiset's shuffle NFA is
+determinized once with automata.subset_table; the final-set choices reuse
+that table. The search runs serially in one thread. The guard formula
+deliberately overcounts — it prices the raw space before the minimality
+and reachability filters bite.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations, product
 from string import ascii_lowercase
 
-from .automata import Dfa, Transformation, state_complexity
-from .shuffle import bound_f, build_shuffle_nfa, shuffle_state_complexity
+from .automata import (
+    Dfa,
+    Transformation,
+    bfs_key,
+    state_complexity,
+    subset_table,
+    trim,
+)
+from .shuffle import bound_f, build_shuffle_nfa
 
 SEARCH_GUARD_EVALUATIONS = 10**9
 
@@ -84,37 +93,6 @@ def _proper_final_sets(size: int) -> list[frozenset[int]]:
     return out
 
 
-def _bfs_relabel_key(d: Dfa) -> tuple:
-    """Canonical key of a trim DFA under state relabeling with the letter
-    order held fixed: BFS discovery order from the initial state."""
-    relabel = {d.initial: 1}
-    order = [d.initial]
-    head = 0
-    while head < len(order):
-        q = order[head]
-        head += 1
-        for t in d.transitions:
-            nxt = t.apply(q)
-            if nxt not in relabel:
-                relabel[nxt] = len(relabel) + 1
-                order.append(nxt)
-    rows = tuple(
-        tuple(relabel[t.apply(q)] for t in d.transitions) for q in order
-    )
-    finals = tuple(sorted(relabel[f] for f in d.finals if f in relabel))
-    return (len(order), rows, finals)
-
-
-def _permute_letters(d: Dfa, perm: tuple[int, ...]) -> Dfa:
-    return Dfa(
-        d.state_count,
-        d.alphabet,
-        tuple(d.transitions[i] for i in perm),
-        d.finals,
-        d.initial,
-    )
-
-
 def pair_canonical_key(
     K: Dfa, L: Dfa, *, allow_swap: bool = False, ignore_finals: bool = False
 ) -> tuple:
@@ -123,47 +101,31 @@ def pair_canonical_key(
 
     allow_swap also minimizes over the operand order (sound because the
     shuffle commutes; only available for equal state counts). ignore_finals
-    blanks both final sets first — the convention under which the 4-letter
-    2x2 witness is unique: with final sets distinguished, the exhaustive
-    search finds bound-meeting variants of the same transition structure
-    that differ only in which state is final on each side.
+    drops both final sets from the key — the convention under which the
+    4-letter 2x2 witness is unique: with final sets distinguished, the
+    exhaustive search finds bound-meeting variants of the same transition
+    structure that differ only in which state is final on each side.
     """
-    k = len(K.alphabet)
-    orders = [(K, L)]
+    size = 2 if ignore_finals else 3
+    orders = [(trim(K), trim(L))]
     if allow_swap and K.state_count == L.state_count:
-        orders.append((L, K))
-    best = None
-    for first, second in orders:
-        if ignore_finals:
-            first = Dfa(first.state_count, first.alphabet, first.transitions,
-                        frozenset([1]), first.initial)
-            second = Dfa(second.state_count, second.alphabet, second.transitions,
-                         frozenset([1]), second.initial)
-        for perm in permutations(range(k)):
-            a = _bfs_relabel_key(_permute_letters(first, perm))
-            b = _bfs_relabel_key(_permute_letters(second, perm))
-            key = ((a[0], a[1]) if ignore_finals else a,
-                   (b[0], b[1]) if ignore_finals else b)
-            if best is None or key < best:
-                best = key
-    return best
+        orders.append(orders[0][::-1])
+    return min(
+        (bfs_key(first, perm)[:size], bfs_key(second, perm)[:size])
+        for first, second in orders
+        for perm in permutations(range(len(K.alphabet)))
+    )
 
 
 def right_dfa_canonical_key(L: Dfa, *, ignore_finals: bool = False) -> tuple:
     """Canonical key of one DFA under letter renaming and state relabeling;
-    optionally blind to the final set."""
-    k = len(L.alphabet)
-    base = L
-    if ignore_finals:
-        base = Dfa(L.state_count, L.alphabet, L.transitions, frozenset([1]), L.initial)
-    best = None
-    for perm in permutations(range(k)):
-        key = _bfs_relabel_key(_permute_letters(base, perm))
-        if best is None or key < best:
-            best = key
-    if ignore_finals:
-        return (best[0], best[1])
-    return best
+    optionally blind to the final set. Unlike canonicalize, it renames
+    letters at every alphabet size."""
+    L = trim(L)
+    size = 2 if ignore_finals else 3
+    return min(
+        bfs_key(L, perm)[:size] for perm in permutations(range(len(L.alphabet)))
+    )
 
 
 def _guard(space: SearchSpace, force: bool) -> None:
@@ -176,23 +138,6 @@ def _guard(space: SearchSpace, force: bool) -> None:
         )
 
 
-def _reachable_subset_count(K: Dfa, L: Dfa) -> int:
-    """Size of the reachable part of the shuffle subset automaton; an upper
-    bound on the shuffle complexity that is independent of the final sets."""
-    sh = build_shuffle_nfa(K, L)
-    init = frozenset([sh.state_id(1, 1)])
-    seen = {init}
-    stack = [init]
-    while stack:
-        cur = stack.pop()
-        for x in sh.nfa.alphabet:
-            nxt = sh.nfa.step(cur, x)
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen)
-
-
 def max_shuffle_complexity(
     m: int,
     n: int,
@@ -200,12 +145,19 @@ def max_shuffle_complexity(
     result_cap: int = 10,
     *,
     force: bool = False,
-    workers: int = 1,
     stop_at_bound: bool = False,
     dedup_swap: bool = True,
     dedup_finals: bool = True,
 ) -> SearchResult:
     """Exact maximum of the shuffle complexity over the deduplicated space.
+
+    Each letter multiset gets one shuffle NFA and one subset table. Its
+    reachable-subset count bounds kappa for every choice of final sets, so
+    a multiset whose count is below the best kappa so far is skipped. For
+    the others, each pair (F_K, F_L) giving minimal K and L sets the finals
+    of the table's DFA and minimizes it; candidates_evaluated counts these
+    pairs. The scan is serial and in a fixed order, so its counts are
+    deterministic.
 
     Witnesses attaining the maximum are reported in canonical form, at most
     result_cap of them; one representative survives per equivalence class
@@ -222,78 +174,66 @@ def max_shuffle_complexity(
     left_finals = _proper_final_sets(m)
     right_finals = _proper_final_sets(n)
     candidates = space.letter_candidates()
-    multisets = list(combinations_with_replacement(range(len(candidates)), k))
 
-    def evaluate_shard(shard) -> tuple[int, dict, int]:
+    def scan() -> tuple[int, dict[tuple, tuple[Dfa, Dfa]], int]:
         best = 0
         witnesses: dict[tuple, tuple[Dfa, Dfa]] = {}
         evaluated = 0
-        for multiset in shard:
+        for multiset in combinations_with_replacement(range(len(candidates)), k):
             letters = [candidates[i] for i in multiset]
             k_trans = tuple(s for s, _ in letters)
             l_trans = tuple(t for _, t in letters)
-            probe_K = Dfa(m, names, k_trans, frozenset([1]))
-            probe_L = Dfa(n, names, l_trans, frozenset([1]))
-            reach = _reachable_subset_count(probe_K, probe_L)
-            if reach < best:
+            sh = build_shuffle_nfa(
+                Dfa(m, names, k_trans, frozenset([1])),
+                Dfa(n, names, l_trans, frozenset([1])),
+            )
+            subsets, table = subset_table(sh.nfa)
+            if len(subsets) < best:
                 continue  # cannot attain the current maximum
-            for FK in left_finals:
-                K = Dfa(m, names, k_trans, FK)
-                if state_complexity(K) != m:
-                    continue
-                for FL in right_finals:
-                    L = Dfa(n, names, l_trans, FL)
-                    if state_complexity(L) != n:
-                        continue
+            lefts = [
+                K for FK in left_finals
+                if state_complexity(K := Dfa(m, names, k_trans, FK)) == m
+            ]
+            rights = [
+                L for FL in right_finals
+                if state_complexity(L := Dfa(n, names, l_trans, FL)) == n
+            ]
+            transitions = tuple(map(Transformation, zip(*table)))
+            for K in lefts:
+                for L in rights:
                     evaluated += 1
-                    kappa = shuffle_state_complexity(K, L)
+                    final_mask = sum(
+                        1 << (sh.state_id(p, q) - 1) for p in K.finals for q in L.finals
+                    )
+                    finals = frozenset(
+                        i for i, s in enumerate(subsets, 1) if s & final_mask
+                    )
+                    subset_dfa = Dfa(len(subsets), names, transitions, finals)
+                    kappa = state_complexity(subset_dfa)
                     if kappa > best:
                         best = kappa
                         witnesses = {}
                     if kappa == best:
-                        key = pair_canonical_key(K, L)
-                        witnesses.setdefault(key, (K, L))
+                        witnesses.setdefault(pair_canonical_key(K, L), (K, L))
                     if stop_at_bound and best >= bound:
                         return best, witnesses, evaluated
         return best, witnesses, evaluated
 
-    if workers <= 1:
-        shards = [multisets]
-    else:
-        shards = [multisets[i::workers] for i in range(workers)]
-    if len(shards) == 1:
-        results = [evaluate_shard(shards[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-            results = list(pool.map(evaluate_shard, shards))
-
-    maximum = max(r[0] for r in results)
-    evaluated = sum(r[2] for r in results)
-    merged: dict[tuple, tuple[Dfa, Dfa]] = {}
-    for best, wits, _ in results:
-        if best == maximum:
-            merged.update(wits)
+    best, witnesses, evaluated = scan()
     # regroup the strictly-deduplicated witnesses under the requested
     # convention; the representative is the one with the least strict key
     classes: dict[tuple, tuple] = {}
-    for strict_key in sorted(merged):
-        K, L = merged[strict_key]
+    for strict_key in sorted(witnesses):
+        K, L = witnesses[strict_key]
         relaxed = pair_canonical_key(
             K, L, allow_swap=dedup_swap, ignore_finals=dedup_finals
         )
         classes.setdefault(relaxed, strict_key)
-    pairs = [merged[classes[key]] for key in sorted(classes)][:result_cap]
-    return SearchResult(maximum, bound, maximum >= bound, pairs, evaluated)
+    pairs = [witnesses[classes[key]] for key in sorted(classes)][:result_cap]
+    return SearchResult(best, bound, best >= bound, pairs, evaluated)
 
 
-def min_witness_alphabet(
-    m: int,
-    n: int,
-    k_range,
-    *,
-    force: bool = False,
-    workers: int = 1,
-) -> int | None:
+def min_witness_alphabet(m: int, n: int, k_range, *, force: bool = False) -> int | None:
     """Smallest letter count in k_range whose best pair meets the bound,
     or None. Values below the proven alphabet lower bound are skipped
     without search."""
@@ -303,9 +243,7 @@ def min_witness_alphabet(
     for k in k_range:
         if k < lower:
             continue
-        result = max_shuffle_complexity(
-            m, n, k, force=force, workers=workers, stop_at_bound=True
-        )
+        result = max_shuffle_complexity(m, n, k, force=force, stop_at_bound=True)
         if result.met:
             return k
     return None
@@ -318,14 +256,13 @@ def count_nonisomorphic_witness_right_dfas(
     *,
     ignore_finals: bool = True,
     force: bool = False,
-    workers: int = 1,
 ) -> int:
     """Number of canonically distinct right-hand DFAs in bound-meeting
     pairs, after pair-orientation normalization. ignore_finals (the
     default, matching the relaxation under which the 2x3 count exceeds 60)
     makes right DFAs differing only in final sets count once."""
     result = max_shuffle_complexity(
-        m, n, k, result_cap=10**6, force=force, workers=workers,
+        m, n, k, result_cap=10**6, force=force,
         dedup_swap=True, dedup_finals=ignore_finals,
     )
     if not result.met:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -122,11 +122,16 @@ def bound_f(m: int, n: int) -> int:
     )
 
 
-def count_valid_subsets(m: int, n: int) -> int:
-    """Exhaustive count of subsets satisfying Condition (C).
+#: encodings tested per chunk of the valid-subset scan
+VALID_SCAN_CHUNK = 1 << 20
 
-    Independent of bound_f: enumerates all 2^(mn) encodings and tests the
-    two masks directly. Guarded at m*n <= 24.
+
+def valid_encodings(m: int, n: int) -> Iterator[np.ndarray]:
+    """Encodings of the subsets satisfying Condition (C), in ascending order.
+
+    Scans all 2^(mn) encodings VALID_SCAN_CHUNK at a time and tests the two
+    masks directly, yielding one uint64 array per chunk. Guarded at
+    m*n <= 24.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
@@ -134,12 +139,15 @@ def count_valid_subsets(m: int, n: int) -> int:
     total = 1 << (m * n)
     r1 = np.uint64(row1_mask(m, n))
     c1 = np.uint64(col1_mask(m, n))
-    count = 0
-    chunk = 1 << 20
-    for start in range(0, total, chunk):
-        x = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        count += int(np.count_nonzero(((x & r1) != 0) & ((x & c1) != 0)))
-    return count
+    for start in range(0, total, VALID_SCAN_CHUNK):
+        x = np.arange(start, min(start + VALID_SCAN_CHUNK, total), dtype=np.uint64)
+        yield x[((x & r1) != 0) & ((x & c1) != 0)]
+
+
+def count_valid_subsets(m: int, n: int) -> int:
+    """Exhaustive count of subsets satisfying Condition (C), independent of
+    bound_f. Guarded at m*n <= 24."""
+    return sum(chunk.size for chunk in valid_encodings(m, n))
 
 
 @dataclass(frozen=True)
@@ -180,16 +188,12 @@ def build_shuffle_nfa(K: Dfa, L: Dfa) -> ShuffleNfa:
     def sid(p: int, q: int) -> int:
         return (p - 1) * n + (q - 1) + 1
 
-    transitions = []
-    for p in range(1, m + 1):
-        for q in range(1, n + 1):
-            row = []
-            for li in range(len(K.alphabet)):
-                row.append(frozenset({
-                    sid(K.transitions[li].apply(p), q),
-                    sid(p, L.transitions[li].apply(q)),
-                }))
-            transitions.append(tuple(row))
+    letters = [(s.images, t.images) for s, t in zip(K.transitions, L.transitions)]
+    transitions = [
+        tuple(frozenset({sid(s[p - 1], q), sid(p, t[q - 1])}) for s, t in letters)
+        for p in range(1, m + 1)
+        for q in range(1, n + 1)
+    ]
     finals = frozenset(
         sid(p, q) for p in K.finals for q in L.finals
     )

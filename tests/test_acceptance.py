@@ -181,7 +181,7 @@ class TestCriterion9WitnessSearch:
 
     @pytest.mark.slow
     def test_minimal_alphabet_at_2x3_is_six(self):
-        assert min_witness_alphabet(2, 3, range(1, 7), force=True, workers=4) == 6
+        assert min_witness_alphabet(2, 3, range(1, 7), force=True) == 6
 
 
 class TestCriterion10PropertySuites:

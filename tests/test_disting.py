@@ -15,7 +15,7 @@ from shufflesc.disting import (
     unique_in_subgraph,
     uniquely_distinguishable,
 )
-from shufflesc.shuffle import build_shuffle_nfa
+from shufflesc.shuffle import bound_f, build_shuffle_nfa, shuffle_state_complexity
 
 
 def witness_product(m, n):
@@ -205,6 +205,16 @@ class TestTernaryWitness:
         K, L = ternary_witness(m, n)
         assert state_complexity(K) == m
         assert state_complexity(L) == n
+
+    @pytest.mark.parametrize(
+        "m,n,kappa",
+        [(2, 2, 9), (2, 3, 33), (3, 3, 123), (2, 4, 89), (3, 4, 509)],
+    )
+    def test_shuffle_complexity_below_bound(self, m, n, kappa):
+        # the distinguishability witness does not reach enough subsets to
+        # meet f(m, n)
+        K, L = ternary_witness(m, n)
+        assert shuffle_state_complexity(K, L) == kappa < bound_f(m, n)
 
     def test_small_sizes_rejected(self):
         with pytest.raises(ValueError):

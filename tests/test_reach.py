@@ -28,6 +28,7 @@ from shufflesc.reach import (
     reduce_single_element,
     sperner_limit,
     verify_certificate,
+    write_checkpoint,
 )
 from shufflesc.shuffle import GridSizeError, ProductSubset, bound_f, is_valid
 
@@ -181,6 +182,26 @@ class TestCheckpoints:
         raw[raw.index(b"\n") + 1] ^= 0xFF
         target.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError):
+            bfs_reach(2, 2, checkpoint_dir=tmp_path, resume=True)
+
+    @pytest.mark.parametrize("entry", [16, 2**64 + 1])
+    def test_frontier_out_of_range_refused(self, tmp_path, entry):
+        visited = np.zeros(16, dtype=bool)
+        visited[1] = True
+        frontier = np.array([1], dtype=np.uint64)
+        write_checkpoint(tmp_path, 2, 2, "full", 0, visited, frontier)
+        target = tmp_path / "gen-000000.ckpt"
+        raw = target.read_bytes().replace(b"\n1\n", f"\n{entry}\n".encode())
+        target.write_bytes(raw)
+        with pytest.raises(CheckpointError, match="outside"):
+            bfs_reach(2, 2, checkpoint_dir=tmp_path, resume=True)
+
+    def test_frontier_outside_visited_refused(self, tmp_path):
+        visited = np.zeros(16, dtype=bool)
+        visited[1] = True
+        frontier = np.array([3], dtype=np.uint64)
+        write_checkpoint(tmp_path, 2, 2, "full", 0, visited, frontier)
+        with pytest.raises(CheckpointError, match="visited"):
             bfs_reach(2, 2, checkpoint_dir=tmp_path, resume=True)
 
     def test_mismatched_grid_refused(self, tmp_path):
