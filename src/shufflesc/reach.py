@@ -113,45 +113,62 @@ def alphabet_id(alphabet) -> str:
 
 
 def extremal_step(S: ProductSubset, a: ExtremalLetter) -> ProductSubset:
-    """S . a = {(s(p), q)} union {(p, t(q))} over (p, q) in S."""
+    """S . a = {(s(p), q)} union {(p, t(q))} over (p, q) in S: the row part
+    of S under s OR its column part under t."""
     if a.s.degree != S.m or a.t.degree != S.n:
         raise ValueError("letter degree does not match the grid")
-    n = S.n
-    bits = 0
-    for p, q in S.pairs():
-        bits |= 1 << ((a.s.images[p - 1] - 1) * n + (q - 1))
-        bits |= 1 << ((p - 1) * n + (a.t.images[q - 1] - 1))
-    return ProductSubset(S.m, S.n, bits)
+    m, n = S.m, S.n
+    return ProductSubset(
+        m, n, _row_map(S.bits, a.s.images, m, n) | _col_map(S.bits, a.t.images, m, n)
+    )
 
 
-# -- vectorized stepping -----------------------------------------------------
+# -- the step kernel ---------------------------------------------------------
+#
+# Subsets are encodings: a Python int, or a uint64 array of them. Masks and
+# shifts are Python ints, which keep uint64 arrays uint64 under numpy 2's
+# promotion rules (NEP 50), so the same code steps one subset or many.
 
 
-def _col_masks(m: int, n: int) -> list[int]:
-    return [col1_mask(m, n) << (q - 1) for q in range(1, n + 1)]
-
-
-def _row_map(enc: np.ndarray, images: Sequence[int], m: int, n: int) -> np.ndarray:
-    rowmask = np.uint64((1 << n) - 1)
-    out = np.zeros_like(enc)
+def _row_map(enc, images: Sequence[int], m: int, n: int):
+    """Row part of the step: row p of enc moves onto row images[p-1]."""
+    rowmask = (1 << n) - 1
+    out = enc & 0
     for p in range(m):
-        content = (enc >> np.uint64(p * n)) & rowmask
-        out |= content << np.uint64((images[p] - 1) * n)
+        out |= ((enc >> p * n) & rowmask) << (images[p] - 1) * n
     return out
 
 
-def _col_map(
-    enc: np.ndarray, images: Sequence[int], m: int, n: int, masks: list[int]
-) -> np.ndarray:
-    out = np.zeros_like(enc)
+def _col_map(enc, images: Sequence[int], m: int, n: int):
+    """Column part of the step: column q of enc moves onto column images[q-1]."""
+    colmask = col1_mask(m, n)
+    out = enc & 0
     for q in range(n):
-        col = enc & np.uint64(masks[q])
+        col = enc & colmask << q
         shift = images[q] - 1 - q
-        if shift >= 0:
-            out |= col << np.uint64(shift)
-        else:
-            out |= col >> np.uint64(-shift)
+        out |= col << shift if shift >= 0 else col >> -shift
     return out
+
+
+def _line_images(x: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct row parts of x over all s in T_m, and distinct column parts
+    over all t in T_n. Only occupied rows and columns are mapped, and
+    duplicates are merged after each line, so a subset with k occupied rows
+    costs at most m^k row parts, not m^m. Every successor of x over the full
+    alphabet is R[i] | C[j] for some i, j."""
+    rowmask = (1 << n) - 1
+    R = {0}
+    for p in range(m):
+        row = (x >> p * n) & rowmask
+        if row:
+            R = {r | row << i * n for r in R for i in range(m)}
+    colmask = col1_mask(m, n)
+    C = {0}
+    for q in range(n):
+        col = (x & colmask << q) >> q
+        if col:
+            C = {c | col << j for c in C for j in range(n)}
+    return np.fromiter(R, np.uint64, len(R)), np.fromiter(C, np.uint64, len(C))
 
 
 def _successor_bitmap(
@@ -161,25 +178,15 @@ def _successor_bitmap(
     alphabet,
 ) -> np.ndarray:
     """Dense bool bitmap of every one-step successor of the frontier."""
-    total = 1 << (m * n)
-    masks = _col_masks(m, n)
-    out = np.zeros(total, dtype=bool)
+    out = np.zeros(1 << (m * n), dtype=bool)
     if isinstance(alphabet, str):  # full alphabet
-        s_list = list(product(range(1, m + 1), repeat=m))
-        t_list = list(product(range(1, n + 1), repeat=n))
-        chunk = max(64, (1 << 22) // max(len(s_list), len(t_list)))
-        for lo in range(0, frontier.size, chunk):
-            part = frontier[lo:lo + chunk]
-            rowmaps = [_row_map(part, s, m, n) for s in s_list]
-            colmaps = [_col_map(part, t, m, n, masks) for t in t_list]
-            for R in rowmaps:
-                for C in colmaps:
-                    out[R | C] = True
+        for x in frontier.tolist():
+            R, C = _line_images(x, m, n)
+            out[R[:, None] | C[None, :]] = True
     else:
         for a in alphabet:
-            R = _row_map(frontier, a.s.images, m, n)
-            C = _col_map(frontier, a.t.images, m, n, masks)
-            out[R | C] = True
+            out[_row_map(frontier, a.s.images, m, n)
+                | _col_map(frontier, a.t.images, m, n)] = True
     return out
 
 
@@ -260,6 +267,7 @@ def write_checkpoint(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     bitmap = np.packbits(visited, bitorder="little").tobytes()
+    body = "".join(f"{e}\n" for e in frontier.tolist()).encode()
     header = {
         "m": m,
         "n": n,
@@ -268,12 +276,11 @@ def write_checkpoint(
         "visited_count": int(visited.sum()),
         "frontier_len": int(frontier.size),
         "bitmap_sha256": hashlib.sha256(bitmap).hexdigest(),
+        "frontier_sha256": hashlib.sha256(body).hexdigest(),
     }
     name = _checkpoint_name(generation)
-    body = b"\n".join(str(int(e)).encode() for e in frontier)
     _write_atomically(directory / name, [
-        json.dumps(header, sort_keys=True).encode() + b"\n", bitmap,
-        b"\n" + body + (b"\n" if frontier.size else b""),
+        json.dumps(header, sort_keys=True).encode() + b"\n", bitmap, b"\n", body,
     ])
     _write_atomically(directory / "LATEST", [(name + "\n").encode()])
 
@@ -320,16 +327,23 @@ def read_checkpoint(directory, m: int, n: int, aid: str):
     visited = np.unpackbits(
         np.frombuffer(bitmap, dtype=np.uint8), bitorder="little"
     )[:total].astype(bool)
-    rest = raw[nl + 1 + nbytes:]
-    if rest[:1] == b"\n":
-        rest = rest[1:]
-    frontier_items = sorted(int(line) for line in rest.split(b"\n") if line)
+    body = raw[nl + 1 + nbytes:]
+    if body[:1] == b"\n":
+        body = body[1:]
+    try:
+        frontier_items = sorted(int(line) for line in body.split(b"\n") if line)
+    except ValueError:
+        raise CheckpointError("frontier entry is not an integer") from None
     if len(frontier_items) != header.get("frontier_len"):
         raise CheckpointError("frontier length does not match header")
     if int(visited.sum()) != header.get("visited_count"):
         raise CheckpointError("visited count does not match header")
     if frontier_items and (frontier_items[0] < 0 or frontier_items[-1] >= total):
         raise CheckpointError(f"frontier entry outside 0..2^{m * n}-1")
+    if "frontier_sha256" not in header:
+        raise CheckpointError("checkpoint header has no frontier_sha256")
+    if hashlib.sha256(body).hexdigest() != header["frontier_sha256"]:
+        raise CheckpointError("frontier hash mismatch; refusing to resume")
     frontier = np.array(frontier_items, dtype=np.uint64)
     if not visited[frontier].all():
         raise CheckpointError("frontier entry missing from the visited bitmap")
@@ -1124,35 +1138,6 @@ class DirectSmallerReport:
         return not self.exceptions
 
 
-def _distinct_row_maps(T: ProductSubset) -> set[int]:
-    """All values of {row-transformed T} over every s in T_m."""
-    m, n = T.m, T.n
-    rows = [(p, T.bits >> (p - 1) * n & ((1 << n) - 1)) for p in range(1, m + 1)]
-    rows = [(p, r) for p, r in rows if r]
-    out: set[int] = set()
-    for images in product(range(1, m + 1), repeat=len(rows)):
-        bits = 0
-        for (p, r), img in zip(rows, images):
-            bits |= r << (img - 1) * n
-        out.add(bits)
-    return out
-
-
-def _distinct_col_maps(T: ProductSubset) -> set[int]:
-    m, n = T.m, T.n
-    colmask = col1_mask(m, n)
-    cols = [(q, T.bits & (colmask << (q - 1))) for q in range(1, n + 1)]
-    cols = [(q, c) for q, c in cols if c]
-    out: set[int] = set()
-    for images in product(range(1, n + 1), repeat=len(cols)):
-        bits = 0
-        for (q, c), img in zip(cols, images):
-            shift = img - q
-            bits |= c << shift if shift >= 0 else c >> -shift
-        out.add(bits)
-    return out
-
-
 def direct_smaller_check(m: int, n: int) -> DirectSmallerReport:
     """Verify that every valid subset of size >= 3 is one extremal-letter
     step away from some strictly smaller valid subset."""
@@ -1161,22 +1146,18 @@ def direct_smaller_check(m: int, n: int) -> DirectSmallerReport:
             f"direct_smaller_check enumerates pairs; {m}x{n} exceeds 16 cells"
         )
     valid = [enc for chunk in valid_encodings(m, n) for enc in chunk.tolist()]
-    covered: set[int] = set()
+    covered = np.zeros(1 << (m * n), dtype=bool)
     for enc in valid:
-        T = ProductSubset(m, n, enc)
-        size = len(T)
-        for R in _distinct_row_maps(T):
-            for C in _distinct_col_maps(T):
-                succ = R | C
-                if succ.bit_count() > size:
-                    covered.add(succ)
+        R, C = _line_images(enc, m, n)
+        succ = R[:, None] | C[None, :]
+        covered[succ[np.bitwise_count(succ) > enc.bit_count()]] = True
     checked = 0
     exceptions = []
     for enc in valid:
         if enc.bit_count() < 3:
             continue
         checked += 1
-        if enc not in covered:
+        if not covered[enc]:
             exceptions.append(enc)
     return DirectSmallerReport(m, n, checked, tuple(exceptions))
 
@@ -1199,7 +1180,6 @@ def greedy_alphabet(m: int, n: int) -> list[ExtremalLetter]:
     if m * n > ENUM_GUARD_CELLS:
         raise GridSizeError("greedy_alphabet exceeds the enumeration guard")
     bound = bound_f(m, n)
-    masks = _col_masks(m, n)
     total = 1 << (m * n)
     letters: list[ExtremalLetter] = []
     in_closure = np.zeros(total, dtype=bool)
@@ -1220,9 +1200,8 @@ def greedy_alphabet(m: int, n: int) -> list[ExtremalLetter]:
         best_gain = 0
         best_letter = None
         for a in iter_full_alphabet(m, n):
-            R = _row_map(closure_states, a.s.images, m, n)
-            C = _col_map(closure_states, a.t.images, m, n, masks)
-            succ = R | C
+            succ = (_row_map(closure_states, a.s.images, m, n)
+                    | _col_map(closure_states, a.t.images, m, n))
             gain = int(np.unique(succ[~in_closure[succ]]).size)
             if gain > best_gain:
                 best_gain = gain

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from itertools import combinations
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from shufflesc.automata import Transformation
 from shufflesc.reach import (
+    _successor_bitmap,
     Certificate,
     CertificationGapError,
     CheckpointError,
@@ -30,7 +32,9 @@ from shufflesc.reach import (
     verify_certificate,
     write_checkpoint,
 )
-from shufflesc.shuffle import GridSizeError, ProductSubset, bound_f, is_valid
+from shufflesc.shuffle import (
+    GridSizeError, ProductSubset, bound_f, is_valid, valid_encodings,
+)
 
 T = Transformation
 DEFAULT_BASE_FACTS = [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
@@ -85,6 +89,60 @@ class TestExtremalStep:
         assert len(stepped) >= 1
 
 
+def pair_loop_step(bits, s_images, t_images, m, n):
+    """The step as the definition reads it: (s(p), q) and (p, t(q)) for
+    every (p, q) in the subset."""
+    out = 0
+    for p, q in ProductSubset(m, n, bits).pairs():
+        out |= 1 << (s_images[p - 1] - 1) * n + (q - 1)
+        out |= 1 << (p - 1) * n + (t_images[q - 1] - 1)
+    return out
+
+
+def all_valid(m, n):
+    return [enc for chunk in valid_encodings(m, n) for enc in chunk.tolist()]
+
+
+def successors(frontier, m, n, alphabet):
+    bitmap = _successor_bitmap(np.array(frontier, dtype=np.uint64), m, n, alphabet)
+    return set(np.flatnonzero(bitmap).tolist())
+
+
+class TestKernelMatchesDefinition:
+    @pytest.mark.parametrize("m,n,stride", [(2, 2, 1), (2, 3, 1), (3, 2, 1), (3, 3, 3)])
+    def test_full_alphabet(self, m, n, stride):
+        letters = [(a.s.images, a.t.images) for a in iter_full_alphabet(m, n)]
+        frontier = all_valid(m, n)[::stride]
+        union = set()
+        for enc in frontier:
+            expected = {pair_loop_step(enc, s, t, m, n) for s, t in letters}
+            assert successors([enc], m, n, "full") == expected, enc
+            union |= expected
+        assert successors(frontier, m, n, "full") == union
+
+    def test_letter_list(self):
+        letters = load_letters(FIXTURES / "letters_3x3.json")
+        frontier = all_valid(3, 3)
+        union = set()
+        for a in letters:
+            expected = {
+                pair_loop_step(enc, a.s.images, a.t.images, 3, 3) for enc in frontier
+            }
+            assert successors(frontier, 3, 3, [a]) == expected, a
+            union |= expected
+        assert successors(frontier, 3, 3, letters) == union
+
+    def test_extremal_step_sample(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            bits = rng.randrange(1 << (m * n))
+            s = tuple(rng.randint(1, m) for _ in range(m))
+            t = tuple(rng.randint(1, n) for _ in range(n))
+            stepped = extremal_step(ProductSubset(m, n, bits), letter(s, t))
+            assert stepped.bits == pair_loop_step(bits, s, t, m, n)
+
+
 class TestFullAlphabet:
     def test_size_and_order(self):
         letters = list(iter_full_alphabet(2, 2))
@@ -115,12 +173,23 @@ class TestBfsReach:
     def test_complete_4x4(self):
         assert bfs_reach(4, 4, workers=4).complete
 
+    @pytest.mark.slow
+    def test_complete_2x7(self):
+        report = bfs_reach(2, 7)
+        assert report.complete
+        assert report.reached == bound_f(2, 7) == 12_224
+
     def test_guard(self):
         with pytest.raises(GridSizeError):
             bfs_reach(5, 6)
 
     def test_workers_deterministic(self):
         assert bfs_reach(3, 3, workers=1) == bfs_reach(3, 3, workers=4)
+
+    def test_workers_deterministic_letter_list(self):
+        letters = load_letters(FIXTURES / "letters_3x3.json")
+        assert (bfs_reach(3, 3, letters, workers=1)
+                == bfs_reach(3, 3, letters, workers=4))
 
     def test_restricted_alphabet_incomplete(self):
         only = [letter([1, 2], [1, 2])]  # identity alone goes nowhere
@@ -171,7 +240,7 @@ class TestCheckpoints:
         header = json.loads(raw[: raw.index(b"\n")])
         assert set(header) == {
             "m", "n", "alphabet_id", "generation", "visited_count",
-            "frontier_len", "bitmap_sha256",
+            "frontier_len", "bitmap_sha256", "frontier_sha256",
         }
         assert header["m"] == 2 and header["alphabet_id"] == "full"
 
@@ -202,6 +271,38 @@ class TestCheckpoints:
         frontier = np.array([3], dtype=np.uint64)
         write_checkpoint(tmp_path, 2, 2, "full", 0, visited, frontier)
         with pytest.raises(CheckpointError, match="visited"):
+            bfs_reach(2, 2, checkpoint_dir=tmp_path, resume=True)
+
+    def test_frontier_rewritten_refused(self, tmp_path):
+        # every line rewritten to {(1,1)}: count, range and visited checks pass
+        bfs_reach(3, 3, checkpoint_dir=tmp_path, max_generations=2)
+        target = tmp_path / "gen-000002.ckpt"
+        raw = target.read_bytes()
+        start = raw.index(b"\n") + 1 + (1 << 9) // 8 + 1
+        lines = raw[start:].splitlines()
+        assert len(lines) == 145
+        target.write_bytes(raw[:start] + b"1\n" * len(lines))
+        with pytest.raises(CheckpointError, match="frontier hash"):
+            bfs_reach(3, 3, checkpoint_dir=tmp_path, resume=True)
+
+    def test_frontier_not_integer_refused(self, tmp_path):
+        visited = np.zeros(16, dtype=bool)
+        visited[1] = True
+        write_checkpoint(tmp_path, 2, 2, "full", 0, visited, np.array([1], dtype=np.uint64))
+        target = tmp_path / "gen-000000.ckpt"
+        target.write_bytes(target.read_bytes().replace(b"\n1\n", b"\nx\n"))
+        with pytest.raises(CheckpointError, match="integer"):
+            bfs_reach(2, 2, checkpoint_dir=tmp_path, resume=True)
+
+    def test_header_without_frontier_hash_refused(self, tmp_path):
+        bfs_reach(2, 2, checkpoint_dir=tmp_path, max_generations=1)
+        target = tmp_path / "gen-000001.ckpt"
+        raw = target.read_bytes()
+        nl = raw.index(b"\n")
+        header = json.loads(raw[:nl])
+        del header["frontier_sha256"]
+        target.write_bytes(json.dumps(header, sort_keys=True).encode() + raw[nl:])
+        with pytest.raises(CheckpointError, match="frontier_sha256"):
             bfs_reach(2, 2, checkpoint_dir=tmp_path, resume=True)
 
     def test_mismatched_grid_refused(self, tmp_path):
@@ -449,11 +550,13 @@ class TestCertify:
 
 
 class TestDirectSmaller:
-    @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (2, 4)])
+    CHECKED = {(2, 2): 5, (3, 3): 387, (2, 4): 173, (3, 4): 3374}
+
+    @pytest.mark.parametrize("m,n", list(CHECKED))
     def test_no_exceptions(self, m, n):
         report = direct_smaller_check(m, n)
         assert report.ok
-        assert report.checked > 0
+        assert report.checked == self.CHECKED[(m, n)]
 
     def test_guard(self):
         with pytest.raises(GridSizeError):
