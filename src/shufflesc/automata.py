@@ -2,7 +2,8 @@
 
 Transformations (total maps on {1..n}), complete DFAs given as one
 transformation per letter, NFAs, and the standard constructions: subset
-construction, minimization, canonical forms, word acceptance.
+construction, Moore refinement and minimization, canonical forms, word
+acceptance.
 
 States are 1-based everywhere; this convention leaks into file formats and
 reports on purpose, so internal code never exposes 0-based offsets.
@@ -238,61 +239,72 @@ def determinize(a: Nfa) -> tuple[Dfa, list[frozenset[int]]]:
     ]
 
 
-def trim(d: Dfa) -> Dfa:
-    """Restrict to states reachable from the initial state, relabeled in
-    BFS discovery order (initial becomes 1). Completeness is preserved."""
-    images = [t.images for t in d.transitions]
-    order = [d.initial]
-    pos = {d.initial: 1}
-    qi = 0
-    while qi < len(order):
-        q = order[qi]
+def _bfs_order(images, initial: int) -> tuple[list[int], dict[int, int]]:
+    """States reachable from `initial` in BFS discovery order, visiting the
+    letters in the order of `images` (images[li][q-1] is the successor of q
+    on letter li), and pos[q], the 1-based position of each in that order."""
+    order = [initial]
+    pos = {initial: 1}
+    for q in order:  # order grows while it is scanned
         for img in images:
             nxt = img[q - 1]
             if nxt not in pos:
                 pos[nxt] = len(order) + 1
                 order.append(nxt)
-        qi += 1
-    count = len(order)
+    return order, pos
+
+
+def trim(d: Dfa) -> Dfa:
+    """Restrict to states reachable from the initial state, relabeled in
+    BFS discovery order (initial becomes 1). Completeness is preserved."""
+    images = [t.images for t in d.transitions]
+    order, pos = _bfs_order(images, d.initial)
     transitions = tuple(
         Transformation(tuple(pos[img[q - 1]] for q in order)) for img in images
     )
     finals = frozenset(pos[f] for f in d.finals if f in pos)
-    return Dfa(count, d.alphabet, transitions, finals)
+    return Dfa(len(order), d.alphabet, transitions, finals)
+
+
+def refine(table: Sequence[Sequence[int]], accepting: Iterable) -> list[int]:
+    """Moore partition refinement: the Nerode classes of a complete DFA.
+
+    table[q-1][li] is the successor (1-based) of state q on letter li;
+    accepting gives each state's finality as a truthy value. States are
+    split by finality, then by the blocks of their successors, until no
+    block splits. Returns block[q-1], the block of state q, with blocks
+    numbered 1, 2, ... in order of first occurrence from state 1; for an
+    accessible DFA the largest block number is its state complexity.
+    """
+    block = [1 if f else 0 for f in accepting]
+    count = len(set(block))
+    while True:
+        lookup = [0, *block]  # lookup[q] is the block of state q
+        ids: dict[tuple, int] = {}
+        new_block = [
+            ids.setdefault((b, *map(lookup.__getitem__, row)), len(ids) + 1)
+            for b, row in zip(block, table)
+        ]
+        if len(ids) == count:
+            return new_block
+        block, count = new_block, len(ids)
 
 
 def minimize(d: Dfa) -> Dfa:
-    """Minimal complete DFA of the same language (Moore partition refinement)."""
+    """Minimal complete DFA of the same language: trim, then refine; each
+    block becomes the state of its number, with the initial state in 1."""
     d = trim(d)
-    m = d.state_count
     images = [t.images for t in d.transitions]
-    block = [1 if q in d.finals else 0 for q in range(1, m + 1)]
-    while True:
-        sigs = [
-            (block[q],) + tuple(block[img[q] - 1] for img in images)
-            for q in range(m)
-        ]
-        renum: dict[tuple, int] = {}
-        new_block = []
-        for sig in sigs:
-            if sig not in renum:
-                renum[sig] = len(renum)
-            new_block.append(renum[sig])
-        if new_block == block:
-            break
-        block = new_block
-    count = len(set(block))
-    # representative state per block, block ids already in first-occurrence
-    # order from state 1, so the initial state's block is block[0] = 0
-    reps = [0] * count
-    for q in range(m, 0, -1):
-        reps[block[q - 1]] = q
+    states = range(1, d.state_count + 1)
+    table = list(zip(*images)) or [()] * d.state_count  # () if no letters
+    block = refine(table, [q in d.finals for q in states])
+    reps = dict(zip(block, states))  # one state of each block, in block order
     transitions = tuple(
-        Transformation(tuple(block[img[reps[b] - 1] - 1] + 1 for b in range(count)))
+        Transformation(tuple(block[img[q - 1] - 1] for q in reps.values()))
         for img in images
     )
-    finals = frozenset(block[f - 1] + 1 for f in d.finals)
-    return Dfa(count, d.alphabet, transitions, finals, initial=block[d.initial - 1] + 1)
+    finals = frozenset(block[f - 1] for f in d.finals)
+    return Dfa(len(reps), d.alphabet, transitions, finals)
 
 
 def state_complexity(d: Dfa) -> int:
@@ -324,17 +336,7 @@ def bfs_key(d: Dfa, letter_order: Sequence[int]) -> tuple:
     i lists the successors of state i+1 over the letters in that order.
     """
     images = [d.transitions[li].images for li in letter_order]
-    order = [d.initial]
-    pos = {d.initial: 1}
-    qi = 0
-    while qi < len(order):
-        q = order[qi]
-        for img in images:
-            nxt = img[q - 1]
-            if nxt not in pos:
-                pos[nxt] = len(order) + 1
-                order.append(nxt)
-        qi += 1
+    order, pos = _bfs_order(images, d.initial)
     if len(order) != d.state_count:
         raise ValueError("unreachable states; trim before canonicalizing")
     rows = tuple(tuple(pos[img[q - 1]] for img in images) for q in order)

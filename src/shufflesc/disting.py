@@ -12,9 +12,8 @@ family below gets its full complement of distinguishable product states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .automata import Dfa, Nfa, Transformation
+from .automata import Dfa, Nfa, Transformation, refine
 
 
 @dataclass(frozen=True)
@@ -73,52 +72,26 @@ def subsets_pairwise_distinct(a: Nfa) -> bool:
 def brute_subsets_pairwise_distinct(a: Nfa) -> bool:
     """Oracle: partition refinement over all 2^state_count subsets.
 
-    All subsets of the powerset automaton (reachable or not) are refined by
-    finality and one-step behaviour until stable; True iff every subset
-    lands in its own class.
+    The step table of the whole powerset automaton (reachable subsets or
+    not) is built here from the NFA's transitions and passed to
+    automata.refine; True iff every subset lands in its own block.
     """
     n = a.state_count
     if n > 12:
         raise ValueError(f"oracle enumerates 2^{n} subsets; limit is 12 states")
-    k = len(a.alphabet)
     total = 1 << n
-    final_mask = 0
-    for f in a.finals:
-        final_mask |= 1 << (f - 1)
-    succ_bits = [[0] * n for _ in range(k)]
-    for i in range(k):
-        for q in range(1, n + 1):
-            bits = 0
-            for s in a.transitions[q - 1][i]:
-                bits |= 1 << (s - 1)
-            succ_bits[i][q - 1] = bits
-
-    def step_enc(enc: int, i: int) -> int:
-        out = 0
-        row = succ_bits[i]
-        while enc:
-            b = (enc & -enc).bit_length() - 1
-            out |= row[b]
-            enc &= enc - 1
-        return out
-
-    steps = [[step_enc(enc, i) for i in range(k)] for enc in range(total)]
-    block = [1 if enc & final_mask else 0 for enc in range(total)]
-    count = len(set(block))
-    while True:
-        signatures: dict[tuple, int] = {}
-        new_block = [0] * total
-        for enc in range(total):
-            sig = (block[enc], *(block[steps[enc][i]] for i in range(k)))
-            if sig not in signatures:
-                signatures[sig] = len(signatures)
-            new_block[enc] = signatures[sig]
-        if len(signatures) == count:
-            return count == total
-        count = len(signatures)
-        block = new_block
-        if count == total:
-            return True
+    final_mask = sum(1 << (f - 1) for f in a.finals)
+    succ = [[sum(1 << (s - 1) for s in targets) for targets in row]
+            for row in a.transitions]
+    # steps[enc][i]: subset enc on letter i, which is enc minus its lowest
+    # state on letter i, joined with that state's successors
+    steps = [[0] * len(a.alphabet)]
+    for enc in range(1, total):
+        low = (enc & -enc).bit_length() - 1
+        steps.append([x | y for x, y in zip(steps[enc & (enc - 1)], succ[low])])
+    # state enc + 1 of the powerset automaton carries subset enc
+    table = [[x + 1 for x in row] for row in steps]
+    return max(refine(table, [enc & final_mask for enc in range(total)])) == total
 
 
 def ternary_witness(m: int, n: int) -> tuple[Dfa, Dfa]:

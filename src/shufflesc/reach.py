@@ -91,9 +91,19 @@ def iter_full_alphabet(m: int, n: int) -> Iterator[ExtremalLetter]:
 
 
 def load_letters(path) -> list[ExtremalLetter]:
+    """Letter list from a JSON file of {"s": [...], "t": [...]} objects;
+    ValueError names the first malformed entry."""
     with open(path, encoding="utf-8") as fh:
         arr = json.load(fh)
-    return [ExtremalLetter.from_dict(obj) for obj in arr]
+    if not isinstance(arr, list):
+        raise ValueError(f"{path}: expected a JSON list of letters")
+    for i, obj in enumerate(arr):
+        try:
+            arr[i] = ExtremalLetter.from_dict(obj)
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValueError(f'{path}: letter {i} is not {{"s": [...], "t": [...]}}'
+                             f" ({e!r})") from None
+    return arr
 
 
 def dump_letters(letters: Sequence[ExtremalLetter], path) -> None:
@@ -312,6 +322,11 @@ def read_checkpoint(directory, m: int, n: int, aid: str):
         header = json.loads(raw[:nl])
     except json.JSONDecodeError as e:
         raise CheckpointError(f"bad checkpoint header: {e}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError("checkpoint header is not a JSON object")
+    generation = header.get("generation")
+    if type(generation) is not int or generation < 0:  # bool is refused too
+        raise CheckpointError(f"checkpoint generation {generation!r}: not an int >= 0")
     for key, val in (("m", m), ("n", n), ("alphabet_id", aid)):
         if header.get(key) != val:
             raise CheckpointError(
@@ -347,7 +362,7 @@ def read_checkpoint(directory, m: int, n: int, aid: str):
     frontier = np.array(frontier_items, dtype=np.uint64)
     if not visited[frontier].all():
         raise CheckpointError("frontier entry missing from the visited bitmap")
-    return header["generation"], visited, frontier
+    return generation, visited, frontier
 
 
 # -- BFS ---------------------------------------------------------------------
@@ -368,7 +383,8 @@ def bfs_reach(
     Workers split each frontier generation into disjoint slices; discovered
     states merge by set union, so the final report is independent of worker
     count and visit order. Checkpoints are written once per completed
-    generation when checkpoint_dir is given.
+    generation when checkpoint_dir is given. A letter list whose s or t
+    does not have degree m or n raises ValueError.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
@@ -378,6 +394,10 @@ def bfs_reach(
             f"{ENUM_GUARD_CELLS}-cell guard"
         )
     aid = alphabet_id(alphabet)
+    for i, a in enumerate([] if isinstance(alphabet, str) else alphabet):
+        if (a.s.degree, a.t.degree) != (m, n):
+            raise ValueError(f"letter {i} {a.to_dict()} has degrees "
+                             f"({a.s.degree}, {a.t.degree}), not ({m}, {n})")
     start_time = time.monotonic()
     total = 1 << (m * n)
     if resume:

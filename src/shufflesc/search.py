@@ -7,10 +7,10 @@ multisets are generated in nondecreasing canonical order, killing letter
 permutations at the source; remaining symmetry (per-DFA state relabeling
 and joint letter renaming) is removed by canonicalizing reported
 witnesses with automata.bfs_key. Each multiset's shuffle NFA is
-determinized once with automata.subset_table; the final-set choices reuse
-that table. The search runs serially in one thread. The guard formula
-deliberately overcounts — it prices the raw space before the minimality
-and reachability filters bite.
+determinized once with automata.subset_table; each final-set choice marks
+that table's final subsets and runs automata.refine on it. The search runs
+serially in one thread. The guard formula deliberately overcounts — it
+prices the raw space before the minimality and reachability filters bite.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .automata import (
     Dfa,
     Transformation,
     bfs_key,
+    refine,
     state_complexity,
     subset_table,
     trim,
@@ -154,10 +155,10 @@ def max_shuffle_complexity(
     Each letter multiset gets one shuffle NFA and one subset table. Its
     reachable-subset count bounds kappa for every choice of final sets, so
     a multiset whose count is below the best kappa so far is skipped. For
-    the others, each pair (F_K, F_L) giving minimal K and L sets the finals
-    of the table's DFA and minimizes it; candidates_evaluated counts these
-    pairs. The scan is serial and in a fixed order, so its counts are
-    deterministic.
+    the others, each pair (F_K, F_L) giving minimal K and L marks the
+    subsets meeting F_K x F_L final and refines the table; kappa is the
+    number of blocks. candidates_evaluated counts these pairs. The scan is
+    serial and in a fixed order, so its counts are deterministic.
 
     Witnesses attaining the maximum are reported in canonical form, at most
     result_cap of them; one representative survives per equivalence class
@@ -198,18 +199,13 @@ def max_shuffle_complexity(
                 L for FL in right_finals
                 if state_complexity(L := Dfa(n, names, l_trans, FL)) == n
             ]
-            transitions = tuple(map(Transformation, zip(*table)))
             for K in lefts:
                 for L in rights:
                     evaluated += 1
                     final_mask = sum(
                         1 << (sh.state_id(p, q) - 1) for p in K.finals for q in L.finals
                     )
-                    finals = frozenset(
-                        i for i, s in enumerate(subsets, 1) if s & final_mask
-                    )
-                    subset_dfa = Dfa(len(subsets), names, transitions, finals)
-                    kappa = state_complexity(subset_dfa)
+                    kappa = max(refine(table, [s & final_mask for s in subsets]))
                     if kappa > best:
                         best = kappa
                         witnesses = {}

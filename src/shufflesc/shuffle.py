@@ -5,12 +5,11 @@ state-complexity computation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .automata import Dfa, Nfa, Transformation, determinize, minimize, state_complexity
+from .automata import Dfa, Nfa, Transformation, refine, subset_table
 
 #: Grid enumeration guard: brute-force ops refuse grids with more cells.
 ENUM_GUARD_CELLS = 24
@@ -202,8 +201,13 @@ def build_shuffle_nfa(K: Dfa, L: Dfa) -> ShuffleNfa:
 
 
 def shuffle_state_complexity(K: Dfa, L: Dfa) -> int:
-    """kappa(K shuffle L) via subset construction plus minimization."""
-    return state_complexity(determinize(build_shuffle_nfa(K, L).nfa)[0])
+    """kappa(K shuffle L): the number of Moore classes of the accessible
+    subset automaton of the shuffle NFA, a subset being final when it meets
+    F_K x F_L."""
+    nfa = build_shuffle_nfa(K, L).nfa
+    subsets, table = subset_table(nfa)
+    final_mask = sum(1 << (f - 1) for f in nfa.finals)
+    return max(refine(table, [s & final_mask for s in subsets]))
 
 
 def sigma_star_dfa(alphabet: Iterable[str]) -> Dfa:

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -138,6 +139,22 @@ class TestMinimize:
     def test_language_preserved(self, d, word_idx):
         word = [d.alphabet[i % len(d.alphabet)] for i in word_idx]
         assert d.accepts(word) == minimize(d).accepts(word)
+
+    @settings(max_examples=80, deadline=None)
+    @given(dfa_strategy(max_states=5))
+    def test_minimal_against_brute_force(self, d):
+        # Reference: every reachable state is reached by a word shorter
+        # than state_count, and two states are equivalent iff they agree on
+        # every such word; the classes of reachable states are counted.
+        words = [
+            w for size in range(d.state_count)
+            for w in product(d.alphabet, repeat=size)
+        ]
+        reachable = {d.run(w) for w in words}
+        classes = {
+            tuple(d.run(w, start=q) in d.finals for w in words) for q in reachable
+        }
+        assert state_complexity(d) == len(classes)
 
     @settings(max_examples=40, deadline=None)
     @given(dfa_strategy())

@@ -1,6 +1,7 @@
 """End-to-end exercises of the command-line surface via main(argv)."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,21 @@ class TestReach:
         assert main([
             "reach", "2", "2", "--alphabet", str(tmp_path / "nope.json")
         ]) == EXIT_USER
+
+    @pytest.mark.parametrize("letters,message", [
+        ([{"s": [1, 1, 1], "t": [2, 3, 1, 4]}, {"s": [2, 1, 3], "t": [1, 1, 1, 1]}],
+         "letter 0 .* has degrees \\(3, 4\\), not \\(3, 3\\)"),
+        ([{"s": [1, 1], "t": [2, 1, 3]}], "letter 0 .* not \\(3, 3\\)"),
+        ([{"s": [1, 1, 1]}], "letter 0 is not"),
+    ])
+    def test_bad_letter_file_is_user_error(self, tmp_path, capsys, letters, message):
+        path = tmp_path / "letters.json"
+        path.write_text(json.dumps(letters))
+        code = main(["reach", "3", "3", "--alphabet", str(path)])
+        assert code == EXIT_USER
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.match("error: .*" + message, captured.err)
 
     def test_checkpoint_interrupt_and_resume(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"

@@ -156,6 +156,22 @@ class TestFullAlphabet:
         dump_letters(letters, path)
         assert load_letters(path) == letters
 
+    @pytest.mark.parametrize("entry", [
+        {"s": [1, 2]}, {"t": [1, 2]}, [1, 2], 3, {"s": "12", "t": [1, 2]},
+        {"s": [1, 3], "t": [1, 2]}, {"s": [], "t": [1]},
+    ])
+    def test_malformed_letter_file_refused(self, tmp_path, entry):
+        path = tmp_path / "letters.json"
+        path.write_text(json.dumps([{"s": [1, 1], "t": [2, 1]}, entry]))
+        with pytest.raises(ValueError, match="letter 1 is not"):
+            load_letters(path)
+
+    def test_letter_file_not_a_list_refused(self, tmp_path):
+        path = tmp_path / "letters.json"
+        path.write_text(json.dumps({"s": [1, 1], "t": [2, 1]}))
+        with pytest.raises(ValueError, match="list of letters"):
+            load_letters(path)
+
 
 class TestBfsReach:
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (2, 4)])
@@ -190,6 +206,18 @@ class TestBfsReach:
         letters = load_letters(FIXTURES / "letters_3x3.json")
         assert (bfs_reach(3, 3, letters, workers=1)
                 == bfs_reach(3, 3, letters, workers=4))
+
+    @pytest.mark.parametrize("wrong", [
+        letter([1, 1, 1], [2, 3, 1, 4]),  # column image 4 would wrap a row
+        letter([1, 1], [2, 1, 3]),        # s too short for 3 rows
+        letter([1, 1, 1, 1], [2, 1, 3]),  # s maps a row off the grid
+    ])
+    def test_letter_of_wrong_degree_refused(self, wrong):
+        good = letter([2, 1, 3], [1, 1, 1])
+        with pytest.raises(ValueError, match=r"letter 1 .*not \(3, 3\)"):
+            bfs_reach(3, 3, [good, wrong])
+        with pytest.raises(ValueError, match="letter 0"):
+            alphabet_sufficiency(3, 3, [wrong])
 
     def test_restricted_alphabet_incomplete(self):
         only = [letter([1, 2], [1, 2])]  # identity alone goes nowhere
@@ -303,6 +331,29 @@ class TestCheckpoints:
         del header["frontier_sha256"]
         target.write_bytes(json.dumps(header, sort_keys=True).encode() + raw[nl:])
         with pytest.raises(CheckpointError, match="frontier_sha256"):
+            bfs_reach(2, 2, checkpoint_dir=tmp_path, resume=True)
+
+    @pytest.mark.parametrize("generation", ["1", None, -7, True, 1.0])
+    def test_bad_generation_refused(self, tmp_path, generation):
+        bfs_reach(2, 2, checkpoint_dir=tmp_path, max_generations=1)
+        target = tmp_path / "gen-000001.ckpt"
+        raw = target.read_bytes()
+        nl = raw.index(b"\n")
+        header = json.loads(raw[:nl])
+        if generation is None:
+            del header["generation"]
+        else:
+            header["generation"] = generation
+        target.write_bytes(json.dumps(header, sort_keys=True).encode() + raw[nl:])
+        with pytest.raises(CheckpointError, match="generation"):
+            bfs_reach(2, 2, checkpoint_dir=tmp_path, resume=True)
+
+    def test_header_not_an_object_refused(self, tmp_path):
+        bfs_reach(2, 2, checkpoint_dir=tmp_path, max_generations=1)
+        target = tmp_path / "gen-000001.ckpt"
+        raw = target.read_bytes()
+        target.write_bytes(b"[1, 2]" + raw[raw.index(b"\n"):])
+        with pytest.raises(CheckpointError, match="not a JSON object"):
             bfs_reach(2, 2, checkpoint_dir=tmp_path, resume=True)
 
     def test_mismatched_grid_refused(self, tmp_path):

@@ -40,7 +40,7 @@ def witness_2x3_pair():
 
 
 @st.composite
-def dfa_pair_strategy(draw, max_states=4):
+def dfa_pair_strategy(draw, max_states=4, any_initial=False):
     m = draw(st.integers(1, max_states))
     n = draw(st.integers(1, max_states))
     k = draw(st.integers(1, 3))
@@ -52,7 +52,8 @@ def dfa_pair_strategy(draw, max_states=4):
             for _ in range(k)
         )
         finals = frozenset(q for q in range(1, size + 1) if draw(st.booleans()))
-        return Dfa(size, letters, transitions, finals)
+        initial = draw(st.integers(1, size)) if any_initial else 1
+        return Dfa(size, letters, transitions, finals, initial)
 
     return one(m), one(n)
 
@@ -248,6 +249,14 @@ class TestRandomPairProperties:
                 )
                 rows2, cols2 = projections(S2)
                 assert rows <= rows2 and cols <= cols2
+
+    @settings(max_examples=80, deadline=None)
+    @given(dfa_pair_strategy(any_initial=True))
+    def test_complexity_matches_minimized_subset_dfa(self, pair):
+        # the table refinement against determinize + minimize on a Dfa
+        K, L = pair
+        det, _ = determinize(build_shuffle_nfa(K, L).nfa)
+        assert shuffle_state_complexity(K, L) == state_complexity(det)
 
     @settings(max_examples=60, deadline=None)
     @given(dfa_pair_strategy())
