@@ -181,6 +181,14 @@ def _line_images(x: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.fromiter(R, np.uint64, len(R)), np.fromiter(C, np.uint64, len(C))
 
 
+def _lines(x: int, m: int, n: int) -> tuple[list[int], list[int]]:
+    """Rows and columns of x as int masks: rows[p-1] holds column q at bit
+    q-1, and cols[q-1] holds row p at bit (p-1)*n, as col1_mask does."""
+    rowmask = (1 << n) - 1
+    colmask = col1_mask(m, n)
+    return [x >> p * n & rowmask for p in range(m)], [x >> q & colmask for q in range(n)]
+
+
 def _successor_bitmap(
     frontier: np.ndarray,
     m: int,
@@ -384,10 +392,13 @@ def bfs_reach(
     states merge by set union, so the final report is independent of worker
     count and visit order. Checkpoints are written once per completed
     generation when checkpoint_dir is given. A letter list whose s or t
-    does not have degree m or n raises ValueError.
+    does not have degree m or n, or a negative max_generations, raises
+    ValueError.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
+    if max_generations is not None and max_generations < 0:
+        raise ValueError(f"max_generations must be >= 0, not {max_generations}")
     if m * n > ENUM_GUARD_CELLS:
         raise GridSizeError(
             f"visited bitmap for {m}x{n} needs 2^{m * n} bits, beyond the "
@@ -485,42 +496,24 @@ def reduce_containment(S: ProductSubset) -> ContainmentReduction | None:
     if not is_valid(S):
         raise ValueError("containment reduction expects a valid subset")
     m, n = S.m, S.n
-    rows = [S.row(p) for p in range(1, m + 1)]
-    for i in range(1, m + 1):
-        if not rows[i - 1]:
-            continue
-        for i2 in range(1, m + 1):
-            if i2 == i or not rows[i - 1] <= rows[i2 - 1]:
+    rows, cols = _lines(S.bits, m, n)
+    for axis, lines, stride in (("row", rows, n), ("column", cols, 1)):
+        for inner, line in enumerate(lines, start=1):
+            if not line:
                 continue
-            bits = S.bits
-            for j in rows[i - 1]:
-                bits &= ~(1 << ProductSubset.index(i2, j, n))
-            smaller = ProductSubset(m, n, bits)
-            if not is_valid(smaller):
-                continue
-            letter = ExtremalLetter(
-                Transformation.point(m, i, i2), Transformation.identity(n)
-            )
-            assert extremal_step(smaller, letter) == S and len(smaller) < len(S)
-            return ContainmentReduction("row", i, i2, smaller, letter)
-    cols = [S.column(q) for q in range(1, n + 1)]
-    for j in range(1, n + 1):
-        if not cols[j - 1]:
-            continue
-        for j2 in range(1, n + 1):
-            if j2 == j or not cols[j - 1] <= cols[j2 - 1]:
-                continue
-            bits = S.bits
-            for i in cols[j - 1]:
-                bits &= ~(1 << ProductSubset.index(i, j2, n))
-            smaller = ProductSubset(m, n, bits)
-            if not is_valid(smaller):
-                continue
-            letter = ExtremalLetter(
-                Transformation.identity(m), Transformation.point(n, j, j2)
-            )
-            assert extremal_step(smaller, letter) == S and len(smaller) < len(S)
-            return ContainmentReduction("column", j, j2, smaller, letter)
+            for outer, other in enumerate(lines, start=1):
+                if outer == inner or line & ~other:
+                    continue
+                smaller = ProductSubset(m, n, S.bits & ~(line << (outer - 1) * stride))
+                if not is_valid(smaller):
+                    continue
+                if axis == "row":
+                    s, t = Transformation.point(m, inner, outer), Transformation.identity(n)
+                else:
+                    s, t = Transformation.identity(m), Transformation.point(n, inner, outer)
+                letter = ExtremalLetter(s, t)
+                assert extremal_step(smaller, letter) == S and len(smaller) < len(S)
+                return ContainmentReduction(axis, inner, outer, smaller, letter)
     return None
 
 
@@ -534,14 +527,19 @@ class SingleElementReduction:
     anchor: ProductSubset
 
 
-def _renumber_drop(S: ProductSubset, p: int, q: int) -> ProductSubset:
-    """Remove row p and column q; indices above them slide down by one."""
-    pairs = []
-    for i, j in S.pairs():
-        if i == p or j == q:
-            continue
-        pairs.append((i - 1 if i > p else i, j - 1 if j > q else j))
-    return ProductSubset.from_pairs(S.m - 1, S.n - 1, pairs)
+def _drop(S: ProductSubset, p: int, q: int) -> ProductSubset:
+    """Delete row p and column q (0 deletes none of that axis); the rows
+    and columns above them slide down by one."""
+    n = S.n - (q > 0)
+    rows, _ = _lines(S.bits, S.m, S.n)
+    if p:
+        del rows[p - 1]
+    bits = 0
+    for i, row in enumerate(rows):
+        if q:  # keep columns below q, move those above it down by one
+            row = row & (1 << q - 1) - 1 | row >> q << q - 1
+        bits |= row << i * n
+    return ProductSubset(len(rows), n, bits)
 
 
 def reduce_single_element(S: ProductSubset) -> SingleElementReduction | None:
@@ -561,18 +559,15 @@ def reduce_single_element(S: ProductSubset) -> SingleElementReduction | None:
     m, n = S.m, S.n
     if m < 2 or n < 2:
         return None
-    rows = [S.row(p) for p in range(1, m + 1)]
-    cols = [S.column(q) for q in range(1, n + 1)]
-    if any(not r for r in rows) or any(not c for c in cols):
+    rows, cols = _lines(S.bits, m, n)
+    if 0 in rows or 0 in cols:
         return None
     if reduce_containment(S) is not None:
         return None
-    for p in range(1, m + 1):
-        if len(rows[p - 1]) != 1:
-            continue
-        (q,) = rows[p - 1]
-        if len(cols[q - 1]) != 1:
-            continue
+    for p, row in enumerate(rows, start=1):
+        q = row.bit_length()
+        if row & row - 1 or cols[q - 1] != 1 << (p - 1) * n:
+            continue  # (p, q) is not alone in its row and its column
         if p != 1 and q != 1:
             s = Transformation.transposition(m, 1, p)
             t = Transformation.transposition(n, 1, q)
@@ -595,7 +590,7 @@ def reduce_single_element(S: ProductSubset) -> SingleElementReduction | None:
         for _ in range(power):
             probe = extremal_step(probe, letter)
         assert probe == anchor
-        sub = _renumber_drop(S, p, q)
+        sub = _drop(S, p, q)
         assert is_valid(sub) and len(sub) == len(S) - 1
         return SingleElementReduction(p, q, sub, letter, power, anchor)
     return None
@@ -639,10 +634,8 @@ def reduce_permutation(
         if phi_image(U) not in col_of:
             return None
     moved = [q for q in range(2, n + 1) if phi_image(cols[q - 1]) != cols[q - 1]]
-    if not moved and phi_image(cols[0]) == cols[0]:
-        return None  # every class is a fixed point
     if not moved:
-        return None  # only column 1 moves; impossible for closed orbits, be safe
+        return None  # every class is fixed (column 1 alone cannot move)
     k = moved[0]
     phi_inv = phi.inverse()
 
@@ -704,11 +697,16 @@ class InstanceEntry:
 class Certificate:
     """Reachability certificate for every instance (m', n') <= (m, n).
 
-    Justification kinds inside per-subset tables: INITIAL, BFS_EDGE,
-    CONTAINMENT, SINGLE_ELEMENT, PERMUTATION, SHRINK. Above the
-    enumeration threshold, instances carry Sperner rules or column-family
-    rules instead; the justification order is well-founded on the triple
-    (m, n, |S|) descending to base facts.
+    Justification kinds inside per-subset tables: INITIAL, CONTAINMENT,
+    SINGLE_ELEMENT, PERMUTATION, SHRINK. Above the enumeration threshold,
+    instances carry Sperner rules or column-family rules instead.
+
+    Every row points to something strictly smaller, so no chain of rows
+    can cycle: CONTAINMENT and PERMUTATION name a predecessor in the same
+    instance, which the verifier refuses unless it has fewer members than
+    S; SHRINK and SINGLE_ELEMENT point into an instance with smaller m + n.
+    Chains descend on (m + n, |S|) and end at INITIAL or at an
+    instance-level rule (BASE, SPERNER, FAMILY).
     """
 
     m: int
@@ -747,22 +745,12 @@ class Certificate:
 
 
 def _first_empty_line(S: ProductSubset) -> tuple[str, int] | None:
-    for q in range(1, S.n + 1):
-        if not S.column(q):
-            return "column", q
-    for p in range(1, S.m + 1):
-        if not S.row(p):
-            return "row", p
+    rows, cols = _lines(S.bits, S.m, S.n)
+    if 0 in cols:
+        return "column", cols.index(0) + 1
+    if 0 in rows:
+        return "row", rows.index(0) + 1
     return None
-
-
-def _shrink(S: ProductSubset, axis: str, index: int) -> ProductSubset:
-    """Delete an empty row/column; indices above it slide down by one."""
-    if axis == "column":
-        pairs = [(i, j - 1 if j > index else j) for i, j in S.pairs()]
-        return ProductSubset.from_pairs(S.m, S.n - 1, pairs)
-    pairs = [(i - 1 if i > index else i, j) for i, j in S.pairs()]
-    return ProductSubset.from_pairs(S.m - 1, S.n, pairs)
 
 
 def _justify_subset(S: ProductSubset) -> dict | None:
@@ -772,7 +760,7 @@ def _justify_subset(S: ProductSubset) -> dict | None:
     line = _first_empty_line(S)
     if line is not None:
         axis, index = line
-        sub = _shrink(S, axis, index)
+        sub = _drop(S, 0, index) if axis == "column" else _drop(S, index, 0)
         return {
             "kind": "SHRINK", "axis": axis, "index": index,
             "sub_m": sub.m, "sub_n": sub.n, "sub_encoding": sub.bits,
@@ -817,16 +805,6 @@ def _exhaustive_entry(mi: int, ni: int, gaps: list[str]) -> InstanceEntry:
     return InstanceEntry(mi, ni, STRATEGY_EXHAUSTIVE, {"justifications": table})
 
 
-def _family_candidates(mi: int) -> list[tuple[frozenset[int], ...]]:
-    """Column sets (distinct nonempty subsets of Q_mi) in canonical order."""
-    members = [
-        frozenset(c)
-        for size in range(1, mi + 1)
-        for c in combinations(range(1, mi + 1), size)
-    ]
-    return members
-
-
 def _representative_subset(
     columns: Sequence[frozenset[int]], first: int, mi: int
 ) -> ProductSubset:
@@ -859,6 +837,27 @@ def _find_family_phi(
     return None
 
 
+def _family_scan(
+    mi: int, ni: int
+) -> Iterator[tuple[tuple[frozenset[int], ...], ProductSubset, bool]]:
+    """(column set, representative, needs phi) for every valid
+    representative of every set of `ni` distinct nonempty columns covering
+    all `mi` rows; it needs phi when neither containment nor the
+    single-element reduction applies. Column sets leaving a row empty are
+    skipped: SHRINK covers every arrangement of them."""
+    rows = range(1, mi + 1)
+    # the nonempty subsets of Q_mi, by size, then lexicographically
+    columns = [frozenset(c) for size in rows for c in combinations(rows, size)]
+    for combo in combinations(columns, ni):
+        if len(set().union(*combo)) != mi:
+            continue
+        for first in range(ni):
+            S = _representative_subset(combo, first, mi)
+            if is_valid(S):
+                needs = reduce_containment(S) is None and reduce_single_element(S) is None
+                yield combo, S, needs
+
+
 def _family_entry(mi: int, ni: int, gaps: list[str]) -> InstanceEntry:
     """Column-family rule entry for instances too large to enumerate.
 
@@ -871,36 +870,25 @@ def _family_entry(mi: int, ni: int, gaps: list[str]) -> InstanceEntry:
     member) pair is probed on a representative arrangement. Families where
     the chain bottoms out get a permutation-lemma witness phi recorded.
     """
-    members = _family_candidates(mi)
-    families: list[dict] = []
+    needing: dict[tuple[frozenset[int], ...], None] = {}  # in scan order
     reps_checked = 0
-    for combo in combinations(members, ni):
-        rows_present = set().union(*combo)
-        if len(rows_present) != mi:
-            continue  # an empty row; SHRINK covers every arrangement
-        need_phi = False
-        for first in range(ni):
-            S = _representative_subset(combo, first, mi)
-            if not is_valid(S):
-                continue
-            reps_checked += 1
-            if reduce_containment(S) is not None:
-                continue
-            if reduce_single_element(S) is not None:
-                continue
-            need_phi = True
-        if need_phi:
-            phi = _find_family_phi(frozenset(combo), mi)
-            if phi is None:
-                gaps.append(
-                    f"instance ({mi},{ni}): column family "
-                    f"{sorted(sorted(c) for c in combo)} has no permutation witness"
-                )
-            else:
-                families.append({
-                    "columns": sorted(sorted(c) for c in combo),
-                    "phi": list(phi.images),
-                })
+    for combo, _, needs in _family_scan(mi, ni):
+        reps_checked += 1
+        if needs:
+            needing[combo] = None
+    families: list[dict] = []
+    for combo in needing:
+        phi = _find_family_phi(frozenset(combo), mi)
+        if phi is None:
+            gaps.append(
+                f"instance ({mi},{ni}): column family "
+                f"{sorted(sorted(c) for c in combo)} has no permutation witness"
+            )
+        else:
+            families.append({
+                "columns": sorted(sorted(c) for c in combo),
+                "phi": list(phi.images),
+            })
     return InstanceEntry(
         mi, ni, STRATEGY_FAMILY,
         {"families": families, "representatives_checked": reps_checked},
@@ -919,8 +907,10 @@ def certify(
 
     base_facts are instances verified by bfs_reach (orientation-free).
     Raises CertificationGapError with the unjustified subsets if the
-    reduction lemmas do not suffice.
+    reduction lemmas do not suffice, and ValueError unless m, n >= 1.
     """
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be positive")
     facts = {tuple(f) for f in base_facts}
     facts |= {(b, a) for a, b in facts}
     gaps: list[str] = []
@@ -948,8 +938,8 @@ def certify(
 def _replay_justification(
     cert: Certificate, entry: InstanceEntry, enc: int, j: dict,
     failures: list[str],
-) -> list[tuple[int, int]]:
-    """Replay one justification; returns intra-instance predecessor edges."""
+) -> None:
+    """Replay one justification, recording what does not hold."""
     mi, ni = entry.m, entry.n
     S = ProductSubset(mi, ni, enc)
     where = f"({mi},{ni}) subset {enc}"
@@ -957,33 +947,34 @@ def _replay_justification(
     if kind == "INITIAL":
         if S.bits != 1:
             failures.append(f"{where}: INITIAL claimed but not {{(1,1)}}")
-        return []
+        return
     if kind == "SHRINK":
         axis, index = j["axis"], j["index"]
-        empty = S.column(index) if axis == "column" else S.row(index)
-        if empty:
-            failures.append(f"{where}: SHRINK {axis} {index} is not empty")
-            return []
-        sub = _shrink(S, axis, index)
+        rows, cols = _lines(enc, mi, ni)
+        lines = cols if axis == "column" else rows
+        if not 1 <= index <= len(lines) or lines[index - 1]:
+            failures.append(f"{where}: SHRINK {axis} {index} is not an empty line")
+            return
+        sub = _drop(S, 0, index) if axis == "column" else _drop(S, index, 0)
         if (sub.m, sub.n, sub.bits) != (j["sub_m"], j["sub_n"], j["sub_encoding"]):
             failures.append(f"{where}: SHRINK sub-instance mismatch")
-            return []
+            return
         _require_justified(cert, sub.m, sub.n, sub.bits, where, failures)
-        return []
-    if kind in ("CONTAINMENT", "PERMUTATION", "BFS_EDGE"):
+        return
+    if kind in ("CONTAINMENT", "PERMUTATION"):
         pred = ProductSubset(mi, ni, j["pred"])
         letter = ExtremalLetter.from_dict(j["letter"])
         if extremal_step(pred, letter) != S:
             failures.append(f"{where}: {kind} edge does not replay")
-            return []
-        if kind != "BFS_EDGE" and len(pred) >= len(S):
+            return
+        if len(pred) >= len(S):
             failures.append(f"{where}: {kind} predecessor is not smaller")
-            return []
+            return
         if not is_valid(pred):
             failures.append(f"{where}: {kind} predecessor is invalid")
-            return []
+            return
         _require_justified(cert, mi, ni, pred.bits, where, failures)
-        return [(j["pred"], enc)]
+        return
     if kind == "SINGLE_ELEMENT":
         letter = ExtremalLetter.from_dict(j["letter"])
         probe = ProductSubset.from_pairs(mi, ni, [(1, 1)])
@@ -991,19 +982,18 @@ def _replay_justification(
             probe = extremal_step(probe, letter)
         if probe.bits != j["anchor"]:
             failures.append(f"{where}: SINGLE_ELEMENT anchor does not replay")
-            return []
+            return
         p, q = j["p"], j["q"]
         if S.row(p) != frozenset([q]) or S.column(q) != frozenset([p]):
             failures.append(f"{where}: SINGLE_ELEMENT cell ({p},{q}) not alone")
-            return []
-        sub = _renumber_drop(S, p, q)
+            return
+        sub = _drop(S, p, q)
         if sub.bits != j["sub_encoding"]:
             failures.append(f"{where}: SINGLE_ELEMENT sub-instance mismatch")
-            return []
+            return
         _require_justified(cert, sub.m, sub.n, sub.bits, where, failures)
-        return []
+        return
     failures.append(f"{where}: unknown justification kind {kind!r}")
-    return []
 
 
 def _require_justified(
@@ -1032,36 +1022,12 @@ def _verify_exhaustive(
         for enc in chunk.tolist():
             if str(enc) not in table:
                 failures.append(f"({mi},{ni}): valid subset {enc} has no justification")
-    edges: dict[int, list[int]] = {}
     for key, j in table.items():
         enc = int(key)
         if not is_valid(ProductSubset(mi, ni, enc)):
             failures.append(f"({mi},{ni}): table lists invalid subset {enc}")
             continue
-        for pred, succ in _replay_justification(cert, entry, enc, j, failures):
-            edges.setdefault(succ, []).append(pred)
-    # acyclicity of intra-instance predecessor chains (BFS_EDGE may violate
-    # the size ordering, so check explicitly)
-    state: dict[int, int] = {}  # 1 in progress, 2 done
-    for start in list(edges):
-        if state.get(start):
-            continue
-        stack = [(start, iter(edges.get(start, ())))]
-        state[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for pred in it:
-                if state.get(pred) == 1:
-                    failures.append(f"({mi},{ni}): justification cycle at {pred}")
-                elif not state.get(pred):
-                    state[pred] = 1
-                    stack.append((pred, iter(edges.get(pred, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                stack.pop()
+        _replay_justification(cert, entry, enc, j, failures)
 
 
 def _verify_family(
@@ -1072,30 +1038,22 @@ def _verify_family(
         frozenset(frozenset(c) for c in fam["columns"]): Transformation(tuple(fam["phi"]))
         for fam in entry.data["families"]
     }
-    members = _family_candidates(mi)
-    for combo in combinations(members, ni):
-        if len(set().union(*combo)) != mi:
+    unwitnessed = None  # the last column set reported without a phi
+    for combo, S, needs in _family_scan(mi, ni):
+        if not needs or combo == unwitnessed:
             continue
-        for first in range(ni):
-            S = _representative_subset(combo, first, mi)
-            if not is_valid(S):
-                continue
-            if reduce_containment(S) is not None:
-                continue
-            if reduce_single_element(S) is not None:
-                continue
-            phi = stored.get(frozenset(combo))
-            if phi is None:
-                failures.append(
-                    f"({mi},{ni}): family {sorted(sorted(c) for c in combo)} "
-                    f"needs a permutation witness but none is stored"
-                )
-                break
-            if reduce_permutation(S, phi) is None:
-                failures.append(
-                    f"({mi},{ni}): stored phi does not reduce representative "
-                    f"{S.bits}"
-                )
+        phi = stored.get(frozenset(combo))
+        if phi is None:
+            failures.append(
+                f"({mi},{ni}): family {sorted(sorted(c) for c in combo)} "
+                f"needs a permutation witness but none is stored"
+            )
+            unwitnessed = combo
+        elif reduce_permutation(S, phi) is None:
+            failures.append(
+                f"({mi},{ni}): stored phi does not reduce representative "
+                f"{S.bits}"
+            )
 
 
 def verify_certificate(
@@ -1107,6 +1065,8 @@ def verify_certificate(
     """
     if failures is None:
         failures = []
+    if c.m < 1 or c.n < 1:
+        failures.append(f"certificate for {c.m}x{c.n} covers no instance")
     seen = set()
     for entry in c.entries:
         seen.add((entry.m, entry.n))

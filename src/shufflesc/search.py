@@ -161,13 +161,16 @@ def max_shuffle_complexity(
     serial and in a fixed order, so its counts are deterministic.
 
     Witnesses attaining the maximum are reported in canonical form, at most
-    result_cap of them; one representative survives per equivalence class
-    of pair_canonical_key under the dedup_* convention flags (defaults:
-    operand swap allowed, final sets not distinguished — the convention
-    under which the 4-letter 2x2 witness is unique). stop_at_bound returns
+    result_cap of them (a negative cap raises ValueError); one
+    representative survives per equivalence class of pair_canonical_key
+    under the dedup_* convention flags (defaults: operand swap allowed,
+    final sets not distinguished — the convention under which the 4-letter
+    2x2 witness is unique). stop_at_bound returns
     as soon as some pair meets bound_f(m, n); the reported maximum is then
     the bound but the witness list may be truncated early.
     """
+    if result_cap < 0:
+        raise ValueError(f"result_cap must be >= 0, not {result_cap}")
     space = SearchSpace(m, n, k)
     _guard(space, force)
     bound = bound_f(m, n)

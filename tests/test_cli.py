@@ -1,5 +1,6 @@
 """End-to-end exercises of the command-line surface via main(argv)."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -146,6 +147,11 @@ class TestReach:
         assert captured.out == ""
         assert re.match("error: .*" + message, captured.err)
 
+    def test_negative_max_generations_is_user_error(self, capsys):
+        assert main(["reach", "2", "2", "--max-generations", "-2"]) == EXIT_USER
+        captured = capsys.readouterr()
+        assert captured.out == "" and "max_generations" in captured.err
+
     def test_checkpoint_interrupt_and_resume(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"
         main([
@@ -183,6 +189,22 @@ class TestCertify:
         assert code == EXIT_OK
         cert = Certificate.from_json(path.read_text())
         assert verify_certificate(cert)
+
+    def test_4x4_out_file_hash(self, tmp_path, capsys):
+        # the certificate is deterministic; pin its bytes so a change to the
+        # reductions or the table order shows up here
+        path = tmp_path / "cert.json"
+        assert main(["certify", "4", "4", "--out", str(path)]) == EXIT_OK
+        assert "verified: true" in capsys.readouterr().out
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "5088019cd116b5fe98172ff6aa0b17007f1b4a524173e3fc2e872d7694388d14"
+        )
+
+    @pytest.mark.parametrize("m,n", [("0", "0"), ("2", "-1")])
+    def test_no_instance_is_user_error(self, m, n, capsys):
+        assert main(["certify", m, n]) == EXIT_USER
+        captured = capsys.readouterr()
+        assert captured.out == "" and "positive" in captured.err
 
     def test_certification_gap_is_internal_error(self, monkeypatch, capsys):
         import shufflesc.cli as cli
@@ -236,6 +258,11 @@ class TestSearch:
         K = automata.dfa_from_dict(pair["left"])
         L = automata.dfa_from_dict(pair["right"])
         assert K.state_count == 2 and L.state_count == 2
+
+    def test_negative_cap_is_user_error(self, capsys):
+        assert main(["search", "2", "2", "2", "--cap", "-1"]) == EXIT_USER
+        captured = capsys.readouterr()
+        assert captured.out == "" and "result_cap" in captured.err
 
     def test_guard_refusal_is_user_error(self, capsys):
         assert main(["search", "2", "3", "6"]) == EXIT_USER

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -10,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from shufflesc.automata import Transformation
 from shufflesc.reach import (
+    _drop,
+    _first_empty_line,
     _successor_bitmap,
     Certificate,
     CertificationGapError,
@@ -218,6 +221,11 @@ class TestBfsReach:
             bfs_reach(3, 3, [good, wrong])
         with pytest.raises(ValueError, match="letter 0"):
             alphabet_sufficiency(3, 3, [wrong])
+
+    def test_negative_max_generations_refused(self):
+        with pytest.raises(ValueError, match="max_generations"):
+            bfs_reach(2, 2, max_generations=-2)
+        assert bfs_reach(2, 2, max_generations=0).reached == 1
 
     def test_restricted_alphabet_incomplete(self):
         only = [letter([1, 2], [1, 2])]  # identity alone goes nowhere
@@ -451,6 +459,48 @@ class TestReduceSingleElement:
             assert len(red.sub) == len(S) - 1
 
 
+def _shrink_reference(S, axis, index):
+    """Delete an empty row or column by renumbering the member pairs."""
+    if axis == "column":
+        pairs = [(i, j - 1 if j > index else j) for i, j in S.pairs()]
+        return ProductSubset.from_pairs(S.m, S.n - 1, pairs)
+    pairs = [(i - 1 if i > index else i, j) for i, j in S.pairs()]
+    return ProductSubset.from_pairs(S.m - 1, S.n, pairs)
+
+
+def _renumber_drop_reference(S, p, q):
+    """Remove row p and column q by renumbering the member pairs."""
+    pairs = [(i - 1 if i > p else i, j - 1 if j > q else j)
+             for i, j in S.pairs() if i != p and j != q]
+    return ProductSubset.from_pairs(S.m - 1, S.n - 1, pairs)
+
+
+class TestDropMatchesPairs:
+    @settings(max_examples=200, deadline=None)
+    @given(subset_strategy(max_m=4, max_n=4), st.data())
+    def test_first_empty_line_and_shrink(self, S, data):
+        empty_cols = [q for q in range(1, S.n + 1) if not S.column(q)]
+        empty_rows = [p for p in range(1, S.m + 1) if not S.row(p)]
+        expected = (("column", empty_cols[0]) if empty_cols
+                    else ("row", empty_rows[0]) if empty_rows else None)
+        assert _first_empty_line(S) == expected
+        if empty_cols and S.n > 1:
+            q = data.draw(st.sampled_from(empty_cols))
+            assert _drop(S, 0, q) == _shrink_reference(S, "column", q)
+        if empty_rows and S.m > 1:
+            p = data.draw(st.sampled_from(empty_rows))
+            assert _drop(S, p, 0) == _shrink_reference(S, "row", p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(subset_strategy(max_m=4, max_n=4), st.data())
+    def test_drop_row_and_column(self, S, data):
+        if S.m < 2 or S.n < 2:
+            return
+        p = data.draw(st.integers(1, S.m))
+        q = data.draw(st.integers(1, S.n))
+        assert _drop(S, p, q) == _renumber_drop_reference(S, p, q)
+
+
 def orbit_table_subset(m, cols):
     pairs = [(i, j) for j, col in enumerate(cols, start=1) for i in col]
     return ProductSubset.from_pairs(m, len(cols), pairs)
@@ -577,6 +627,35 @@ class TestCertify:
         assert not verify_certificate(cert, failures)
         assert failures
 
+    def test_containment_without_shrinking_refused(self):
+        # pred = S under the identity letter replays, but does not descend
+        cert = certify(2, 2, [])
+        table = cert.entry(2, 2).data["justifications"]
+        enc, j = next((k, j) for k, j in table.items() if j["kind"] == "CONTAINMENT")
+        j["pred"] = int(enc)
+        j["letter"] = {"s": [1, 2], "t": [1, 2]}
+        failures = []
+        assert not verify_certificate(cert, failures)
+        assert failures == [f"(2,2) subset {enc}: CONTAINMENT predecessor is not smaller"]
+
+    def test_bfs_edge_refused(self):
+        # a replaying edge under a kind the certificate layer never writes
+        cert = certify(2, 2, [])
+        table = cert.entry(2, 2).data["justifications"]
+        enc, j = next((k, j) for k, j in table.items() if j["kind"] == "CONTAINMENT")
+        table[enc] = {"kind": "BFS_EDGE", "pred": j["pred"], "letter": j["letter"]}
+        failures = []
+        assert not verify_certificate(cert, failures)
+        assert failures == [f"(2,2) subset {enc}: unknown justification kind 'BFS_EDGE'"]
+
+    @pytest.mark.parametrize("m,n", [(0, 0), (2, -1), (0, 3)])
+    def test_no_instance_refused(self, m, n):
+        with pytest.raises(ValueError, match="positive"):
+            certify(m, n, [])
+        failures = []
+        assert not verify_certificate(Certificate(m, n, (), []), failures)
+        assert failures == [f"certificate for {m}x{n} covers no instance"]
+
     def test_missing_base_fact_detected(self):
         cert = certify(3, 3, DEFAULT_BASE_FACTS)
         cert = Certificate(cert.m, cert.n, ((2, 2),), cert.entries)
@@ -598,6 +677,10 @@ class TestCertify:
         assert strategies[(4, 8)] == "SPERNER"
         failures = []
         assert verify_certificate(cert, failures), failures[:5]
+        text = cert.to_json() + "\n"  # the bytes of `certify 4 8 --out`
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "a160606398a1cd3f95f1938f29c6f49fac86d9bb7fb841ad95d98e2bf26b170f"
+        )
 
 
 class TestDirectSmaller:

@@ -97,6 +97,11 @@ class TestMaxShuffleComplexity:
         expected = (GOLDEN / f"search_2_2_{k}.json").read_text()
         assert capsys.readouterr().out == expected
 
+    def test_negative_cap_refused(self):
+        # a negative cap used to slice witnesses off the end of the list
+        with pytest.raises(ValueError, match="result_cap"):
+            max_shuffle_complexity(2, 2, 2, result_cap=-1)
+
     def test_summary_fields(self):
         result = max_shuffle_complexity(2, 2, 2)
         s = result.summary()
