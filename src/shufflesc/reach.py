@@ -189,22 +189,53 @@ def _lines(x: int, m: int, n: int) -> tuple[list[int], list[int]]:
     return [x >> p * n & rowmask for p in range(m)], [x >> q & colmask for q in range(n)]
 
 
+CHUNK_BITS = 12
+
+
+def _chunk_tables(a: ExtremalLetter, m: int, n: int) -> tuple[np.ndarray, ...]:
+    """The step of a on every value of each 12-bit chunk of an encoding.
+
+    The step is a union over cells, so x . a is the OR over chunks i of
+    tables[i][x >> 12*i & 4095]. The last table is shorter when m*n is not
+    a multiple of 12. The tables are a cache of _row_map | _col_map."""
+    tables = []
+    for base in range(0, m * n, CHUNK_BITS):
+        x = np.arange(1 << min(CHUNK_BITS, m * n - base), dtype=np.uint64) << base
+        tables.append(_row_map(x, a.s.images, m, n) | _col_map(x, a.t.images, m, n))
+    return tuple(tables)
+
+
+class _LetterTables(list):
+    """A letter list as the chunk tables of its letters, one entry per
+    letter, so that BFS builds them once and not once per generation."""
+
+    def __init__(self, letters: Iterable[ExtremalLetter], m: int, n: int):
+        super().__init__(_chunk_tables(a, m, n) for a in letters)
+
+
 def _successor_bitmap(
     frontier: np.ndarray,
     m: int,
     n: int,
     alphabet,
 ) -> np.ndarray:
-    """Dense bool bitmap of every one-step successor of the frontier."""
+    """Dense bool bitmap of every one-step successor of the frontier, over
+    the full alphabet, a letter list or its _LetterTables."""
     out = np.zeros(1 << (m * n), dtype=bool)
     if isinstance(alphabet, str):  # full alphabet
         for x in frontier.tolist():
             R, C = _line_images(x, m, n)
             out[R[:, None] | C[None, :]] = True
-    else:
-        for a in alphabet:
-            out[_row_map(frontier, a.s.images, m, n)
-                | _col_map(frontier, a.t.images, m, n)] = True
+        return out
+    if not isinstance(alphabet, _LetterTables):
+        alphabet = _LetterTables(alphabet, m, n)
+    chunks = [(frontier >> base & (1 << CHUNK_BITS) - 1).astype(np.intp)
+              for base in range(0, m * n, CHUNK_BITS)]
+    for tables in alphabet:
+        succ = tables[0][chunks[0]]
+        for table, chunk in zip(tables[1:], chunks[1:]):
+            succ |= table[chunk]
+        out[succ] = True
     return out
 
 
@@ -425,24 +456,25 @@ def bfs_reach(
             write_checkpoint(checkpoint_dir, m, n, aid, 0, visited, frontier)
 
     workers = max(1, workers)
+    letters = alphabet if isinstance(alphabet, str) else _LetterTables(alphabet, m, n)
     steps = 0
     while frontier.size:
         if max_generations is not None and steps >= max_generations:
             break
         if workers == 1 or frontier.size < 2 * workers:
-            succ = _successor_bitmap(frontier, m, n, alphabet)
+            succ = _successor_bitmap(frontier, m, n, letters)
         else:
             slices = np.array_split(frontier, workers)
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 parts = list(
-                    pool.map(lambda sl: _successor_bitmap(sl, m, n, alphabet), slices)
+                    pool.map(lambda sl: _successor_bitmap(sl, m, n, letters), slices)
                 )
             succ = parts[0]
             for part in parts[1:]:
                 succ |= part
-        new = succ & ~visited
-        visited |= new
-        frontier = np.flatnonzero(new).astype(np.uint64)
+        np.greater(succ, visited, out=succ)  # succ & ~visited, in place
+        visited |= succ
+        frontier = np.flatnonzero(succ).astype(np.uint64)
         generation += 1
         steps += 1
         if checkpoint_dir is not None:
@@ -936,10 +968,11 @@ def certify(
 
 
 def _replay_justification(
-    cert: Certificate, entry: InstanceEntry, enc: int, j: dict,
-    failures: list[str],
+    instances: dict[tuple[int, int], InstanceEntry], entry: InstanceEntry, enc: int,
+    j: dict, failures: list[str],
 ) -> None:
-    """Replay one justification, recording what does not hold."""
+    """Replay one justification, recording what does not hold. instances
+    maps (m, n) to the certificate's first entry for that instance."""
     mi, ni = entry.m, entry.n
     S = ProductSubset(mi, ni, enc)
     where = f"({mi},{ni}) subset {enc}"
@@ -959,7 +992,7 @@ def _replay_justification(
         if (sub.m, sub.n, sub.bits) != (j["sub_m"], j["sub_n"], j["sub_encoding"]):
             failures.append(f"{where}: SHRINK sub-instance mismatch")
             return
-        _require_justified(cert, sub.m, sub.n, sub.bits, where, failures)
+        _require_justified(instances, sub.m, sub.n, sub.bits, where, failures)
         return
     if kind in ("CONTAINMENT", "PERMUTATION"):
         pred = ProductSubset(mi, ni, j["pred"])
@@ -973,7 +1006,7 @@ def _replay_justification(
         if not is_valid(pred):
             failures.append(f"{where}: {kind} predecessor is invalid")
             return
-        _require_justified(cert, mi, ni, pred.bits, where, failures)
+        _require_justified(instances, mi, ni, pred.bits, where, failures)
         return
     if kind == "SINGLE_ELEMENT":
         letter = ExtremalLetter.from_dict(j["letter"])
@@ -991,16 +1024,16 @@ def _replay_justification(
         if sub.bits != j["sub_encoding"]:
             failures.append(f"{where}: SINGLE_ELEMENT sub-instance mismatch")
             return
-        _require_justified(cert, sub.m, sub.n, sub.bits, where, failures)
+        _require_justified(instances, sub.m, sub.n, sub.bits, where, failures)
         return
     failures.append(f"{where}: unknown justification kind {kind!r}")
 
 
 def _require_justified(
-    cert: Certificate, mi: int, ni: int, enc: int, where: str,
-    failures: list[str],
+    instances: dict[tuple[int, int], InstanceEntry], mi: int, ni: int, enc: int,
+    where: str, failures: list[str],
 ) -> None:
-    entry = cert.entry(mi, ni)
+    entry = instances.get((mi, ni))
     if entry is None:
         failures.append(f"{where}: refers to missing instance ({mi},{ni})")
         return
@@ -1014,7 +1047,8 @@ def _require_justified(
 
 
 def _verify_exhaustive(
-    cert: Certificate, entry: InstanceEntry, failures: list[str]
+    instances: dict[tuple[int, int], InstanceEntry], entry: InstanceEntry,
+    failures: list[str],
 ) -> None:
     table = entry.data["justifications"]
     mi, ni = entry.m, entry.n
@@ -1027,12 +1061,10 @@ def _verify_exhaustive(
         if not is_valid(ProductSubset(mi, ni, enc)):
             failures.append(f"({mi},{ni}): table lists invalid subset {enc}")
             continue
-        _replay_justification(cert, entry, enc, j, failures)
+        _replay_justification(instances, entry, enc, j, failures)
 
 
-def _verify_family(
-    cert: Certificate, entry: InstanceEntry, failures: list[str]
-) -> None:
+def _verify_family(entry: InstanceEntry, failures: list[str]) -> None:
     mi, ni = entry.m, entry.n
     stored = {
         frozenset(frozenset(c) for c in fam["columns"]): Transformation(tuple(fam["phi"]))
@@ -1067,12 +1099,12 @@ def verify_certificate(
         failures = []
     if c.m < 1 or c.n < 1:
         failures.append(f"certificate for {c.m}x{c.n} covers no instance")
-    seen = set()
+    instances: dict[tuple[int, int], InstanceEntry] = {}
     for entry in c.entries:
-        seen.add((entry.m, entry.n))
+        instances.setdefault((entry.m, entry.n), entry)  # the first entry wins
     for mi in range(1, c.m + 1):
         for ni in range(1, c.n + 1):
-            if (mi, ni) not in seen:
+            if (mi, ni) not in instances:
                 failures.append(f"missing instance entry ({mi},{ni})")
     facts = set(c.base_facts)
     for entry in c.entries:
@@ -1095,9 +1127,9 @@ def verify_certificate(
             else:
                 failures.append(f"({mi},{ni}): Sperner rule with unknown axis")
         elif entry.strategy == STRATEGY_EXHAUSTIVE:
-            _verify_exhaustive(c, entry, failures)
+            _verify_exhaustive(instances, entry, failures)
         elif entry.strategy == STRATEGY_FAMILY:
-            _verify_family(c, entry, failures)
+            _verify_family(entry, failures)
         else:
             failures.append(f"({mi},{ni}): unknown strategy {entry.strategy!r}")
     return not failures
@@ -1165,14 +1197,16 @@ def greedy_alphabet(m: int, n: int) -> list[ExtremalLetter]:
     in_closure = np.zeros(total, dtype=bool)
     in_closure[1] = True
 
-    def closure(current: np.ndarray, letter_list) -> np.ndarray:
+    tables = _LetterTables([], m, n)
+
+    def closure(current: np.ndarray) -> np.ndarray:
         reach = current.copy()
         frontier = np.flatnonzero(reach).astype(np.uint64)
         while frontier.size:
-            succ = _successor_bitmap(frontier, m, n, letter_list)
-            new = succ & ~reach
-            reach |= new
-            frontier = np.flatnonzero(new).astype(np.uint64)
+            succ = _successor_bitmap(frontier, m, n, tables)
+            np.greater(succ, reach, out=succ)
+            reach |= succ
+            frontier = np.flatnonzero(succ).astype(np.uint64)
         return reach
 
     while int(in_closure.sum()) < bound:
@@ -1191,5 +1225,6 @@ def greedy_alphabet(m: int, n: int) -> list[ExtremalLetter]:
                 f"greedy alphabet stalled at {int(in_closure.sum())} of {bound}"
             )
         letters.append(best_letter)
-        in_closure = closure(in_closure, letters)
+        tables.append(_chunk_tables(best_letter, m, n))
+        in_closure = closure(in_closure)
     return letters

@@ -92,10 +92,8 @@ def row1_mask(m: int, n: int) -> int:
 
 
 def col1_mask(m: int, n: int) -> int:
-    mask = 0
-    for p in range(1, m + 1):
-        mask |= 1 << (p - 1) * n
-    return mask
+    """Bit (p-1)*n for every row p: the geometric sum of 2^(p*n), p < m."""
+    return ((1 << m * n) - 1) // ((1 << n) - 1)
 
 
 def is_valid(s: ProductSubset) -> bool:

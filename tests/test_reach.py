@@ -135,6 +135,45 @@ class TestKernelMatchesDefinition:
             union |= expected
         assert successors(frontier, 3, 3, letters) == union
 
+    # 12-bit chunks split these grids after 12, 12, 12, 12 and 12 cells
+    CHUNK_GRIDS = [(1, 13), (3, 5), (4, 4), (2, 7), (4, 6)]
+
+    @staticmethod
+    def random_letters(rng, m, n, count):
+        return [letter([rng.randint(1, m) for _ in range(m)],
+                       [rng.randint(1, n) for _ in range(n)]) for _ in range(count)]
+
+    @pytest.mark.parametrize("m,n", CHUNK_GRIDS)
+    def test_letter_list_across_chunks(self, m, n):
+        rng = random.Random(m * 100 + n)
+        letters = self.random_letters(rng, m, n, 4)
+        frontier = [rng.randrange(1 << (m * n)) for _ in range(200)]
+        union = set()
+        for a in letters:
+            expected = {
+                pair_loop_step(enc, a.s.images, a.t.images, m, n) for enc in frontier
+            }
+            assert successors(frontier, m, n, [a]) == expected, a
+            union |= expected
+        assert successors(frontier, m, n, letters) == union
+
+    @pytest.mark.parametrize("m,n", CHUNK_GRIDS)
+    def test_bfs_letter_list_across_chunks(self, m, n, tmp_path):
+        rng = random.Random(m * 100 + n + 1)
+        letters = self.random_letters(rng, m, n, 3)
+        visited, frontier = {1}, {1}
+        for _ in range(4):
+            frontier = {
+                pair_loop_step(enc, a.s.images, a.t.images, m, n)
+                for enc in frontier for a in letters
+            } - visited
+            visited |= frontier
+        report = bfs_reach(m, n, letters, checkpoint_dir=tmp_path, max_generations=4)
+        assert report.reached == len(visited)
+        _, bitmap, last = read_checkpoint(tmp_path, m, n, report.alphabet_id)
+        assert set(np.flatnonzero(bitmap).tolist()) == visited
+        assert set(last.tolist()) == frontier
+
     def test_extremal_step_sample(self):
         rng = random.Random(3)
         for _ in range(300):
@@ -726,3 +765,10 @@ class TestAlphabets:
     def test_greedy_completes_2x3(self):
         letters = greedy_alphabet(2, 3)
         assert alphabet_sufficiency(2, 3, letters)
+
+    def test_greedy_2x3_letters_pinned(self):
+        assert [(a.s.images, a.t.images) for a in greedy_alphabet(2, 3)] == [
+            ((1, 1), (2, 1, 1)), ((1, 1), (3, 1, 1)), ((2, 1), (1, 1, 1)),
+            ((2, 2), (2, 3, 1)), ((2, 1), (2, 3, 2)), ((2, 1), (3, 1, 3)),
+            ((2, 1), (2, 1, 1)), ((2, 1), (3, 1, 1)),
+        ]

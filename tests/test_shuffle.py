@@ -7,6 +7,7 @@ from shufflesc.shuffle import (
     ProductSubset,
     bound_f,
     build_shuffle_nfa,
+    col1_mask,
     count_valid_subsets,
     ideal_bound,
     is_valid,
@@ -85,6 +86,11 @@ class TestValidity:
 
     def test_off_axis_invalid(self):
         assert not is_valid(ProductSubset.from_pairs(2, 2, [(2, 2)]))
+
+    def test_col1_mask_is_first_cell_of_each_row(self):
+        for m in range(1, 9):
+            for n in range(1, 9):
+                assert col1_mask(m, n) == sum(1 << p * n for p in range(m)), (m, n)
 
 
 class TestBound:
