@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -309,21 +310,32 @@ def _checkpoint_name(generation: int) -> str:
     return f"gen-{generation:06d}.ckpt"
 
 
+#: The frontier body: raw little-endian uint64 entries, 8 bytes each, in
+#: ascending order. A header without this value is refused.
+FRONTIER_ENCODING = "u64le"
+
+
 def write_checkpoint(
     directory, m: int, n: int, aid: str, generation: int,
     visited: np.ndarray, frontier: np.ndarray,
 ) -> None:
+    """Write gen-<generation>.ckpt and point LATEST at it: a JSON header
+    line, the visited bitmap packed little-endian, a newline, then the
+    frontier as FRONTIER_ENCODING bytes."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     bitmap = np.packbits(visited, bitorder="little").tobytes()
-    body = "".join(f"{e}\n" for e in frontier.tolist()).encode()
+    if np.any(frontier[1:] < frontier[:-1]):  # BFS frontiers are already sorted
+        frontier = np.sort(frontier)
+    body = frontier.astype("<u8", copy=False).tobytes()
     header = {
         "m": m,
         "n": n,
         "alphabet_id": aid,
         "generation": generation,
-        "visited_count": int(visited.sum()),
+        "visited_count": int(np.count_nonzero(visited)),
         "frontier_len": int(frontier.size),
+        "frontier_encoding": FRONTIER_ENCODING,
         "bitmap_sha256": hashlib.sha256(bitmap).hexdigest(),
         "frontier_sha256": hashlib.sha256(body).hexdigest(),
     }
@@ -344,12 +356,17 @@ def _write_atomically(path: Path, parts: list[bytes]) -> None:
 
 
 def read_checkpoint(directory, m: int, n: int, aid: str):
-    """Load the latest checkpoint; refuse on any header/hash inconsistency."""
+    """Load the checkpoint LATEST names; refuse on any header/hash
+    inconsistency, and a LATEST that is not gen-<g>.ckpt in directory or
+    names a file whose header generation is not g."""
     directory = Path(directory)
     pointer = directory / "LATEST"
     if not pointer.exists():
         raise CheckpointError(f"no LATEST pointer in {directory}")
     name = pointer.read_text().strip()
+    digits = re.fullmatch(r"gen-([0-9]+)\.ckpt", name)
+    if digits is None or name != _checkpoint_name(int(digits[1])):
+        raise CheckpointError(f"LATEST names {name!r}, not a gen-NNNNNN.ckpt file in {directory}")
     path = directory / name
     if not path.exists():
         raise CheckpointError(f"missing checkpoint file {path}")
@@ -366,39 +383,44 @@ def read_checkpoint(directory, m: int, n: int, aid: str):
     generation = header.get("generation")
     if type(generation) is not int or generation < 0:  # bool is refused too
         raise CheckpointError(f"checkpoint generation {generation!r}: not an int >= 0")
+    if generation != int(digits[1]):
+        raise CheckpointError(f"{name} holds checkpoint generation {generation}")
     for key, val in (("m", m), ("n", n), ("alphabet_id", aid)):
         if header.get(key) != val:
             raise CheckpointError(
                 f"checkpoint {key}={header.get(key)!r} does not match run {key}={val!r}"
             )
+    if header.get("frontier_encoding") != FRONTIER_ENCODING:
+        raise CheckpointError(
+            f"checkpoint frontier_encoding={header.get('frontier_encoding')!r}, "
+            f"not {FRONTIER_ENCODING!r}: written by an older shufflesc; start a new run"
+        )
     total = 1 << (m * n)
     nbytes = (total + 7) // 8
     bitmap = raw[nl + 1:nl + 1 + nbytes]
-    if len(bitmap) != nbytes:
+    if len(bitmap) != nbytes or raw[nl + 1 + nbytes:nl + 2 + nbytes] != b"\n":
         raise CheckpointError("truncated visited bitmap")
     if hashlib.sha256(bitmap).hexdigest() != header.get("bitmap_sha256"):
         raise CheckpointError("visited bitmap hash mismatch; refusing to resume")
     visited = np.unpackbits(
         np.frombuffer(bitmap, dtype=np.uint8), bitorder="little"
-    )[:total].astype(bool)
-    body = raw[nl + 1 + nbytes:]
-    if body[:1] == b"\n":
-        body = body[1:]
-    try:
-        frontier_items = sorted(int(line) for line in body.split(b"\n") if line)
-    except ValueError:
-        raise CheckpointError("frontier entry is not an integer") from None
-    if len(frontier_items) != header.get("frontier_len"):
+    )[:total].view(bool)
+    body = raw[nl + 2 + nbytes:]
+    if len(body) % 8:
+        raise CheckpointError(
+            f"frontier body of {len(body)} bytes is not a whole number of 8-byte entries"
+        )
+    frontier = np.frombuffer(body, dtype="<u8").astype(np.uint64, copy=False)
+    if frontier.size != header.get("frontier_len"):
         raise CheckpointError("frontier length does not match header")
-    if int(visited.sum()) != header.get("visited_count"):
+    if np.count_nonzero(visited) != header.get("visited_count"):
         raise CheckpointError("visited count does not match header")
-    if frontier_items and (frontier_items[0] < 0 or frontier_items[-1] >= total):
+    if frontier.size and frontier.max() >= total:
         raise CheckpointError(f"frontier entry outside 0..2^{m * n}-1")
     if "frontier_sha256" not in header:
         raise CheckpointError("checkpoint header has no frontier_sha256")
     if hashlib.sha256(body).hexdigest() != header["frontier_sha256"]:
         raise CheckpointError("frontier hash mismatch; refusing to resume")
-    frontier = np.array(frontier_items, dtype=np.uint64)
     if not visited[frontier].all():
         raise CheckpointError("frontier entry missing from the visited bitmap")
     return generation, visited, frontier
@@ -481,7 +503,7 @@ def bfs_reach(
             write_checkpoint(checkpoint_dir, m, n, aid, generation, visited, frontier)
 
     bound = bound_f(m, n)
-    reached = int(visited.sum())
+    reached = int(np.count_nonzero(visited))
     unreached: list[int] = []
     for chunk in valid_encodings(m, n):
         unreached += chunk[~visited[chunk]][:32 - len(unreached)].tolist()
@@ -1209,7 +1231,7 @@ def greedy_alphabet(m: int, n: int) -> list[ExtremalLetter]:
             frontier = np.flatnonzero(succ).astype(np.uint64)
         return reach
 
-    while int(in_closure.sum()) < bound:
+    while np.count_nonzero(in_closure) < bound:
         closure_states = np.flatnonzero(in_closure).astype(np.uint64)
         best_gain = 0
         best_letter = None
@@ -1222,7 +1244,7 @@ def greedy_alphabet(m: int, n: int) -> list[ExtremalLetter]:
                 best_letter = a
         if best_letter is None:
             raise RuntimeError(
-                f"greedy alphabet stalled at {int(in_closure.sum())} of {bound}"
+                f"greedy alphabet stalled at {np.count_nonzero(in_closure)} of {bound}"
             )
         letters.append(best_letter)
         tables.append(_chunk_tables(best_letter, m, n))

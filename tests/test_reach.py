@@ -7,10 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shufflesc.automata import Transformation
 from shufflesc.reach import (
+    _checkpoint_name,
     _drop,
     _first_empty_line,
     _successor_bitmap,
@@ -315,9 +316,10 @@ class TestCheckpoints:
         header = json.loads(raw[: raw.index(b"\n")])
         assert set(header) == {
             "m", "n", "alphabet_id", "generation", "visited_count",
-            "frontier_len", "bitmap_sha256", "frontier_sha256",
+            "frontier_len", "frontier_encoding", "bitmap_sha256", "frontier_sha256",
         }
         assert header["m"] == 2 and header["alphabet_id"] == "full"
+        assert header["frontier_encoding"] == "u64le"
 
     def test_corrupt_bitmap_refused(self, tmp_path):
         bfs_reach(2, 2, checkpoint_dir=tmp_path, max_generations=1)
@@ -328,15 +330,29 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError):
             bfs_reach(2, 2, checkpoint_dir=tmp_path, resume=True)
 
-    @pytest.mark.parametrize("entry", [16, 2**64 + 1])
+    def test_missing_separator_refused(self, tmp_path):
+        # with an empty frontier, nothing after the bitmap would show the loss
+        visited = np.zeros(16, dtype=bool)
+        visited[1] = True
+        write_checkpoint(tmp_path, 2, 2, "full", 0, visited, np.array([], dtype=np.uint64))
+        target = tmp_path / "gen-000000.ckpt"
+        raw = target.read_bytes()
+        assert raw.endswith(b"\n")
+        target.write_bytes(raw[:-1])
+        with pytest.raises(CheckpointError, match="truncated"):
+            read_checkpoint(tmp_path, 2, 2, "full")
+
+    @pytest.mark.parametrize("entry", [16, 2**64 - 1])
     def test_frontier_out_of_range_refused(self, tmp_path, entry):
+        # the range check runs before the hash check, which would also fail
         visited = np.zeros(16, dtype=bool)
         visited[1] = True
         frontier = np.array([1], dtype=np.uint64)
         write_checkpoint(tmp_path, 2, 2, "full", 0, visited, frontier)
         target = tmp_path / "gen-000000.ckpt"
-        raw = target.read_bytes().replace(b"\n1\n", f"\n{entry}\n".encode())
-        target.write_bytes(raw)
+        raw = target.read_bytes()
+        assert raw.endswith((1).to_bytes(8, "little"))
+        target.write_bytes(raw[:-8] + entry.to_bytes(8, "little"))
         with pytest.raises(CheckpointError, match="outside"):
             bfs_reach(2, 2, checkpoint_dir=tmp_path, resume=True)
 
@@ -349,14 +365,13 @@ class TestCheckpoints:
             bfs_reach(2, 2, checkpoint_dir=tmp_path, resume=True)
 
     def test_frontier_rewritten_refused(self, tmp_path):
-        # every line rewritten to {(1,1)}: count, range and visited checks pass
+        # every entry rewritten to {(1,1)}: count, range and visited checks pass
         bfs_reach(3, 3, checkpoint_dir=tmp_path, max_generations=2)
         target = tmp_path / "gen-000002.ckpt"
         raw = target.read_bytes()
         start = raw.index(b"\n") + 1 + (1 << 9) // 8 + 1
-        lines = raw[start:].splitlines()
-        assert len(lines) == 145
-        target.write_bytes(raw[:start] + b"1\n" * len(lines))
+        assert len(raw) - start == 145 * 8
+        target.write_bytes(raw[:start] + (1).to_bytes(8, "little") * 145)
         with pytest.raises(CheckpointError, match="frontier hash"):
             bfs_reach(3, 3, checkpoint_dir=tmp_path, resume=True)
 
@@ -365,9 +380,84 @@ class TestCheckpoints:
         visited[1] = True
         write_checkpoint(tmp_path, 2, 2, "full", 0, visited, np.array([1], dtype=np.uint64))
         target = tmp_path / "gen-000000.ckpt"
-        target.write_bytes(target.read_bytes().replace(b"\n1\n", b"\nx\n"))
-        with pytest.raises(CheckpointError, match="integer"):
+        target.write_bytes(target.read_bytes()[:-1])
+        with pytest.raises(CheckpointError, match="whole number of 8-byte entries"):
             bfs_reach(2, 2, checkpoint_dir=tmp_path, resume=True)
+
+    def test_decimal_layout_refused(self, tmp_path):
+        # the layout before the binary frontier: one decimal line per entry,
+        # no frontier_encoding key, every hash and count valid
+        visited = np.zeros(16, dtype=bool)
+        visited[[1, 6]] = True
+        bitmap = np.packbits(visited, bitorder="little").tobytes()
+        body = b"1\n6\n"
+        header = {
+            "m": 2, "n": 2, "alphabet_id": "full", "generation": 0,
+            "visited_count": 2, "frontier_len": 2,
+            "bitmap_sha256": hashlib.sha256(bitmap).hexdigest(),
+            "frontier_sha256": hashlib.sha256(body).hexdigest(),
+        }
+        (tmp_path / "gen-000000.ckpt").write_bytes(
+            json.dumps(header, sort_keys=True).encode() + b"\n" + bitmap + b"\n" + body
+        )
+        (tmp_path / "LATEST").write_text("gen-000000.ckpt\n")
+        with pytest.raises(CheckpointError, match="frontier_encoding"):
+            read_checkpoint(tmp_path, 2, 2, "full")
+
+    @pytest.mark.parametrize("absolute", [True, False])
+    def test_latest_outside_directory_refused(self, tmp_path, absolute):
+        other, run = tmp_path / "other", tmp_path / "run"
+        bfs_reach(3, 3, checkpoint_dir=other, max_generations=4)
+        bfs_reach(3, 3, checkpoint_dir=run, max_generations=1)
+        foreign = other / "gen-000004.ckpt" if absolute else Path("..", "other", "gen-000004.ckpt")
+        (run / "LATEST").write_text(f"{foreign}\n")
+        with pytest.raises(CheckpointError, match="LATEST"):
+            bfs_reach(3, 3, checkpoint_dir=run, resume=True)
+
+    def test_renamed_generation_refused(self, tmp_path):
+        bfs_reach(3, 3, checkpoint_dir=tmp_path, max_generations=1)
+        (tmp_path / "gen-000004.ckpt").write_bytes((tmp_path / "gen-000001.ckpt").read_bytes())
+        (tmp_path / "LATEST").write_text("gen-000004.ckpt\n")
+        with pytest.raises(CheckpointError, match="generation 1"):
+            bfs_reach(3, 3, checkpoint_dir=tmp_path, resume=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 4), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+        generation=st.integers(0, 10**7), size=st.integers(0, 300), top=st.booleans(),
+    )
+    @example(m=4, n=6, seed=0, generation=0, size=0, top=False)
+    @example(m=4, n=6, seed=1, generation=3, size=0, top=True)
+    @example(m=1, n=1, seed=2, generation=1, size=0, top=True)
+    def test_round_trip(self, tmp_path_factory, m, n, seed, generation, size, top):
+        rng = np.random.default_rng(seed)
+        total = 1 << (m * n)
+        frontier = np.unique(rng.integers(0, total, size=size, dtype=np.uint64))
+        if top:
+            frontier = np.union1d(frontier, np.array([total - 1], dtype=np.uint64))
+        visited = rng.random(total) < 0.3
+        visited[frontier] = True
+        directory = tmp_path_factory.mktemp("ckpt")
+        # written in any order, read back ascending
+        write_checkpoint(directory, m, n, "full", generation, visited, rng.permutation(frontier))
+        back_generation, back_visited, back_frontier = read_checkpoint(directory, m, n, "full")
+        assert back_generation == generation
+        assert back_visited.dtype == bool and np.array_equal(back_visited, visited)
+        assert back_frontier.dtype == np.uint64 and np.array_equal(back_frontier, frontier)
+
+    @pytest.mark.parametrize("alphabet", ["full", "letters_3x3"])
+    def test_resume_at_every_generation(self, tmp_path, alphabet):
+        if alphabet != "full":
+            alphabet = load_letters(FIXTURES / f"{alphabet}.json")
+        whole = bfs_reach(3, 3, alphabet, checkpoint_dir=tmp_path / "whole")
+        final = _checkpoint_name(whole.generations)
+        expected = (tmp_path / "whole" / final).read_bytes()
+        for g in range(whole.generations + 1):
+            directory = tmp_path / f"stop-{g}"
+            bfs_reach(3, 3, alphabet, checkpoint_dir=directory, max_generations=g)
+            resumed = bfs_reach(3, 3, alphabet, checkpoint_dir=directory, resume=True)
+            assert resumed == whole, g
+            assert (directory / final).read_bytes() == expected, g
 
     def test_header_without_frontier_hash_refused(self, tmp_path):
         bfs_reach(2, 2, checkpoint_dir=tmp_path, max_generations=1)
