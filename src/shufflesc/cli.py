@@ -18,10 +18,6 @@ EXIT_OK = 0
 EXIT_USER = 1
 EXIT_INTERNAL = 2
 
-#: desk-verified base facts for the default certification run
-DEFAULT_BASE_FACTS = ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4))
-
-
 class _Internal(Exception):
     """An internal invariant failed; the message goes to stderr."""
 
@@ -115,9 +111,8 @@ def cmd_reach(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    facts = DEFAULT_BASE_FACTS if not args.base else tuple(args.base)
     try:
-        cert = reach.certify(args.m, args.n, facts)
+        cert = reach.certify(args.m, args.n)
     except reach.CertificationGapError as e:
         print(str(e), file=sys.stderr)
         return EXIT_INTERNAL
@@ -131,7 +126,6 @@ def cmd_certify(args) -> int:
     payload = {
         "m": args.m,
         "n": args.n,
-        "base_facts": [list(f) for f in cert.base_facts],
         "verified": ok,
         "strategies": {f"{k[0]}x{k[1]}": v for k, v in strategies.items()},
     }
@@ -256,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="build and verify a reachability certificate")
     add_mn(p)
-    p.add_argument("--base", type=_parse_fact, action="append", default=[],
-                   help="base fact instance as MxN (repeatable)")
     p.add_argument("--out", default=None, help="write the certificate JSON here")
     p.set_defaults(func=cmd_certify)
 
@@ -277,17 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("okhotin", help="unary-left ideal witness family")
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_okhotin)
+
+    # --json also after the subcommand; SUPPRESS keeps an absent flag from
+    # overwriting the top-level one
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                       help="emit one JSON object")
     return parser
-
-
-def _parse_fact(text: str) -> tuple[int, int]:
-    try:
-        a, b = text.lower().split("x")
-        return int(a), int(b)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected MxN, for example 3x4; got {text!r}"
-        ) from None
 
 
 def main(argv=None) -> int:

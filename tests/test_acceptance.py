@@ -50,7 +50,7 @@ from shufflesc.shuffle import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "shufflesc" / "fixtures"
-BASE_FACTS = ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4))
+BFS_INSTANCES = ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4))
 
 
 class TestCriterion1Bounds:
@@ -93,7 +93,7 @@ class TestCriterion3OkhotinFamily:
 
 
 class TestCriterion4Reachability:
-    @pytest.mark.parametrize("m,n", list(BASE_FACTS))
+    @pytest.mark.parametrize("m,n", list(BFS_INSTANCES))
     def test_full_alphabet_complete(self, m, n):
         report = bfs_reach(m, n)
         assert report.complete
@@ -108,8 +108,9 @@ class TestCriterion4Reachability:
 class TestCriterion5Certification:
     def test_certify_and_verify_up_to_4x8(self):
         start = time.monotonic()
-        cert = certify(4, 8, BASE_FACTS)
+        cert = certify(4, 8)
         assert verify_certificate(cert)
+        assert {e.strategy for e in cert.entries} == {"EXHAUSTIVE", "SPERNER", "FAMILY"}
         covered = {(e.m, e.n) for e in cert.entries}
         assert covered == {
             (m, n) for m in range(1, 5) for n in range(1, 9)

@@ -21,6 +21,17 @@ def schema(name):
     return json.loads((SCHEMAS / name).read_text())
 
 
+@pytest.mark.parametrize("argv", [["bound", "2", "3"], ["reach", "2", "2"]])
+def test_json_before_or_after_the_subcommand(argv, capsys):
+    outputs = []
+    for args in (["--json", *argv], [*argv, "--json"]):
+        assert main(args) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        payload.pop("elapsed_seconds", None)
+        outputs.append(payload)
+    assert outputs[0] == outputs[1]
+
+
 class TestBound:
     def test_2x3(self, capsys):
         assert main(["bound", "2", "3"]) == EXIT_OK
@@ -181,11 +192,7 @@ class TestCertify:
 
     def test_out_file_reloads_and_verifies(self, tmp_path, capsys):
         path = tmp_path / "cert.json"
-        code = main([
-            "certify", "3", "4", "--base", "2x2", "--base", "2x3",
-            "--base", "2x4", "--base", "3x3", "--base", "3x4",
-            "--out", str(path),
-        ])
+        code = main(["certify", "3", "4", "--out", str(path)])
         assert code == EXIT_OK
         cert = Certificate.from_json(path.read_text())
         assert verify_certificate(cert)
@@ -194,10 +201,12 @@ class TestCertify:
         # the certificate is deterministic; pin its bytes so a change to the
         # reductions or the table order shows up here
         path = tmp_path / "cert.json"
-        assert main(["certify", "4", "4", "--out", str(path)]) == EXIT_OK
-        assert "verified: true" in capsys.readouterr().out
+        assert main(["--json", "certify", "4", "4", "--out", str(path)]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verified"] is True and "base_facts" not in payload
+        assert set(payload["strategies"].values()) == {"EXHAUSTIVE"}  # none trusted
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "5088019cd116b5fe98172ff6aa0b17007f1b4a524173e3fc2e872d7694388d14"
+            "8f54fdb5b03e2e74a09fdd9363b296b5b31cbcd142db3520ccd438061560f3f6"
         )
 
     @pytest.mark.parametrize("m,n", [("0", "0"), ("2", "-1")])
@@ -210,17 +219,19 @@ class TestCertify:
         import shufflesc.cli as cli
         from shufflesc.reach import CertificationGapError
 
-        def gapped(m, n, facts):
+        def gapped(m, n):
             raise CertificationGapError(["3x3 subset {(1,1)} unjustified"])
 
         monkeypatch.setattr(cli.reach, "certify", gapped)
         assert main(["certify", "3", "3"]) == EXIT_INTERNAL
         assert "certification gaps" in capsys.readouterr().err
 
-    def test_malformed_base_fact_is_user_error(self, capsys):
+    def test_base_option_is_usage_error(self, capsys):
+        # no instance is taken on trust, so there is no --base option
         with pytest.raises(SystemExit) as exc:
-            main(["certify", "3", "3", "--base", "nonsense"])
+            main(["certify", "3", "3", "--base", "3x3"])
         assert exc.value.code == 2  # argparse usage failure
+        assert "unrecognized arguments: --base" in capsys.readouterr().err
 
 
 class TestDistinguish:

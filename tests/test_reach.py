@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from shufflesc import reach
 from shufflesc.automata import Transformation
 from shufflesc.reach import (
     _checkpoint_name,
     _drop,
     _first_empty_line,
+    _single_element_anchor,
     _successor_bitmap,
     Certificate,
     CertificationGapError,
@@ -41,8 +43,8 @@ from shufflesc.shuffle import (
 )
 
 T = Transformation
-DEFAULT_BASE_FACTS = [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "shufflesc" / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def letter(s_images, t_images):
@@ -572,6 +574,25 @@ class TestReduceSingleElement:
         assert extremal_step(probe, red.letter) == red.anchor
         assert red.sub.m == 2 and red.sub.n == 2 and len(red.sub) == 2
 
+    @pytest.mark.parametrize("m,n", [(m, n) for m in (2, 3, 4) for n in (2, 3, 4)])
+    def test_anchor_is_the_lemma_set(self, m, n):
+        for p in range(1, m + 1):
+            for q in range(1, n + 1):
+                if p != 1 and q != 1:
+                    want = [(1, 1), (p, q)]
+                elif p == 1 and q != 1:
+                    want = [(2, 1), (1, q)]
+                elif p != 1 and q == 1:
+                    want = [(p, 1), (1, 2)]
+                else:
+                    want = [(1, 1), (2, 2)]
+                a, power, anchor = _single_element_anchor(m, n, p, q)
+                assert anchor == ProductSubset.from_pairs(m, n, want)
+                probe = ProductSubset.from_pairs(m, n, [(1, 1)])
+                for _ in range(power):
+                    probe = extremal_step(probe, a)
+                assert probe == anchor
+
     def test_two_element_column_nothing(self):
         S = ProductSubset.from_pairs(2, 2, [(1, 2), (2, 2), (2, 1)])
         assert reduce_single_element(S) is None
@@ -712,24 +733,24 @@ class TestSperner:
 
 class TestCertify:
     def test_small_grid_exhaustive_only(self):
-        cert = certify(2, 2, [])
+        cert = certify(2, 2)
         assert all(e.strategy == "EXHAUSTIVE" for e in cert.entries)
         assert verify_certificate(cert)
 
     def test_initial_justification(self):
-        cert = certify(2, 2, [])
+        cert = certify(2, 2)
         entry = cert.entry(2, 2)
         assert entry.data["justifications"]["1"] == {"kind": "INITIAL"}
 
     def test_sperner_strategy_used(self):
-        cert = certify(3, 5, DEFAULT_BASE_FACTS)
+        cert = certify(3, 5)
         assert cert.entry(3, 5).strategy == "EXHAUSTIVE"
-        cert = certify(3, 6, DEFAULT_BASE_FACTS)
+        cert = certify(3, 6)
         assert cert.entry(3, 6).strategy == "SPERNER"
         assert verify_certificate(cert)
 
     def test_round_trip_json(self):
-        cert = certify(3, 3, [])
+        cert = certify(3, 3)
         again = Certificate.from_json(cert.to_json())
         assert verify_certificate(again)
         assert again.to_dict() == cert.to_dict()
@@ -743,22 +764,116 @@ class TestCertify:
             .joinpath("schemas/certificate.schema.json")
             .read_text()
         )
-        jsonschema.validate(certify(2, 3, []).to_dict(), schema)
+        jsonschema.validate(certify(2, 3).to_dict(), schema)
 
     def test_corrupted_letter_detected(self):
-        cert = certify(2, 2, [])
+        cert = certify(2, 2)
         table = cert.entry(2, 2).data["justifications"]
-        for j in table.values():
-            if "letter" in j:
-                j["letter"]["s"] = list(reversed(j["letter"]["s"]))
-                break
+        enc, j = next((k, j) for k, j in table.items() if j["kind"] == "CONTAINMENT")
+        j["letter"] = {"s": [1, 2], "t": [1, 2]}
         failures = []
         assert not verify_certificate(cert, failures)
-        assert failures
+        assert failures == [f"(2,2) subset {enc}: CONTAINMENT edge does not replay"]
+
+    @pytest.mark.parametrize("kind,corrupt,message", [
+        ("SINGLE_ELEMENT", lambda j: j.update(p=0),
+         "SINGLE_ELEMENT (0,2) is not a cell of a grid of at least 2x2"),
+        ("CONTAINMENT", lambda j: j.update(pred=2**10),
+         "CONTAINMENT predecessor 1024 is outside the grid"),
+        ("CONTAINMENT", lambda j: j.update(pred=-1),
+         "CONTAINMENT predecessor -1 is outside the grid"),
+        ("CONTAINMENT", lambda j: j["letter"].update(s=[1]),
+         "CONTAINMENT letter is not a pair of transformations of degrees 2 and 2"),
+        ("CONTAINMENT", lambda j: j["letter"].update(t=[0, 1]),
+         "CONTAINMENT letter is not a pair of transformations of degrees 2 and 2"),
+        ("CONTAINMENT", lambda j: j.pop("letter"),
+         "CONTAINMENT row has fields ['kind', 'pred'], not ['kind', 'letter', 'pred']"),
+        ("SHRINK", lambda j: j.update(index="1"), "SHRINK 'row' '1' is not an empty line"),
+    ], ids=["p_0", "pred_2_10", "pred_negative", "letter_degree", "letter_image_0",
+            "letter_missing", "index_str"])
+    def test_malformed_row_refused(self, kind, corrupt, message):
+        cert = certify(2, 2)
+        table = cert.entry(2, 2).data["justifications"]
+        enc, j = next((k, j) for k, j in table.items() if j["kind"] == kind)
+        corrupt(j)
+        failures = []
+        assert verify_certificate(cert, failures) is False
+        assert failures == [f"(2,2) subset {enc}: {message}"]
+
+    def test_exhaustive_entry_without_table_refused(self):
+        cert = certify(2, 2)
+        cert.entry(2, 2).data = {}
+        failures = []
+        assert verify_certificate(cert, failures) is False
+        assert failures == ["(2,2): EXHAUSTIVE entry has no justifications table"]
+
+    def test_table_key_outside_valid_subsets_refused(self):
+        cert = certify(2, 2)
+        cert.entry(2, 2).data["justifications"]["2"] = {"kind": "INITIAL"}  # (1,2) alone
+        failures = []
+        assert verify_certificate(cert, failures) is False
+        assert failures == ["(2,2): table keys that are not valid subsets: 1"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=8,
+    ))
+    def test_arbitrary_field_value_never_raises(self, data, value):
+        cert = certify(2, 3)
+        entry = data.draw(st.sampled_from(cert.entries))
+        table = entry.data["justifications"]
+        row = table[data.draw(st.sampled_from(sorted(table)))]
+        row[data.draw(st.sampled_from(sorted(row)))] = value
+        assert verify_certificate(cert) in (True, False)
+
+    def test_old_row_layout_refused(self):
+        # `certify 3 3 --out` from before rows stored only their claim: a
+        # base_facts key, trusted BASE instances, and rows with derived fields
+        text = (GOLDEN / "certificate_3x3_old_layout.json").read_text()
+        failures = []
+        assert not verify_certificate(Certificate.from_json(text), failures)
+        base = [f"({m},{n}): unknown strategy 'BASE'" for m, n in
+                [(2, 2), (2, 3), (3, 2), (3, 3)]]
+        assert [f for f in failures if "BASE" in f] == base
+        assert len(failures) == len(base) + 8
+        assert "(1,3) subset 3: SHRINK row has fields ['axis', 'index', 'kind', " \
+            "'sub_encoding', 'sub_m', 'sub_n'], not ['axis', 'index', 'kind']" in failures
+        assert all("row has fields" in f for f in failures if f not in base)
+
+    def test_single_element_row_with_stored_anchor_refused(self):
+        # the older rows stored their own letter, power and anchor, which the
+        # verifier checked only against each other: the identity letter with
+        # power 0 and anchor {(1,1)} verified for every SINGLE_ELEMENT row
+        cert = certify(3, 3)
+        rows = [(e, j) for e in cert.entries for j in e.data["justifications"].values()
+                if j["kind"] == "SINGLE_ELEMENT"]
+        assert rows
+        for e, j in rows:
+            identity = {"s": list(range(1, e.m + 1)), "t": list(range(1, e.n + 1))}
+            j.update(letter=identity, prefix_power=0, anchor=1)
+        failures = []
+        assert not verify_certificate(cert, failures)
+        assert len(failures) == len(rows)
+        assert all("SINGLE_ELEMENT row has fields" in f for f in failures)
+
+    def test_single_element_anchor_is_replayed(self, monkeypatch):
+        cert = certify(2, 2)
+
+        def stalled(m, n, p, q):
+            return letter([1] * m, [1] * n), 0, _single_element_anchor(m, n, p, q)[2]
+
+        monkeypatch.setattr(reach, "_single_element_anchor", stalled)
+        failures = []
+        assert not verify_certificate(cert, failures)
+        assert failures == [f"(2,2) subset {enc}: SINGLE_ELEMENT anchor does not replay"
+                            for enc in (6, 9)]
 
     def test_containment_without_shrinking_refused(self):
         # pred = S under the identity letter replays, but does not descend
-        cert = certify(2, 2, [])
+        cert = certify(2, 2)
         table = cert.entry(2, 2).data["justifications"]
         enc, j = next((k, j) for k, j in table.items() if j["kind"] == "CONTAINMENT")
         j["pred"] = int(enc)
@@ -769,7 +884,7 @@ class TestCertify:
 
     def test_bfs_edge_refused(self):
         # a replaying edge under a kind the certificate layer never writes
-        cert = certify(2, 2, [])
+        cert = certify(2, 2)
         table = cert.entry(2, 2).data["justifications"]
         enc, j = next((k, j) for k, j in table.items() if j["kind"] == "CONTAINMENT")
         table[enc] = {"kind": "BFS_EDGE", "pred": j["pred"], "letter": j["letter"]}
@@ -780,25 +895,27 @@ class TestCertify:
     @pytest.mark.parametrize("m,n", [(0, 0), (2, -1), (0, 3)])
     def test_no_instance_refused(self, m, n):
         with pytest.raises(ValueError, match="positive"):
-            certify(m, n, [])
+            certify(m, n)
         failures = []
-        assert not verify_certificate(Certificate(m, n, (), []), failures)
+        assert not verify_certificate(Certificate(m, n, []), failures)
         assert failures == [f"certificate for {m}x{n} covers no instance"]
 
-    def test_missing_base_fact_detected(self):
-        cert = certify(3, 3, DEFAULT_BASE_FACTS)
-        cert = Certificate(cert.m, cert.n, ((2, 2),), cert.entries)
+    def test_base_strategy_refused(self):
+        # no instance is taken on trust: BASE is an unknown strategy
+        cert = certify(3, 3)
+        entry = cert.entry(3, 3)
+        entry.strategy, entry.data = "BASE", {}
         failures = []
         assert not verify_certificate(cert, failures)
-        assert any("base fact" in f for f in failures)
+        assert failures == ["(3,3): unknown strategy 'BASE'"]
 
     def test_one_by_one(self):
-        cert = certify(1, 1, [])
+        cert = certify(1, 1)
         assert verify_certificate(cert)
 
     @pytest.mark.slow
     def test_full_grid_certificate(self):
-        cert = certify(4, 8, DEFAULT_BASE_FACTS)
+        cert = certify(4, 8)
         strategies = {(e.m, e.n): e.strategy for e in cert.entries}
         assert strategies[(4, 5)] == "FAMILY"
         assert strategies[(4, 6)] == "FAMILY"
@@ -808,7 +925,7 @@ class TestCertify:
         assert verify_certificate(cert, failures), failures[:5]
         text = cert.to_json() + "\n"  # the bytes of `certify 4 8 --out`
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "a160606398a1cd3f95f1938f29c6f49fac86d9bb7fb841ad95d98e2bf26b170f"
+            "1c149edc38e610d41b6fbaea5731c18ddf598fa5e9fb854b70ecb737a450cbce"
         )
 
 
