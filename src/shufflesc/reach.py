@@ -19,6 +19,13 @@ substitute for BFS where exhaustive search is out of reach:
 Certificates assembled from these reductions are hierarchical: per-subset
 justification tables where the grid is small enough to enumerate, and
 instance- or column-family-level rules above that.
+
+Subsets are integer encodings, and the line rules (empty line, containment,
+single element) run on uint64 arrays of them: a table is built from one
+array pass per batch of subsets, and only the subsets no line rule covers
+go through the permutation search one at a time. The verifier checks each
+row's fields on its own, then replays every kind in batch, so neither side
+builds an object per subset.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
+from functools import lru_cache
+from itertools import combinations, islice, permutations, product
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -45,6 +53,7 @@ from .shuffle import (
     bound_f,
     col1_mask,
     is_valid,
+    row1_mask,
     valid_encodings,
 )
 
@@ -138,10 +147,12 @@ def extremal_step(S: ProductSubset, a: ExtremalLetter) -> ProductSubset:
 #
 # Subsets are encodings: a Python int, or a uint64 array of them. Masks and
 # shifts are Python ints, which keep uint64 arrays uint64 under numpy 2's
-# promotion rules (NEP 50), so the same code steps one subset or many.
+# promotion rules (NEP 50), so the same code steps one subset or many. An
+# image may also be a uint64 array, one image per encoding, so the same code
+# steps many subsets each by its own letter.
 
 
-def _row_map(enc, images: Sequence[int], m: int, n: int):
+def _row_map(enc, images: Sequence, m: int, n: int):
     """Row part of the step: row p of enc moves onto row images[p-1]."""
     rowmask = (1 << n) - 1
     out = enc & 0
@@ -150,14 +161,12 @@ def _row_map(enc, images: Sequence[int], m: int, n: int):
     return out
 
 
-def _col_map(enc, images: Sequence[int], m: int, n: int):
+def _col_map(enc, images: Sequence, m: int, n: int):
     """Column part of the step: column q of enc moves onto column images[q-1]."""
     colmask = col1_mask(m, n)
     out = enc & 0
     for q in range(n):
-        col = enc & colmask << q
-        shift = images[q] - 1 - q
-        out |= col << shift if shift >= 0 else col >> -shift
+        out |= (enc >> q & colmask) << images[q] - 1
     return out
 
 
@@ -182,9 +191,10 @@ def _line_images(x: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.fromiter(R, np.uint64, len(R)), np.fromiter(C, np.uint64, len(C))
 
 
-def _lines(x: int, m: int, n: int) -> tuple[list[int], list[int]]:
-    """Rows and columns of x as int masks: rows[p-1] holds column q at bit
-    q-1, and cols[q-1] holds row p at bit (p-1)*n, as col1_mask does."""
+def _lines(x, m: int, n: int) -> tuple[list, list]:
+    """Rows and columns of x (an encoding or an array of them) as masks:
+    rows[p-1] holds column q at bit q-1, and cols[q-1] holds row p at bit
+    (p-1)*n, as col1_mask does."""
     rowmask = (1 << n) - 1
     colmask = col1_mask(m, n)
     return [x >> p * n & rowmask for p in range(m)], [x >> q & colmask for q in range(n)]
@@ -529,6 +539,92 @@ def bfs_reach(
 
 
 # -- reductions --------------------------------------------------------------
+#
+# The line rules (INITIAL, SHRINK, CONTAINMENT, SINGLE_ELEMENT) are tried on
+# an array of encodings at once: each rule is a loop over lines or line
+# pairs with one array operation per pair, so a subset table costs the same
+# Python work as one subset. The scalar reductions below are that function
+# applied to one encoding.
+
+#: the line rules, in the order _first_rule tries them; rule code k names
+#: _RULES[k - 1], and code 0 means no rule applies
+_RULES = ("INITIAL", "SHRINK", "CONTAINMENT", "SINGLE_ELEMENT")
+_AXES = ("row", "column")
+
+
+def _first_rule(enc: np.ndarray, m: int, n: int, rules: Sequence[str] = _RULES):
+    """For each encoding, the first of `rules` that applies, in that order,
+    and the fields of its row: arrays (rule code, axis, i, j, pred).
+
+      * INITIAL: the encoding is {(1,1)}.
+      * SHRINK: the first empty column, else the first empty row; axis
+        (0 row, 1 column) and i = its index.
+      * CONTAINMENT: the first ordered row pair, then column pair, (i = inner,
+        j = outer) with line i a nonempty subset of line j; pred = enc
+        minus line i's entries in line j, and the letter (i -> j) on that
+        axis restores enc from pred. pred is valid when enc is, so no
+        validity test is needed: each removed cell has a twin in line i, so
+        the other axis keeps its first line; and the first line of this axis
+        empties only when j = 1 and line i equals line 1, but then the pair
+        (1, i) comes earlier and applies.
+      * SINGLE_ELEMENT (m, n >= 2): the first row p whose only cell (p, q) is
+        also alone in column q; i = p, j = q. Without SHRINK before it, it
+        also fires on grids with an empty line.
+    """
+    shape = enc.shape
+    rule = np.zeros(shape, np.uint8)
+    axis, first, second = (np.zeros(shape, np.uint8) for _ in range(3))
+    pred = np.zeros_like(enc)
+    open_ = np.ones(shape, bool)
+
+    def take(code, hit, ax=0, i=0, j=0, smaller=None):
+        hit &= open_
+        rule[hit], axis[hit], first[hit], second[hit] = code, ax, i, j
+        if smaller is not None:
+            pred[hit] = smaller[hit]
+        open_[hit] = False
+
+    rows, cols = _lines(enc, m, n)
+    rowmask, colmask = (1 << n) - 1, col1_mask(m, n)
+    for name in rules:
+        code = _RULES.index(name) + 1
+        if name == "INITIAL":
+            take(code, enc == 1)
+        elif name == "SHRINK":
+            for ax, lines in ((1, cols), (0, rows)):
+                for i, line in enumerate(lines, start=1):
+                    take(code, line == 0, ax, i)
+        elif name == "CONTAINMENT":
+            for ax, lines, stride in ((0, rows, n), (1, cols, 1)):
+                for i, line in enumerate(lines, start=1):
+                    for j, other in enumerate(lines, start=1):
+                        if j != i:
+                            smaller = enc & ~(line << (j - 1) * stride)
+                            hit = (line != 0) & ((line & ~other) == 0)
+                            take(code, hit, ax, i, j, smaller)
+        elif m >= 2 and n >= 2:  # SINGLE_ELEMENT
+            for p in range(1, m + 1):
+                for q in range(1, n + 1):
+                    cross = rowmask << (p - 1) * n | colmask << q - 1
+                    take(code, (enc & cross) == 1 << (p - 1) * n + q - 1, 0, p, q)
+    return rule, axis, first, second, pred
+
+
+def _first_rule_of(S: ProductSubset, rules: Sequence[str]) -> tuple:
+    """_first_rule on the one encoding of S, for any grid size: (the name of
+    the rule or None, axis, i, j, pred) as ints."""
+    rule, *fields = (int(a[0]) for a in
+                     _first_rule(np.array([S.bits], dtype=object), S.m, S.n, rules))
+    return (_RULES[rule - 1] if rule else None, *fields)
+
+
+@lru_cache(maxsize=None)
+def _point_images(m: int, n: int, axis: int, inner: int, outer: int) -> tuple[tuple, tuple]:
+    """Images (s, t) of the containment letter: the map (inner -> outer) on
+    rows (axis 0) or columns (axis 1), the identity on the other axis."""
+    s, t = list(range(1, m + 1)), list(range(1, n + 1))
+    (t if axis else s)[inner - 1] = outer
+    return tuple(s), tuple(t)
 
 
 @dataclass(frozen=True)
@@ -544,30 +640,18 @@ def reduce_containment(S: ProductSubset) -> ContainmentReduction | None:
     """Strip the duplicated entries of a containing row (or column).
 
     Tries all ordered row pairs in row-major order, then all column pairs,
-    and returns the first candidate whose stripped set is still valid; the
-    letter (inner -> outer; identity) restores S exactly.
+    and returns the first candidate; its stripped set is valid (see
+    _first_rule), and the letter (inner -> outer; identity) restores S
+    exactly.
     """
     if not is_valid(S):
         raise ValueError("containment reduction expects a valid subset")
-    m, n = S.m, S.n
-    rows, cols = _lines(S.bits, m, n)
-    for axis, lines, stride in (("row", rows, n), ("column", cols, 1)):
-        for inner, line in enumerate(lines, start=1):
-            if not line:
-                continue
-            for outer, other in enumerate(lines, start=1):
-                if outer == inner or line & ~other:
-                    continue
-                smaller = ProductSubset(m, n, S.bits & ~(line << (outer - 1) * stride))
-                if not is_valid(smaller):
-                    continue
-                if axis == "row":
-                    s, t = Transformation.point(m, inner, outer), Transformation.identity(n)
-                else:
-                    s, t = Transformation.identity(m), Transformation.point(n, inner, outer)
-                letter = ExtremalLetter(s, t)
-                return ContainmentReduction(axis, inner, outer, smaller, letter)
-    return None
+    rule, axis, inner, outer, pred = _first_rule_of(S, ("CONTAINMENT",))
+    if not rule:
+        return None
+    letter = ExtremalLetter(*map(Transformation, _point_images(S.m, S.n, axis, inner, outer)))
+    return ContainmentReduction(
+        _AXES[axis], inner, outer, ProductSubset(S.m, S.n, pred), letter)
 
 
 @dataclass(frozen=True)
@@ -580,19 +664,25 @@ class SingleElementReduction:
     anchor: ProductSubset
 
 
-def _drop(S: ProductSubset, p: int, q: int) -> ProductSubset:
-    """Delete row p and column q (0 deletes none of that axis); the rows
-    and columns above them slide down by one."""
-    n = S.n - (q > 0)
-    rows, _ = _lines(S.bits, S.m, S.n)
+def _drop_lines(enc, m: int, n: int, p: int, q: int):
+    """Delete row p and column q of an encoding or an array of them (0
+    deletes none of that axis); the rows and columns above them slide down
+    by one, so the result encodes a subset of the smaller grid."""
+    width = n - (q > 0)
+    rows, _ = _lines(enc, m, n)
     if p:
         del rows[p - 1]
-    bits = 0
+    out = enc & 0
     for i, row in enumerate(rows):
         if q:  # keep columns below q, move those above it down by one
             row = row & (1 << q - 1) - 1 | row >> q << q - 1
-        bits |= row << i * n
-    return ProductSubset(len(rows), n, bits)
+        out |= row << i * width
+    return out
+
+
+def _drop(S: ProductSubset, p: int, q: int) -> ProductSubset:
+    """_drop_lines on S, as a subset of the smaller grid."""
+    return ProductSubset(S.m - (p > 0), S.n - (q > 0), _drop_lines(S.bits, S.m, S.n, p, q))
 
 
 def _single_element_anchor(
@@ -625,23 +715,11 @@ def reduce_single_element(S: ProductSubset) -> SingleElementReduction | None:
     """
     if not is_valid(S):
         raise ValueError("single-element reduction expects a valid subset")
-    m, n = S.m, S.n
-    if m < 2 or n < 2:
+    rule, _, p, q, _ = _first_rule_of(S, _RULES[1:])
+    if rule != "SINGLE_ELEMENT":
         return None
-    rows, cols = _lines(S.bits, m, n)
-    if 0 in rows or 0 in cols:
-        return None
-    if reduce_containment(S) is not None:
-        return None
-    for p, row in enumerate(rows, start=1):
-        q = row.bit_length()
-        if row & row - 1 or cols[q - 1] != 1 << (p - 1) * n:
-            continue  # (p, q) is not alone in its row and its column
-        letter, power, anchor = _single_element_anchor(m, n, p, q)
-        sub = _drop(S, p, q)
-        assert is_valid(sub) and len(sub) == len(S) - 1
-        return SingleElementReduction(p, q, sub, letter, power, anchor)
-    return None
+    letter, power, anchor = _single_element_anchor(S.m, S.n, p, q)
+    return SingleElementReduction(p, q, _drop(S, p, q), letter, power, anchor)
 
 
 @dataclass(frozen=True)
@@ -724,6 +802,11 @@ STRATEGY_FAMILY = "FAMILY"
 #: instances with at most this many grid cells get per-subset tables
 DEFAULT_EXHAUSTIVE_CELLS = 16
 
+#: subsets per batch when a table is built or replayed: large enough that
+#: array operations dominate, small enough that the per-row lists a batch
+#: holds stay well under the size of the table
+TABLE_BATCH = 4096
+
 #: the fields of each justification row kind; a row holds exactly these
 ROW_FIELDS = {
     "INITIAL": frozenset({"kind"}),
@@ -798,55 +881,49 @@ class Certificate:
 
 
 def _first_empty_line(S: ProductSubset) -> tuple[str, int] | None:
-    rows, cols = _lines(S.bits, S.m, S.n)
-    if 0 in cols:
-        return "column", cols.index(0) + 1
-    if 0 in rows:
-        return "row", rows.index(0) + 1
-    return None
+    rule, axis, index, _, _ = _first_rule_of(S, ("SHRINK",))
+    return (_AXES[axis], index) if rule else None
 
 
-def _justify_subset(S: ProductSubset) -> dict | None:
-    """One justification row for S by the reduction lemmas, or None."""
-    if S.bits == 1:
-        return {"kind": "INITIAL"}
-    line = _first_empty_line(S)
-    if line is not None:
-        return {"kind": "SHRINK", "axis": line[0], "index": line[1]}
-    red = reduce_containment(S)
-    if red is not None:
-        return {"kind": "CONTAINMENT", "pred": red.smaller.bits,
-                "letter": red.letter.to_dict()}
-    single = reduce_single_element(S)
-    if single is not None:
-        return {"kind": "SINGLE_ELEMENT", "p": single.p, "q": single.q}
-    for phi_images in permutations(range(1, S.m + 1)):
-        perm = reduce_permutation(S, Transformation(phi_images))
-        if perm is not None:
-            return {"kind": "PERMUTATION", "pred": perm.smaller.bits,
-                    "letter": perm.letter.to_dict()}
-    return None
+def _valid_batches(m: int, n: int) -> Iterator[np.ndarray]:
+    """The valid encodings of (m, n) in ascending order, at most TABLE_BATCH
+    at a time."""
+    for chunk in valid_encodings(m, n):
+        for start in range(0, chunk.size, TABLE_BATCH):
+            yield chunk[start:start + TABLE_BATCH]
 
 
 def _exhaustive_entry(mi: int, ni: int, gaps: list[str]) -> InstanceEntry:
+    """A row for every valid subset: the first line rule that applies
+    (_first_rule), else a permutation reduction under the first row
+    permutation phi that gives one."""
     table: dict[str, dict] = {}
-    for chunk in valid_encodings(mi, ni):
-        for enc in chunk.tolist():
-            j = _justify_subset(ProductSubset(mi, ni, enc))
-            if j is None:
-                gaps.append(f"instance ({mi},{ni}): subset encoding {enc} unjustified")
+    for batch in _valid_batches(mi, ni):
+        found = zip(batch.tolist(), *(a.tolist() for a in _first_rule(batch, mi, ni)))
+        for enc, rule, axis, i, j, pred in found:
+            kind = _RULES[rule - 1] if rule else None
+            if kind == "INITIAL":
+                row = {"kind": kind}
+            elif kind == "SHRINK":
+                row = {"kind": kind, "axis": _AXES[axis], "index": i}
+            elif kind == "CONTAINMENT":  # each row gets lists of its own
+                s, t = _point_images(mi, ni, axis, i, j)
+                row = {"kind": kind, "pred": pred, "letter": {"s": list(s), "t": list(t)}}
+            elif kind == "SINGLE_ELEMENT":
+                row = {"kind": kind, "p": i, "q": j}
             else:
-                table[str(enc)] = j
+                S = ProductSubset(mi, ni, enc)
+                for phi_images in permutations(range(1, mi + 1)):
+                    perm = reduce_permutation(S, Transformation(phi_images))
+                    if perm is not None:
+                        row = {"kind": "PERMUTATION", "pred": perm.smaller.bits,
+                               "letter": perm.letter.to_dict()}
+                        break
+                else:
+                    gaps.append(f"instance ({mi},{ni}): subset encoding {enc} unjustified")
+                    continue
+            table[str(enc)] = row
     return InstanceEntry(mi, ni, STRATEGY_EXHAUSTIVE, {"justifications": table})
-
-
-def _representative_subset(
-    columns: Sequence[frozenset[int]], first: int, mi: int
-) -> ProductSubset:
-    """Arrangement with columns[first] at position 1, rest in listed order."""
-    ordering = [columns[first]] + [c for k, c in enumerate(columns) if k != first]
-    pairs = [(i, j) for j, col in enumerate(ordering, start=1) for i in col]
-    return ProductSubset.from_pairs(mi, len(columns), pairs)
 
 
 def _find_family_phi(
@@ -874,23 +951,40 @@ def _find_family_phi(
 
 def _family_scan(
     mi: int, ni: int
-) -> Iterator[tuple[tuple[frozenset[int], ...], ProductSubset, bool]]:
-    """(column set, representative, needs phi) for every valid
-    representative of every set of `ni` distinct nonempty columns covering
-    all `mi` rows; it needs phi when neither containment nor the
-    single-element reduction applies. Column sets leaving a row empty are
-    skipped: SHRINK covers every arrangement of them."""
+) -> tuple[int, list[tuple[tuple[frozenset[int], ...], list[int]]]]:
+    """Probe every set of `ni` distinct nonempty columns covering all `mi`
+    rows, once for each member put at position 1 with the others after it
+    in listed order; column sets leaving a row empty are skipped, as SHRINK
+    covers every arrangement of them. Each representative is valid, since
+    column 1 is nonempty and some column holds row 1. A representative
+    needs phi when neither containment nor the single-element reduction
+    applies. Returns the number of representatives probed and, in scan
+    order, each column set with a representative needing phi, together with
+    those representatives' encodings. Column sets are taken TABLE_BATCH at
+    a time, so memory stays bounded however many there are."""
     rows = range(1, mi + 1)
     # the nonempty subsets of Q_mi, by size, then lexicographically
     columns = [frozenset(c) for size in rows for c in combinations(rows, size)]
-    for combo in combinations(columns, ni):
-        if len(set().union(*combo)) != mi:
-            continue
+    dtype = np.uint64 if mi * ni <= 64 else object  # object: Python ints
+    masks = np.array([sum(1 << (i - 1) * ni for i in c) for c in columns], dtype)
+    combos_left = combinations(range(len(columns)), ni)
+    probed, needing = 0, []
+    while batch := list(islice(combos_left, TABLE_BATCH)):
+        combos = np.array(batch, np.intp)
+        cols = masks[combos]
+        covering = np.bitwise_or.reduce(cols, axis=1) == col1_mask(mi, ni)
+        combos, cols = combos[covering], cols[covering]
+        reps = np.zeros_like(cols)
         for first in range(ni):
-            S = _representative_subset(combo, first, mi)
-            if is_valid(S):
-                needs = reduce_containment(S) is None and reduce_single_element(S) is None
-                yield combo, S, needs
+            order = [first] + [k for k in range(ni) if k != first]
+            for position, k in enumerate(order):
+                reps[:, first] |= cols[:, k] << position
+        needs = _first_rule(reps, mi, ni, ("CONTAINMENT", "SINGLE_ELEMENT"))[0] == 0
+        probed += reps.size
+        needing += [(tuple(columns[k] for k in combos[c].tolist()),
+                     [int(rep) for rep in reps[c][needs[c]]])
+                    for c in np.flatnonzero(needs.any(axis=1)).tolist()]
+    return probed, needing
 
 
 def _family_entry(mi: int, ni: int, gaps: list[str]) -> InstanceEntry:
@@ -905,14 +999,9 @@ def _family_entry(mi: int, ni: int, gaps: list[str]) -> InstanceEntry:
     member) pair is probed on a representative arrangement. Families where
     the chain bottoms out get a permutation-lemma witness phi recorded.
     """
-    needing: dict[tuple[frozenset[int], ...], None] = {}  # in scan order
-    reps_checked = 0
-    for combo, _, needs in _family_scan(mi, ni):
-        reps_checked += 1
-        if needs:
-            needing[combo] = None
+    reps_checked, needing = _family_scan(mi, ni)
     families: list[dict] = []
-    for combo in needing:
+    for combo, _ in needing:
         phi = _find_family_phi(frozenset(combo), mi)
         if phi is None:
             gaps.append(
@@ -964,106 +1053,21 @@ def _int_in(x, lo: int, hi: int) -> bool:
     return type(x) is int and lo <= x <= hi
 
 
-def _letter_images(obj, m: int, n: int) -> tuple[list[int], list[int]] | None:
+def _letter_images(obj, rows: frozenset, cols: frozenset) -> tuple[list, list] | None:
     """(s, t) of a row's letter, or None unless obj is {"s": [...], "t": [...]}
-    with m int images in 1..m and n int images in 1..n."""
+    with len(rows) int images in rows = {1..m} and len(cols) in cols."""
     if not isinstance(obj, dict) or obj.keys() != {"s", "t"}:
         return None
-    for images, k in ((obj["s"], m), (obj["t"], n)):
-        if not (isinstance(images, list) and len(images) == k
-                and set(map(type, images)) == {int} and 1 <= min(images)
-                and max(images) <= k):
-            return None
-    return obj["s"], obj["t"]
+    s, t = obj["s"], obj["t"]
+    if (isinstance(s, list) and isinstance(t, list) and len(s) == len(rows)
+            and len(t) == len(cols) and set(map(type, s + t)) == {int}
+            and rows.issuperset(s) and cols.issuperset(t)):
+        return s, t
+    return None
 
 
-def _replay_justification(
-    covered: dict[tuple[int, int], dict | None], mi: int, ni: int, enc: int,
-    j, failures: list[str],
-) -> None:
-    """Replay the row j of the valid subset enc of (mi, ni), recording what
-    does not hold. covered maps each instance to the justification table of
-    its first entry, or to None if that entry covers every valid subset."""
-    where = f"({mi},{ni}) subset {enc}"
-    kind = j.get("kind") if isinstance(j, dict) else None
-    fields = ROW_FIELDS.get(kind) if isinstance(kind, str) else None
-    if fields is None:
-        failures.append(f"{where}: unknown justification kind {kind!r}")
-        return
-    if j.keys() != fields:
-        failures.append(f"{where}: {kind} row has fields {sorted(map(str, j))}, "
-                        f"not {sorted(fields)}")
-        return
-    if kind == "INITIAL":
-        if enc != 1:
-            failures.append(f"{where}: INITIAL claimed but not {{(1,1)}}")
-        return
-    if kind == "SHRINK":
-        axis, index = j["axis"], j["index"]
-        rows, cols = _lines(enc, mi, ni)
-        lines = cols if axis == "column" else rows if axis == "row" else []
-        if not _int_in(index, 1, len(lines)) or lines[index - 1]:
-            failures.append(f"{where}: SHRINK {axis!r} {index!r} is not an empty line")
-            return
-        S = ProductSubset(mi, ni, enc)
-        sub = _drop(S, 0, index) if axis == "column" else _drop(S, index, 0)
-        _require_justified(covered, sub.m, sub.n, sub.bits, where, failures)
-        return
-    if kind == "SINGLE_ELEMENT":
-        p, q = j["p"], j["q"]
-        if min(mi, ni) < 2 or not (_int_in(p, 1, mi) and _int_in(q, 1, ni)):
-            failures.append(f"{where}: SINGLE_ELEMENT ({p!r},{q!r}) is not a cell "
-                            f"of a grid of at least 2x2")
-            return
-        rows, cols = _lines(enc, mi, ni)
-        if rows[p - 1] != 1 << q - 1 or cols[q - 1] != 1 << (p - 1) * ni:
-            failures.append(f"{where}: SINGLE_ELEMENT cell ({p},{q}) not alone")
-            return
-        letter, power, anchor = _single_element_anchor(mi, ni, p, q)
-        probe = ProductSubset(mi, ni, 1)
-        for _ in range(power):
-            probe = extremal_step(probe, letter)
-        if probe != anchor:
-            failures.append(f"{where}: SINGLE_ELEMENT anchor does not replay")
-            return
-        sub = _drop(ProductSubset(mi, ni, enc), p, q)
-        _require_justified(covered, sub.m, sub.n, sub.bits, where, failures)
-        return
-    # CONTAINMENT and PERMUTATION: one edge, pred . letter = S
-    pred, images = j["pred"], _letter_images(j["letter"], mi, ni)
-    if not _int_in(pred, 0, (1 << mi * ni) - 1):
-        failures.append(f"{where}: {kind} predecessor {pred!r} is outside the grid")
-        return
-    if images is None:
-        failures.append(f"{where}: {kind} letter is not a pair of transformations "
-                        f"of degrees {mi} and {ni}")
-        return
-    if _row_map(pred, images[0], mi, ni) | _col_map(pred, images[1], mi, ni) != enc:
-        failures.append(f"{where}: {kind} edge does not replay")
-        return
-    if pred.bit_count() >= enc.bit_count():
-        failures.append(f"{where}: {kind} predecessor is not smaller")
-        return
-    if not is_valid(ProductSubset(mi, ni, pred)):
-        failures.append(f"{where}: {kind} predecessor is invalid")
-        return
-    _require_justified(covered, mi, ni, pred, where, failures)
-
-
-def _require_justified(
-    covered: dict[tuple[int, int], dict | None], mi: int, ni: int, enc: int,
-    where: str, failures: list[str],
-) -> None:
-    if (mi, ni) not in covered:
-        failures.append(f"{where}: refers to missing instance ({mi},{ni})")
-        return
-    table = covered[(mi, ni)]
-    if table is not None and str(enc) not in table:
-        failures.append(
-            f"{where}: referenced subset {enc} of ({mi},{ni}) is unjustified"
-        )
-    # SPERNER / FAMILY entries cover every valid subset of their instance;
-    # validity of the referenced subset is checked by the caller.
+#: stands for a valid subset that a table does not list
+_ABSENT = object()
 
 
 def _table(entry: InstanceEntry) -> dict | None:
@@ -1072,59 +1076,261 @@ def _table(entry: InstanceEntry) -> dict | None:
     return table if isinstance(table, dict) else None
 
 
-def _verify_exhaustive(
-    covered: dict[tuple[int, int], dict | None], entry: InstanceEntry,
-    failures: list[str],
+class _Tables:
+    """What each instance justifies, by its first entry: every valid subset
+    for an instance-level rule, else what its table lists, as a bitmap built
+    once per table."""
+
+    def __init__(self, entries: Sequence[InstanceEntry]):
+        #: instance -> table of its first entry, or None if that entry
+        #: covers every valid subset
+        self.covered: dict[tuple[int, int], dict | None] = {}
+        for entry in entries:
+            if (entry.m, entry.n) not in self.covered:
+                self.covered[(entry.m, entry.n)] = (
+                    (_table(entry) or {}) if entry.strategy == STRATEGY_EXHAUSTIVE else None)
+        self._listed: dict[tuple[int, int, int], np.ndarray] = {}
+
+    def listed(self, table: dict, mi: int, ni: int) -> np.ndarray:
+        """The bool bitmap of the valid subsets of (mi, ni) that table lists."""
+        key = (id(table), mi, ni)
+        if key not in self._listed:
+            listed = np.zeros(1 << mi * ni, bool)
+            for batch in _valid_batches(mi, ni):
+                listed[batch] = [str(enc) in table for enc in batch.tolist()]
+            self._listed[key] = listed
+        return self._listed[key]
+
+
+def _record_first(bad: dict[int, str], where: str, encs: np.ndarray, checks) -> np.ndarray:
+    """For each row i of a batch, record the text of the first check that
+    fails at i as bad[encs[i]]; checks are (failing mask, text of i) pairs.
+    Returns the mask of the rows that pass them all."""
+    ok = np.ones(encs.shape, bool)
+    for failing, text in checks:
+        for i in np.flatnonzero(failing & ok).tolist():
+            bad[int(encs[i])] = f"{where}{int(encs[i])}: {text(i)}"
+        ok &= ~failing
+    return ok
+
+
+def _require_justified(
+    tables: _Tables, mi: int, ni: int, subs: np.ndarray, where: str,
+    encs: np.ndarray, bad: dict[int, str],
 ) -> None:
+    """Record a failure for each row i whose subset subs[i] of (mi, ni) is
+    not justified there."""
+    if (mi, ni) not in tables.covered:
+        _record_first(bad, where, encs, [
+            (np.ones(encs.shape, bool), lambda i: f"refers to missing instance ({mi},{ni})")])
+        return
+    table = tables.covered[(mi, ni)]
+    if table is None:  # SPERNER / FAMILY entries cover every valid subset
+        return
+    listed = tables.listed(table, mi, ni)
+    _record_first(bad, where, encs, [(~listed[subs], lambda i: (
+        f"referenced subset {int(subs[i])} of ({mi},{ni}) is unjustified"))])
+
+
+def _require_dropped(
+    tables: _Tables, mi: int, ni: int, encs: np.ndarray, P: np.ndarray, Q: np.ndarray,
+    where: str, bad: dict[int, str],
+) -> None:
+    """Record a failure for each row i whose S without row P[i] and column
+    Q[i] (0 drops none of that axis) is not justified in the smaller
+    instance."""
+    for p, q in sorted(set(zip(P.tolist(), Q.tolist()))):
+        group = (P == p) & (Q == q)
+        _require_justified(tables, mi - (p > 0), ni - (q > 0),
+                           _drop_lines(encs[group], mi, ni, p, q), where, encs[group], bad)
+
+
+def _replay_shrink(tables: _Tables, mi: int, ni: int, rows: list, where: str,
+                   bad: dict[int, str]) -> None:
+    """SHRINK rows (enc, is column, index): the line is empty, and S
+    without it is justified in the instance one line smaller."""
+    if not rows:
+        return
+    encs, is_col, index = zip(*rows)
+    encs, is_col, index = (np.array(encs, np.uint64), np.array(is_col),
+                           np.array(index, np.uint64))
+    lines = np.where(is_col, encs >> index - 1 & col1_mask(mi, ni),
+                     encs >> (index - 1) * ni & (1 << ni) - 1)
+    ok = _record_first(bad, where, encs, [(lines != 0, lambda i: (
+        f"SHRINK {_AXES[int(is_col[i])]!r} {int(index[i])} is not an empty line"))])
+    none = np.zeros_like(index)
+    _require_dropped(tables, mi, ni, encs[ok], np.where(is_col, none, index)[ok],
+                     np.where(is_col, index, none)[ok], where, bad)
+
+
+def _replay_single(tables: _Tables, mi: int, ni: int, rows: list, where: str,
+                   bad: dict[int, str]) -> None:
+    """SINGLE_ELEMENT rows (enc, p, q): the cell is alone in its row and its
+    column, the lemma's anchor replays (once for each cell), and S without
+    row p and column q is justified in the (mi-1) x (ni-1) instance."""
+    if not rows:
+        return
+    encs, P, Q = (np.array(x, np.uint64) for x in zip(*rows))
+    cross = ((1 << ni) - 1 << (P - 1) * ni) | (col1_mask(mi, ni) << Q - 1)
+    alone = (encs & cross) == 1 << (P - 1) * ni + Q - 1
+    cells = sorted(set(zip(P.tolist(), Q.tolist())))
+    anchored = np.zeros(encs.shape, bool)
+    for p, q in cells:
+        letter, power, anchor = _single_element_anchor(mi, ni, p, q)
+        probe = ProductSubset(mi, ni, 1)
+        for _ in range(power):
+            probe = extremal_step(probe, letter)
+        anchored[(P == p) & (Q == q)] = probe == anchor
+    ok = _record_first(bad, where, encs, [
+        (~alone, lambda i: f"SINGLE_ELEMENT cell ({P[i]},{Q[i]}) not alone"),
+        (~anchored, lambda i: "SINGLE_ELEMENT anchor does not replay"),
+    ])
+    _require_dropped(tables, mi, ni, encs[ok], P[ok], Q[ok], where, bad)
+
+
+def _replay_edges(tables: _Tables, mi: int, ni: int, rows: list, where: str,
+                  bad: dict[int, str]) -> None:
+    """CONTAINMENT and PERMUTATION rows (enc, kind, pred, s, t): one edge
+    pred . (s, t) = S, stepped with each row's own images, then pred has
+    fewer members than S, is valid, and is justified in the same instance."""
+    if not rows:
+        return
+    encs, kinds, preds, s, t = zip(*rows)
+    encs, preds = np.array(encs, np.uint64), np.array(preds, np.uint64)
+    s, t = np.array(s, np.uint64).T, np.array(t, np.uint64).T
+    image = _row_map(preds, s, mi, ni) | _col_map(preds, t, mi, ni)
+    ok = _record_first(bad, where, encs, [
+        (image != encs, lambda i: f"{kinds[i]} edge does not replay"),
+        (np.bitwise_count(preds) >= np.bitwise_count(encs),
+         lambda i: f"{kinds[i]} predecessor is not smaller"),
+        (((preds & row1_mask(mi, ni)) == 0) | ((preds & col1_mask(mi, ni)) == 0),
+         lambda i: f"{kinds[i]} predecessor is invalid"),
+    ])
+    _require_justified(tables, mi, ni, preds[ok], where, encs[ok], bad)
+
+
+def _check_rows(mi: int, ni: int, table: dict, encs: list[int],
+                bad: dict[int, str]) -> tuple[list, list, list]:
+    """The checks of each row of the valid subsets encs on its own: listed,
+    kind, exact fields, int-not-bool fields in range, letter shape. Records
+    a failing row in bad; returns the rest as the SHRINK, SINGLE_ELEMENT and
+    edge rows left to replay."""
+    where = f"({mi},{ni}) subset "
+    rows, cols = frozenset(range(1, mi + 1)), frozenset(range(1, ni + 1))
+    shrink, single, edges = [], [], []
+    for enc in encs:
+        j = table.get(str(enc), _ABSENT)
+        if j is _ABSENT:
+            bad[enc] = f"({mi},{ni}): valid subset {enc} has no justification"
+            continue
+        kind = j.get("kind") if isinstance(j, dict) else None
+        fields = ROW_FIELDS.get(kind) if isinstance(kind, str) else None
+        if fields is None:
+            bad[enc] = f"{where}{enc}: unknown justification kind {kind!r}"
+        elif j.keys() != fields:
+            bad[enc] = (f"{where}{enc}: {kind} row has fields {sorted(map(str, j))}, "
+                        f"not {sorted(fields)}")
+        elif kind == "INITIAL":
+            if enc != 1:
+                bad[enc] = f"{where}{enc}: INITIAL claimed but not {{(1,1)}}"
+        elif kind == "SHRINK":
+            axis, index = j["axis"], j["index"]
+            if _int_in(index, 1, ni if axis == "column" else mi if axis == "row" else 0):
+                shrink.append((enc, axis == "column", index))
+            else:
+                bad[enc] = f"{where}{enc}: SHRINK {axis!r} {index!r} is not an empty line"
+        elif kind == "SINGLE_ELEMENT":
+            p, q = j["p"], j["q"]
+            if min(mi, ni) >= 2 and _int_in(p, 1, mi) and _int_in(q, 1, ni):
+                single.append((enc, p, q))
+            else:
+                bad[enc] = (f"{where}{enc}: SINGLE_ELEMENT ({p!r},{q!r}) is not a cell "
+                            f"of a grid of at least 2x2")
+        else:  # CONTAINMENT and PERMUTATION: one edge, pred . letter = S
+            pred, images = j["pred"], _letter_images(j["letter"], rows, cols)
+            if not _int_in(pred, 0, (1 << mi * ni) - 1):
+                bad[enc] = f"{where}{enc}: {kind} predecessor {pred!r} is outside the grid"
+            elif images is None:
+                bad[enc] = (f"{where}{enc}: {kind} letter is not a pair of transformations "
+                            f"of degrees {mi} and {ni}")
+            else:
+                edges.append((enc, kind, pred, *images))
+    return shrink, single, edges
+
+
+def _verify_exhaustive(tables: _Tables, entry: InstanceEntry, failures: list[str]) -> None:
+    """Check each row on its own, then replay each kind in batch. A row
+    reports at most one failure, the first check it fails; failures are
+    listed in ascending order of subset."""
     mi, ni = entry.m, entry.n
     table = _table(entry)
     if table is None:
         failures.append(f"({mi},{ni}): EXHAUSTIVE entry has no justifications table")
         return
-    listed = 0
-    for chunk in valid_encodings(mi, ni):
-        for enc in chunk.tolist():
-            key = str(enc)
-            if key not in table:
-                failures.append(f"({mi},{ni}): valid subset {enc} has no justification")
-                continue
-            listed += 1
-            _replay_justification(covered, mi, ni, enc, table[key], failures)
-    if listed != len(table):
-        failures.append(
-            f"({mi},{ni}): table keys that are not valid subsets: {len(table) - listed}"
-        )
+    listed = tables.listed(table, mi, ni)
+    where = f"({mi},{ni}) subset "
+    bad: dict[int, str] = {}
+    for batch in _valid_batches(mi, ni):
+        shrink, single, edges = _check_rows(mi, ni, table, batch.tolist(), bad)
+        _replay_shrink(tables, mi, ni, shrink, where, bad)
+        _replay_single(tables, mi, ni, single, where, bad)
+        _replay_edges(tables, mi, ni, edges, where, bad)
+    failures.extend(bad[enc] for enc in sorted(bad))
+    extra = len(table) - int(np.count_nonzero(listed))
+    if extra:
+        failures.append(f"({mi},{ni}): table keys that are not valid subsets: {extra}")
+
+
+def _family_witnesses(entry: InstanceEntry, failures: list[str]) -> dict | None:
+    """The stored phi of each column set of a FAMILY entry, or None after
+    recording one failure if its data is not {"families": [{"columns":
+    [[rows]], "phi": [a permutation of 1..m]}, ...], ...}."""
+    mi, ni = entry.m, entry.n
+    families = entry.data.get("families") if isinstance(entry.data, dict) else None
+    if not isinstance(families, list):
+        failures.append(f"({mi},{ni}): FAMILY entry has no families list")
+        return None
+    stored = {}
+    for k, fam in enumerate(families):
+        shaped = isinstance(fam, dict) and fam.keys() == {"columns", "phi"}
+        cols, phi = (fam["columns"], fam["phi"]) if shaped else (None, None)
+        if not (shaped and isinstance(cols, list)
+                and all(isinstance(c, list) and all(_int_in(i, 1, mi) for i in c)
+                        for c in cols)
+                and isinstance(phi, list) and len(phi) == mi
+                and all(_int_in(i, 1, mi) for i in phi) and len(set(phi)) == mi):
+            failures.append(f"({mi},{ni}): family {k} is not {{'columns': [[rows]], "
+                            f"'phi': [a permutation of 1..{mi}]}}")
+            return None
+        stored[frozenset(frozenset(c) for c in cols)] = Transformation(tuple(phi))
+    return stored
 
 
 def _verify_family(entry: InstanceEntry, failures: list[str]) -> None:
     mi, ni = entry.m, entry.n
-    stored = {
-        frozenset(frozenset(c) for c in fam["columns"]): Transformation(tuple(fam["phi"]))
-        for fam in entry.data["families"]
-    }
-    unwitnessed = None  # the last column set reported without a phi
-    for combo, S, needs in _family_scan(mi, ni):
-        if not needs or combo == unwitnessed:
-            continue
+    stored = _family_witnesses(entry, failures)
+    if stored is None:
+        return
+    for combo, reps in _family_scan(mi, ni)[1]:
         phi = stored.get(frozenset(combo))
         if phi is None:
             failures.append(
                 f"({mi},{ni}): family {sorted(sorted(c) for c in combo)} "
                 f"needs a permutation witness but none is stored"
             )
-            unwitnessed = combo
-        elif reduce_permutation(S, phi) is None:
-            failures.append(
-                f"({mi},{ni}): stored phi does not reduce representative "
-                f"{S.bits}"
-            )
+            continue
+        for rep in reps:
+            if reduce_permutation(ProductSubset(mi, ni, rep), phi) is None:
+                failures.append(
+                    f"({mi},{ni}): stored phi does not reduce representative {rep}")
 
 
 def verify_certificate(
     c: Certificate, failures: list[str] | None = None
 ) -> bool:
     """Replay every certificate row and instance rule; True iff all of
-    them hold. Nothing is taken on trust.
+    them hold. Nothing is taken on trust; malformed data is a failure, not
+    an exception.
 
     Pass a list to collect human-readable failure descriptions.
     """
@@ -1132,19 +1338,15 @@ def verify_certificate(
         failures = []
     if c.m < 1 or c.n < 1:
         failures.append(f"certificate for {c.m}x{c.n} covers no instance")
-    covered: dict[tuple[int, int], dict | None] = {}
-    for entry in c.entries:  # the first entry of an instance wins
-        if (entry.m, entry.n) not in covered:
-            covered[(entry.m, entry.n)] = (
-                (_table(entry) or {}) if entry.strategy == STRATEGY_EXHAUSTIVE else None)
+    tables = _Tables(c.entries)
     for mi in range(1, c.m + 1):
         for ni in range(1, c.n + 1):
-            if (mi, ni) not in covered:
+            if (mi, ni) not in tables.covered:
                 failures.append(f"missing instance entry ({mi},{ni})")
     for entry in c.entries:
         mi, ni = entry.m, entry.n
         if entry.strategy == STRATEGY_SPERNER:
-            axis = entry.data.get("axis")
+            axis = entry.data.get("axis") if isinstance(entry.data, dict) else None
             if axis == "column":
                 if ni <= sperner_limit(mi):
                     failures.append(
@@ -1158,7 +1360,7 @@ def verify_certificate(
             else:
                 failures.append(f"({mi},{ni}): Sperner rule with unknown axis")
         elif entry.strategy == STRATEGY_EXHAUSTIVE:
-            _verify_exhaustive(covered, entry, failures)
+            _verify_exhaustive(tables, entry, failures)
         elif entry.strategy == STRATEGY_FAMILY:
             _verify_family(entry, failures)
         else:

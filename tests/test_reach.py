@@ -2,7 +2,7 @@ import hashlib
 import json
 import math
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from shufflesc.reach import (
     CertificationGapError,
     CheckpointError,
     ExtremalLetter,
+    InstanceEntry,
     bfs_reach,
     alphabet_sufficiency,
     certify,
@@ -39,7 +40,7 @@ from shufflesc.reach import (
     write_checkpoint,
 )
 from shufflesc.shuffle import (
-    GridSizeError, ProductSubset, bound_f, is_valid, valid_encodings,
+    GridSizeError, ProductSubset, bound_f, col1_mask, is_valid, valid_encodings,
 )
 
 T = Transformation
@@ -651,6 +652,118 @@ class TestDropMatchesPairs:
         assert _drop(S, p, q) == _renumber_drop_reference(S, p, q)
 
 
+def _lines_reference(S):
+    rowmask, colmask = (1 << S.n) - 1, col1_mask(S.m, S.n)
+    return ([S.bits >> p * S.n & rowmask for p in range(S.m)],
+            [S.bits >> q & colmask for q in range(S.n)])
+
+
+def _containment_reference(S):
+    """(axis, inner, outer, pred) of the first ordered row pair, then column
+    pair, whose stripped set is valid, one subset at a time."""
+    rows, cols = _lines_reference(S)
+    for axis, lines, stride in (("row", rows, S.n), ("column", cols, 1)):
+        for inner, line in enumerate(lines, start=1):
+            if not line:
+                continue
+            for outer, other in enumerate(lines, start=1):
+                if outer == inner or line & ~other:
+                    continue
+                smaller = S.bits & ~(line << (outer - 1) * stride)
+                if is_valid(ProductSubset(S.m, S.n, smaller)):
+                    return axis, inner, outer, smaller
+    return None
+
+
+def _single_reference(S):
+    """(p, q) of the first row p whose only cell is alone in its column."""
+    rows, cols = _lines_reference(S)
+    for p, row in enumerate(rows, start=1):
+        q = row.bit_length()
+        if row and not row & row - 1 and cols[q - 1] == 1 << (p - 1) * S.n:
+            return p, q
+    return None
+
+
+def _justify_subset(S):
+    """One justification row for S by the reduction lemmas, one subset at a
+    time: the builder before it worked on arrays, kept as its reference."""
+    if S.bits == 1:
+        return {"kind": "INITIAL"}
+    empty_cols = [q for q in range(1, S.n + 1) if not S.column(q)]
+    empty_rows = [p for p in range(1, S.m + 1) if not S.row(p)]
+    if empty_cols or empty_rows:
+        axis, index = ("column", empty_cols[0]) if empty_cols else ("row", empty_rows[0])
+        return {"kind": "SHRINK", "axis": axis, "index": index}
+    red = _containment_reference(S)
+    if red is not None:
+        axis, inner, outer, pred = red
+        s, t = list(range(1, S.m + 1)), list(range(1, S.n + 1))
+        (s if axis == "row" else t)[inner - 1] = outer
+        return {"kind": "CONTAINMENT", "pred": pred, "letter": {"s": s, "t": t}}
+    single = _single_reference(S) if min(S.m, S.n) >= 2 else None
+    if single is not None:
+        return {"kind": "SINGLE_ELEMENT", "p": single[0], "q": single[1]}
+    for phi_images in permutations(range(1, S.m + 1)):
+        perm = reduce_permutation(S, T(phi_images))
+        if perm is not None:
+            return {"kind": "PERMUTATION", "pred": perm.smaller.bits,
+                    "letter": perm.letter.to_dict()}
+    return None
+
+
+def _family_scan_reference(mi, ni):
+    """_family_scan one representative at a time, built from member pairs."""
+    rows = range(1, mi + 1)
+    columns = [frozenset(c) for size in rows for c in combinations(rows, size)]
+    probed, needing = 0, []
+    for combo in combinations(columns, ni):
+        if len(set().union(*combo)) != mi:
+            continue
+        reps = []
+        for first in range(ni):
+            ordering = [combo[first]] + [c for k, c in enumerate(combo) if k != first]
+            S = ProductSubset.from_pairs(
+                mi, ni, [(i, j) for j, col in enumerate(ordering, start=1) for i in col])
+            if is_valid(S):
+                probed += 1
+                if _containment_reference(S) is None and _single_reference(S) is None:
+                    reps.append(S.bits)
+        if reps:
+            needing.append((combo, reps))
+    return probed, needing
+
+
+class TestBatchedRulesMatchReference:
+    @pytest.mark.parametrize("m,n", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3, 4)]
+                             + [(4, 1), (4, 2), (4, 3), (4, 4)])
+    def test_table_rows(self, m, n):
+        gaps = []
+        table = reach._exhaustive_entry(m, n, gaps).data["justifications"]
+        assert gaps == []
+        want = {str(enc): _justify_subset(ProductSubset(m, n, enc))
+                for chunk in valid_encodings(m, n) for enc in chunk.tolist()}
+        assert list(table) == list(want)
+        assert table == want
+
+    @pytest.mark.parametrize("m,n", [(4, 5), (4, 6)])
+    def test_family_scan(self, m, n):
+        assert reach._family_scan(m, n) == _family_scan_reference(m, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(subset_strategy(max_m=4, max_n=4))
+    def test_scalar_reductions(self, S):
+        if not is_valid(S):
+            return
+        red = reduce_containment(S)
+        contained = _containment_reference(S)
+        assert (red and (red.axis, red.inner, red.outer, red.smaller.bits)) == contained
+        single = reduce_single_element(S)
+        rows, cols = _lines_reference(S)
+        applies = min(S.m, S.n) >= 2 and 0 not in rows + cols and contained is None
+        assert (single and (single.p, single.q)) == (_single_reference(S) if applies else None)
+
+
 def orbit_table_subset(m, cols):
     pairs = [(i, j) for j, col in enumerate(cols, start=1) for i in col]
     return ProductSubset.from_pairs(m, len(cols), pairs)
@@ -823,11 +936,123 @@ class TestCertify:
     ))
     def test_arbitrary_field_value_never_raises(self, data, value):
         cert = certify(2, 3)
-        entry = data.draw(st.sampled_from(cert.entries))
-        table = entry.data["justifications"]
-        row = table[data.draw(st.sampled_from(sorted(table)))]
-        row[data.draw(st.sampled_from(sorted(row)))] = value
+        tabled = list(cert.entries)
+        cert.entries += [reach._family_entry(3, 3, []),
+                         InstanceEntry(1, 4, "SPERNER", {"axis": "column"})]
+        target = data.draw(st.sampled_from(["row field", "entry data", "family field"]))
+        if target == "row field":
+            entry = data.draw(st.sampled_from(tabled))
+            table = entry.data["justifications"]
+            row = table[data.draw(st.sampled_from(sorted(table)))]
+            row[data.draw(st.sampled_from(sorted(row)))] = value
+        elif target == "entry data":
+            data.draw(st.sampled_from(cert.entries)).data = value
+        else:
+            family = cert.entries[-2].data["families"][0]
+            family[data.draw(st.sampled_from(["columns", "phi"]))] = value
         assert verify_certificate(cert) in (True, False)
+
+    @staticmethod
+    def _family_certificate():
+        """certify(3, 3) with its last entry, (3,3), as a FAMILY rule."""
+        cert = certify(3, 3)
+        cert.entries[-1] = reach._family_entry(3, 3, [])
+        assert cert.entries[-1].data["families"] and verify_certificate(cert)
+        return cert
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda e: setattr(e, "data", {}),
+        lambda e: setattr(e, "data", []),
+        lambda e: e.data.update(families={"columns": [], "phi": []}),
+    ], ids=["empty", "list", "families_dict"])
+    def test_family_without_families_refused(self, corrupt):
+        cert = self._family_certificate()
+        corrupt(cert.entries[-1])
+        failures = []
+        assert verify_certificate(cert, failures) is False
+        assert failures == ["(3,3): FAMILY entry has no families list"]
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda f: f.pop("columns"),
+        lambda f: f.pop("phi"),
+        lambda f: f.update(extra=1),
+        lambda f: f.update(columns=[[1, 2], [4]]),
+        lambda f: f.update(columns=[[1, 2], "13"]),
+        lambda f: f.update(phi=[1, 1, 2]),
+        lambda f: f.update(phi=[1, 3, True]),
+        lambda f: f.update(phi=[1, 3]),
+    ], ids=["no_columns", "no_phi", "extra_field", "row_4", "column_str", "phi_not_bijective",
+            "phi_bool", "phi_short"])
+    def test_malformed_family_refused(self, corrupt):
+        cert = self._family_certificate()
+        corrupt(cert.entries[-1].data["families"][0])
+        failures = []
+        assert verify_certificate(cert, failures) is False
+        assert failures == [
+            "(3,3): family 0 is not {'columns': [[rows]], 'phi': [a permutation of 1..3]}"]
+
+    @pytest.mark.parametrize("entry,message", [
+        (InstanceEntry(1, 1, "FAMILY", {}), "(1,1): FAMILY entry has no families list"),
+        (InstanceEntry(1, 1, "SPERNER", []), "(1,1): Sperner rule with unknown axis"),
+        (InstanceEntry(1, 1, "SPERNER", {}), "(1,1): Sperner rule with unknown axis"),
+    ], ids=["family_empty", "sperner_list", "sperner_no_axis"])
+    def test_malformed_instance_data_refused(self, entry, message):
+        failures = []
+        assert verify_certificate(Certificate(1, 1, [entry]), failures) is False
+        assert failures == [message]
+
+    def test_sperner_data_list_refused(self):
+        cert = certify(3, 6)
+        assert cert.entry(3, 6).strategy == "SPERNER"
+        cert.entry(3, 6).data = ["column"]
+        failures = []
+        assert verify_certificate(cert, failures) is False
+        assert failures == ["(3,6): Sperner rule with unknown axis"]
+
+    # Rows of certify(3, 3) corrupted below, one kind each: 3 = {(1,1),(1,2)}
+    # (SHRINK column 3), 84 = {(1,3),(2,1),(3,1)} (SINGLE_ELEMENT (1,3)), 238
+    # (PERMUTATION) and 78 (CONTAINMENT, pred 14). The expected lines are
+    # those of the one-row-at-a-time verifier the batched replay replaced.
+    REPLAY_CORRUPTIONS = {
+        "shrink_line_not_empty": (
+            lambda t: t[3, 3]["3"].update(index=1),
+            ["(3,3) subset 3: SHRINK 'column' 1 is not an empty line"]),
+        "shrink_sub_missing": (
+            lambda t: t[3, 2].pop("3"),
+            ["(3,2): valid subset 3 has no justification",
+             "(3,3) subset 3: referenced subset 3 of (3,2) is unjustified",
+             "(3,3) subset 5: referenced subset 3 of (3,2) is unjustified"]),
+        "single_not_alone": (
+            lambda t: t[3, 3]["84"].update(p=1, q=1),
+            ["(3,3) subset 84: SINGLE_ELEMENT cell (1,1) not alone"]),
+        "permutation_not_smaller": (
+            lambda t: t[3, 3]["238"].update(pred=238, letter={"s": [1, 2, 3], "t": [1, 2, 3]}),
+            ["(3,3) subset 238: PERMUTATION predecessor is not smaller"]),
+        "permutation_pred_invalid": (  # 368 = {(2,3),(3,1),(3,2)} has no cell in row 1
+            lambda t: t[3, 3]["238"].update(pred=368, letter={"s": [1, 1, 2], "t": [2, 1, 1]}),
+            ["(3,3) subset 238: PERMUTATION predecessor is invalid"]),
+        "permutation_edge": (
+            lambda t: t[3, 3]["238"].update(letter={"s": [1, 2, 3], "t": [1, 2, 3]}),
+            ["(3,3) subset 238: PERMUTATION edge does not replay"]),
+        "containment_pred_missing": (
+            lambda t: t[3, 3].pop("14"),
+            ["(3,3): valid subset 14 has no justification",
+             "(3,3) subset 78: referenced subset 14 of (3,3) is unjustified",
+             "(3,3) subset 398: referenced subset 14 of (3,3) is unjustified"]),
+    }
+
+    @pytest.mark.parametrize("name", list(REPLAY_CORRUPTIONS))
+    def test_each_replay_check_refuses(self, name):
+        corrupt, expected = self.REPLAY_CORRUPTIONS[name]
+        cert = certify(3, 3)
+        tables = {(e.m, e.n): e.data["justifications"] for e in cert.entries}
+        kinds = [tables[3, 3][k]["kind"] for k in ("3", "84", "238", "78")]
+        assert kinds == ["SHRINK", "SINGLE_ELEMENT", "PERMUTATION", "CONTAINMENT"]
+        assert tables[3, 3]["78"]["pred"] == 14
+        corrupt(tables)
+        failures = []
+        assert verify_certificate(cert, failures) is False
+        assert failures == expected
 
     def test_old_row_layout_refused(self):
         # `certify 3 3 --out` from before rows stored only their claim: a
