@@ -193,24 +193,18 @@ def accepts(a: Automaton, word: Iterable[str]) -> bool:
     return a.accepts(word)
 
 
-def subset_table(a: Nfa) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Accessible subset automaton of `a` as a table, in BFS discovery order.
+def subset_table(succ, start: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Accessible subset automaton as a table, in BFS discovery order.
 
-    subsets[i] is the subset carried by state i+1, as a bitmask with bit q-1
-    for NFA state q (subsets[0] is {initial}); table[i][li] is the state id
-    of its successor on alphabet[li].
+    Subsets are bitmasks with bit q-1 for NFA state q: succ[li][q-1] holds
+    the successors of q on letter li, start the initial subset. subsets[i]
+    is the subset of state i+1 and table[i][li] the id of its successor.
     """
-    succ = [[0] * a.state_count for _ in a.alphabet]
-    for q, row in enumerate(a.transitions):
-        for li, targets in enumerate(row):
-            for s in targets:
-                succ[li][q] |= 1 << (s - 1)
-    start = 1 << (a.initial - 1)
     ids = {start: 1}
     subsets = [start]
     table = []
     for current in subsets:  # subsets grows while it is scanned
-        members = [q for q in range(a.state_count) if current >> q & 1]
+        members = [q for q in range(current.bit_length()) if current >> q & 1]
         row = []
         for images in succ:
             nxt = 0
@@ -230,7 +224,9 @@ def determinize(a: Nfa) -> tuple[Dfa, list[frozenset[int]]]:
     Returns the DFA together with the subset carried by each new state id
     (state i corresponds to subsets[i-1]; state 1 is {initial}).
     """
-    subsets, table = subset_table(a)
+    succ = [[sum(1 << s - 1 for s in targets) for targets in letter]
+            for letter in zip(*a.transitions)]
+    subsets, table = subset_table(succ, 1 << a.initial - 1)
     final_mask = sum(1 << (f - 1) for f in a.finals)
     finals = frozenset(i for i, s in enumerate(subsets, 1) if s & final_mask)
     transitions = tuple(map(Transformation, zip(*table)))

@@ -817,6 +817,17 @@ ROW_FIELDS = {
 }
 
 
+def _fields(obj, where: str, **kinds: type) -> list:
+    """The values of the named fields of obj, each of its given type;
+    ValueError names the first field that is missing or mistyped."""
+    for key, kind in kinds.items():
+        if not isinstance(obj, dict) or key not in obj:
+            raise ValueError(f"{where}: missing field {key!r}")
+        if not isinstance(obj[key], kind):
+            raise ValueError(f"{where}: field {key!r} is not a {kind.__name__}")
+    return [obj[key] for key in kinds]
+
+
 @dataclass
 class InstanceEntry:
     m: int
@@ -829,7 +840,9 @@ class InstanceEntry:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "InstanceEntry":
-        return cls(obj["m"], obj["n"], obj["strategy"], obj["data"])
+        """ValueError names a missing or mistyped field; the verifier checks
+        `data`, recording a malformed one as a failure."""
+        return cls(*_fields(obj, "certificate entry", m=int, n=int, strategy=str, data=object))
 
 
 @dataclass
@@ -869,8 +882,9 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Certificate":
-        entries = [InstanceEntry.from_dict(e) for e in obj["entries"]]
-        return cls(obj["m"], obj["n"], entries)
+        """ValueError names a missing or mistyped field."""
+        m, n, entries = _fields(obj, "certificate", m=int, n=int, entries=list)
+        return cls(m, n, [InstanceEntry.from_dict(e) for e in entries])
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

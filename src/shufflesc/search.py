@@ -6,11 +6,12 @@ choice of final sets. Letter order never matters to the shuffle, so
 multisets are generated in nondecreasing canonical order, killing letter
 permutations at the source; remaining symmetry (per-DFA state relabeling
 and joint letter renaming) is removed by canonicalizing reported
-witnesses with automata.bfs_key. Each multiset's shuffle NFA is
-determinized once with automata.subset_table; each final-set choice marks
-that table's final subsets and runs automata.refine on it. The search runs
-serially in one thread. The guard formula deliberately overcounts — it
-prices the raw space before the minimality and reachability filters bite.
+witnesses with automata.bfs_key. The search works on image tuples: each
+multiset gets one subset table (shuffle.cell_successors into
+automata.subset_table), and each final-set choice marks that table's final
+subsets and runs automata.refine on it. The search runs serially in one
+thread. The guard formula deliberately overcounts — it prices the raw
+space before the minimality and reachability filters bite.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ from string import ascii_lowercase
 from .automata import (
     Dfa,
     Transformation,
+    _bfs_order,
     bfs_key,
     refine,
-    state_complexity,
     subset_table,
     trim,
 )
-from .shuffle import bound_f, build_shuffle_nfa
+from .shuffle import bound_f, cell_successors
 
 SEARCH_GUARD_EVALUATIONS = 10**9
 
@@ -46,13 +47,12 @@ class SearchSpace:
     n: int
     k: int
 
-    def letter_candidates(self) -> list[tuple[Transformation, Transformation]]:
-        """All joint letters (s, t) in lexicographic image order."""
-        out = []
-        for s in product(range(1, self.m + 1), repeat=self.m):
-            for t in product(range(1, self.n + 1), repeat=self.n):
-                out.append((Transformation(s), Transformation(t)))
-        return out
+    def letter_candidates(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """All joint letters (s, t) as image tuples, in lexicographic order."""
+        return list(product(
+            product(range(1, self.m + 1), repeat=self.m),
+            product(range(1, self.n + 1), repeat=self.n),
+        ))
 
     def final_choices(self) -> int:
         """Nonempty proper final sets on each side."""
@@ -118,15 +118,12 @@ def pair_canonical_key(
     )
 
 
-def right_dfa_canonical_key(L: Dfa, *, ignore_finals: bool = False) -> tuple:
-    """Canonical key of one DFA under letter renaming and state relabeling;
-    optionally blind to the final set. Unlike canonicalize, it renames
-    letters at every alphabet size."""
+def right_dfa_canonical_key(L: Dfa) -> tuple:
+    """Canonical key of one DFA under letter renaming and state relabeling,
+    blind to the final set. Unlike canonicalize, it renames letters at
+    every alphabet size."""
     L = trim(L)
-    size = 2 if ignore_finals else 3
-    return min(
-        bfs_key(L, perm)[:size] for perm in permutations(range(len(L.alphabet)))
-    )
+    return min(bfs_key(L, perm)[:2] for perm in permutations(range(len(L.alphabet))))
 
 
 def _guard(space: SearchSpace, force: bool) -> None:
@@ -139,6 +136,19 @@ def _guard(space: SearchSpace, force: bool) -> None:
         )
 
 
+def _minimal_finals(
+    images: list[tuple[int, ...]], size: int, finals: list[frozenset[int]]
+) -> list[frozenset[int]]:
+    """The F in finals for which the DFA with initial state 1, finals F and
+    images[li][q-1] the successor of q on letter li is minimal with `size`
+    states: every state reachable and no two states equivalent."""
+    if len(_bfs_order(images, 1)[0]) < size:
+        return []
+    table = list(zip(*images))
+    states = range(1, size + 1)
+    return [F for F in finals if max(refine(table, [q in F for q in states])) == size]
+
+
 def max_shuffle_complexity(
     m: int,
     n: int,
@@ -147,27 +157,27 @@ def max_shuffle_complexity(
     *,
     force: bool = False,
     stop_at_bound: bool = False,
-    dedup_swap: bool = True,
-    dedup_finals: bool = True,
 ) -> SearchResult:
     """Exact maximum of the shuffle complexity over the deduplicated space.
 
-    Each letter multiset gets one shuffle NFA and one subset table. Its
-    reachable-subset count bounds kappa for every choice of final sets, so
-    a multiset whose count is below the best kappa so far is skipped. For
-    the others, each pair (F_K, F_L) giving minimal K and L marks the
-    subsets meeting F_K x F_L final and refines the table; kappa is the
-    number of blocks. candidates_evaluated counts these pairs. The scan is
-    serial and in a fixed order, so its counts are deterministic.
+    Each letter multiset gets one subset table, stepped by the cell_successors
+    masks of its image tuples; its subset count bounds kappa for every choice
+    of final sets, so a multiset whose count is below the best kappa so far
+    is skipped. For the others, each pair (F_K, F_L) giving minimal K and L
+    marks the subsets meeting F_K x F_L final and refines the table; kappa
+    is the number of blocks. candidates_evaluated counts these pairs; Dfas
+    are built only for those that attain the best kappa so far.
+    The scan is serial and in a fixed order, so its counts are deterministic.
 
     Witnesses attaining the maximum are reported in canonical form, at most
-    result_cap of them (a negative cap raises ValueError); one
-    representative survives per equivalence class of pair_canonical_key
-    under the dedup_* convention flags (defaults: operand swap allowed,
-    final sets not distinguished — the convention under which the 4-letter
-    2x2 witness is unique). stop_at_bound returns
-    as soon as some pair meets bound_f(m, n); the reported maximum is then
-    the bound but the witness list may be truncated early.
+    result_cap of them (a negative cap raises ValueError). One
+    representative, the one with the least strict pair_canonical_key,
+    survives per class of pair_canonical_key(K, L, allow_swap=True,
+    ignore_finals=True): operand swap allowed and final sets not
+    distinguished, the convention under which the 4-letter 2x2 witness is
+    unique. stop_at_bound returns as soon as some pair meets bound_f(m, n);
+    the reported maximum is then the bound but the witness list may be
+    truncated early.
     """
     if result_cap < 0:
         raise ValueError(f"result_cap must be >= 0, not {result_cap}")
@@ -185,48 +195,36 @@ def max_shuffle_complexity(
         evaluated = 0
         for multiset in combinations_with_replacement(range(len(candidates)), k):
             letters = [candidates[i] for i in multiset]
-            k_trans = tuple(s for s, _ in letters)
-            l_trans = tuple(t for _, t in letters)
-            sh = build_shuffle_nfa(
-                Dfa(m, names, k_trans, frozenset([1])),
-                Dfa(n, names, l_trans, frozenset([1])),
-            )
-            subsets, table = subset_table(sh.nfa)
+            subsets, table = subset_table(cell_successors(letters, m, n), 1)
             if len(subsets) < best:
                 continue  # cannot attain the current maximum
-            lefts = [
-                K for FK in left_finals
-                if state_complexity(K := Dfa(m, names, k_trans, FK)) == m
-            ]
-            rights = [
-                L for FL in right_finals
-                if state_complexity(L := Dfa(n, names, l_trans, FL)) == n
-            ]
-            for K in lefts:
-                for L in rights:
+            k_images = [s for s, _ in letters]
+            l_images = [t for _, t in letters]
+            lefts = _minimal_finals(k_images, m, left_finals)
+            rights = _minimal_finals(l_images, n, right_finals)
+            for FK in lefts:
+                for FL in rights:
                     evaluated += 1
-                    final_mask = sum(
-                        1 << (sh.state_id(p, q) - 1) for p in K.finals for q in L.finals
-                    )
+                    final_mask = sum(1 << (p - 1) * n + q - 1 for p in FK for q in FL)
                     kappa = max(refine(table, [s & final_mask for s in subsets]))
                     if kappa > best:
                         best = kappa
                         witnesses = {}
                     if kappa == best:
+                        K = Dfa(m, names, tuple(map(Transformation, k_images)), FK)
+                        L = Dfa(n, names, tuple(map(Transformation, l_images)), FL)
                         witnesses.setdefault(pair_canonical_key(K, L), (K, L))
                     if stop_at_bound and best >= bound:
                         return best, witnesses, evaluated
         return best, witnesses, evaluated
 
     best, witnesses, evaluated = scan()
-    # regroup the strictly-deduplicated witnesses under the requested
-    # convention; the representative is the one with the least strict key
+    # regroup the strictly-deduplicated witnesses under the relaxed key; the
+    # representative is the one with the least strict key
     classes: dict[tuple, tuple] = {}
     for strict_key in sorted(witnesses):
         K, L = witnesses[strict_key]
-        relaxed = pair_canonical_key(
-            K, L, allow_swap=dedup_swap, ignore_finals=dedup_finals
-        )
+        relaxed = pair_canonical_key(K, L, allow_swap=True, ignore_finals=True)
         classes.setdefault(relaxed, strict_key)
     pairs = [witnesses[classes[key]] for key in sorted(classes)][:result_cap]
     return SearchResult(best, bound, best >= bound, pairs, evaluated)
@@ -248,26 +246,12 @@ def min_witness_alphabet(m: int, n: int, k_range, *, force: bool = False) -> int
     return None
 
 
-def count_nonisomorphic_witness_right_dfas(
-    m: int,
-    n: int,
-    k: int,
-    *,
-    ignore_finals: bool = True,
-    force: bool = False,
-) -> int:
+def count_nonisomorphic_witness_right_dfas(m: int, n: int, k: int, *, force: bool = False) -> int:
     """Number of canonically distinct right-hand DFAs in bound-meeting
-    pairs, after pair-orientation normalization. ignore_finals (the
-    default, matching the relaxation under which the 2x3 count exceeds 60)
-    makes right DFAs differing only in final sets count once."""
-    result = max_shuffle_complexity(
-        m, n, k, result_cap=10**6, force=force,
-        dedup_swap=True, dedup_finals=ignore_finals,
-    )
+    pairs, after pair-orientation normalization. Right DFAs that differ
+    only in their final sets count once, the relaxation under which the
+    2x3 count exceeds 60."""
+    result = max_shuffle_complexity(m, n, k, result_cap=10**6, force=force)
     if not result.met:
         return 0
-    keys = {
-        right_dfa_canonical_key(L, ignore_finals=ignore_finals)
-        for _, L in result.witnesses
-    }
-    return len(keys)
+    return len({right_dfa_canonical_key(L) for _, L in result.witnesses})

@@ -1,6 +1,6 @@
-"""Shuffle of regular languages: product NFA, the validity condition on
-subsets of the state grid, the upper bound f(m,n), and end-to-end shuffle
-state-complexity computation."""
+"""Shuffle of regular languages: the shuffle step on the state grid, from
+which the product NFA and the subset table of the state-complexity
+computation are built, the validity condition on subsets, and f(m,n)."""
 
 from __future__ import annotations
 
@@ -152,7 +152,7 @@ class ShuffleNfa:
     """Product NFA for K shuffle L over the m x n grid.
 
     Product state (p,q) is NFA state (p-1)*n + (q-1) + 1; the initial state
-    is (1,1) and the finals are F_K x F_L.
+    is (K.initial, L.initial) and the finals are F_K x F_L.
     """
 
     left: Dfa
@@ -174,37 +174,42 @@ class ShuffleNfa:
         return ((sid - 1) // self.n + 1, (sid - 1) % self.n + 1)
 
 
-def build_shuffle_nfa(K: Dfa, L: Dfa) -> ShuffleNfa:
-    """NFA with delta((p,q),a) = {(delta_K(p,a),q), (p,delta_L(q,a))}."""
+def cell_successors(letters, m: int, n: int) -> list[list[int]]:
+    """succ[li][(p-1)*n + q-1], the encoding of {(s(p), q), (p, t(q))}: the
+    shuffle step of cell (p, q) on the letter li = (s images, t images)."""
+    return [[1 << (s[p] - 1) * n + q | 1 << p * n + t[q] - 1
+             for p in range(m) for q in range(n)] for s, t in letters]
+
+
+def _letters(K: Dfa, L: Dfa) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The joint letters (s images, t images) of a pair over one alphabet."""
     if K.alphabet != L.alphabet:
-        raise ValueError(
-            f"alphabet mismatch: {list(K.alphabet)} vs {list(L.alphabet)}"
-        )
+        raise ValueError(f"alphabet mismatch: {list(K.alphabet)} vs {list(L.alphabet)}")
+    return [(s.images, t.images) for s, t in zip(K.transitions, L.transitions)]
+
+
+def build_shuffle_nfa(K: Dfa, L: Dfa) -> ShuffleNfa:
+    """NFA with delta((p,q),a) = {(delta_K(p,a),q), (p,delta_L(q,a))}, read
+    off the one or two bits of each cell_successors mask."""
     m, n = K.state_count, L.state_count
-
-    def sid(p: int, q: int) -> int:
-        return (p - 1) * n + (q - 1) + 1
-
-    letters = [(s.images, t.images) for s, t in zip(K.transitions, L.transitions)]
-    transitions = [
-        tuple(frozenset({sid(s[p - 1], q), sid(p, t[q - 1])}) for s, t in letters)
-        for p in range(1, m + 1)
-        for q in range(1, n + 1)
-    ]
-    finals = frozenset(
-        sid(p, q) for p in K.finals for q in L.finals
+    succ = cell_successors(_letters(K, L), m, n)
+    transitions = tuple(
+        tuple(frozenset({(x[c] & -x[c]).bit_length(), x[c].bit_length()}) for x in succ)
+        for c in range(m * n)
     )
-    nfa = Nfa(m * n, K.alphabet, tuple(transitions), sid(K.initial, L.initial), finals)
+    finals = frozenset((p - 1) * n + q for p in K.finals for q in L.finals)
+    nfa = Nfa(m * n, K.alphabet, transitions, (K.initial - 1) * n + L.initial, finals)
     return ShuffleNfa(K, L, nfa)
 
 
 def shuffle_state_complexity(K: Dfa, L: Dfa) -> int:
     """kappa(K shuffle L): the number of Moore classes of the accessible
-    subset automaton of the shuffle NFA, a subset being final when it meets
-    F_K x F_L."""
-    nfa = build_shuffle_nfa(K, L).nfa
-    subsets, table = subset_table(nfa)
-    final_mask = sum(1 << (f - 1) for f in nfa.finals)
+    subset automaton of the shuffle NFA, built from cell_successors, a
+    subset being final when it meets F_K x F_L."""
+    n = L.state_count
+    succ = cell_successors(_letters(K, L), K.state_count, n)
+    subsets, table = subset_table(succ, 1 << (K.initial - 1) * n + L.initial - 1)
+    final_mask = sum(1 << (p - 1) * n + q - 1 for p in K.finals for q in L.finals)
     return max(refine(table, [s & final_mask for s in subsets]))
 
 

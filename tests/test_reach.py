@@ -868,6 +868,18 @@ class TestCertify:
         assert verify_certificate(again)
         assert again.to_dict() == cert.to_dict()
 
+    @pytest.mark.parametrize("obj, message", [
+        ({}, "certificate: missing field 'm'"),
+        ({"m": 1, "n": 1}, "certificate: missing field 'entries'"),
+        ({"m": 1, "n": 1, "entries": [{}]}, "certificate entry: missing field 'm'"),
+        ({"m": 1, "n": 1, "entries": 5}, "certificate: field 'entries' is not a list"),
+    ])
+    def test_malformed_top_level_refused(self, obj, message):
+        # these raised KeyError or TypeError, unlike load_letters' ValueError
+        with pytest.raises(ValueError) as info:
+            Certificate.from_dict(obj)
+        assert str(info.value) == message
+
     def test_matches_schema(self):
         jsonschema = pytest.importorskip("jsonschema")
         import importlib.resources as res

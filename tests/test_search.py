@@ -4,10 +4,12 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from shufflesc.automata import Dfa, Transformation, load_dfa, state_complexity
 from shufflesc.cli import main
 from shufflesc.search import (
+    _minimal_finals,
     SearchSpace,
     SearchVolumeError,
     count_nonisomorphic_witness_right_dfas,
@@ -85,6 +87,14 @@ class TestMaxShuffleComplexity:
                         best = max(best, shuffle_state_complexity(K, L))
         assert max_shuffle_complexity(2, 2, 2).maximum == best
 
+    @pytest.mark.slow
+    def test_three_letters_at_2x3(self):
+        # the only pinned search with m != n
+        result = max_shuffle_complexity(2, 3, 3)
+        assert (result.maximum, result.bound) == (33, 44)
+        assert result.candidates_evaluated == 3128
+        assert len(result.witnesses) == 3
+
     def test_maximum_monotone_in_letter_count(self):
         maxima = [max_shuffle_complexity(2, 2, k).maximum for k in (1, 2, 3, 4)]
         assert maxima == sorted(maxima)
@@ -107,6 +117,35 @@ class TestMaxShuffleComplexity:
         s = result.summary()
         assert set(s) == {"max", "bound", "met", "candidates_evaluated"}
         assert s["bound"] == 10 and s["met"] is False
+
+
+@st.composite
+def letter_images(draw):
+    size = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    state = st.integers(1, size)
+    return size, [tuple(draw(state) for _ in range(size)) for _ in range(k)]
+
+
+class TestMinimalFinals:
+    @settings(max_examples=150, deadline=None)
+    @given(letter_images())
+    @example((3, [(1, 1, 3), (2, 1, 3)]))  # state 3 is unreachable
+    @example((2, [(1, 2)]))  # the identity letter reaches only state 1
+    def test_matches_state_complexity(self, drawn):
+        size, images = drawn
+        finals = [
+            frozenset(q for q in range(1, size + 1) if bits >> q - 1 & 1)
+            for bits in range(1 << size)
+        ]
+        names = tuple("abc"[:len(images)])
+        expected = [
+            F for F in finals
+            if state_complexity(
+                Dfa(size, names, tuple(map(Transformation, images)), F)
+            ) == size
+        ]
+        assert _minimal_finals(images, size, finals) == expected
 
 
 class TestMinWitnessAlphabet:

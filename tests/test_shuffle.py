@@ -1,7 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shufflesc.automata import Dfa, Transformation, determinize, state_complexity
+from shufflesc.automata import (
+    Dfa,
+    Transformation,
+    determinize,
+    refine,
+    state_complexity,
+)
 from shufflesc.shuffle import (
     GridSizeError,
     ProductSubset,
@@ -156,6 +162,8 @@ class TestShuffleNfa:
         L = Dfa(1, ("b",), (T((1,)),), frozenset([1]))
         with pytest.raises(ValueError):
             build_shuffle_nfa(K, L)
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            shuffle_state_complexity(K, L)
 
 
 class TestShuffleComplexity:
@@ -263,6 +271,48 @@ class TestRandomPairProperties:
         K, L = pair
         det, _ = determinize(build_shuffle_nfa(K, L).nfa)
         assert shuffle_state_complexity(K, L) == state_complexity(det)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dfa_pair_strategy(max_states=3, any_initial=True))
+    def test_complexity_matches_frozenset_subset_construction(self, pair):
+        # reference: step the validated shuffle Nfa on frozensets, then refine
+        K, L = pair
+        nfa = build_shuffle_nfa(K, L).nfa
+        subsets = [frozenset([nfa.initial])]
+        ids = {subsets[0]: 1}
+        table = []
+        for current in subsets:
+            row = []
+            for x in nfa.alphabet:
+                nxt = nfa.step(current, x)
+                if nxt not in ids:
+                    ids[nxt] = len(subsets) + 1
+                    subsets.append(nxt)
+                row.append(ids[nxt])
+            table.append(row)
+        expected = max(refine(table, [S & nfa.finals for S in subsets]))
+        assert shuffle_state_complexity(K, L) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(dfa_pair_strategy(any_initial=True))
+    def test_nfa_matches_frozenset_formula(self, pair):
+        # reference: the product NFA written out state by state
+        K, L = pair
+        m, n = K.state_count, L.state_count
+
+        def sid(p, q):
+            return (p - 1) * n + (q - 1) + 1
+
+        letters = [(s.images, t.images) for s, t in zip(K.transitions, L.transitions)]
+        transitions = tuple(
+            tuple(frozenset({sid(s[p - 1], q), sid(p, t[q - 1])}) for s, t in letters)
+            for p in range(1, m + 1)
+            for q in range(1, n + 1)
+        )
+        nfa = build_shuffle_nfa(K, L).nfa
+        assert nfa.transitions == transitions
+        assert nfa.initial == sid(K.initial, L.initial)
+        assert nfa.finals == {sid(p, q) for p in K.finals for q in L.finals}
 
     @settings(max_examples=60, deadline=None)
     @given(dfa_pair_strategy())
