@@ -25,6 +25,11 @@ class FormatError(ValueError):
         self.where = where
 
 
+def int_in(x, lo: int, hi: int) -> bool:
+    """x is an int, not a bool, with lo <= x <= hi."""
+    return type(x) is int and lo <= x <= hi
+
+
 @dataclass(frozen=True)
 class Transformation:
     """A total map on {1..n}, stored as the image tuple [1t, 2t, ..., nt]."""
@@ -36,7 +41,7 @@ class Transformation:
         if n == 0:
             raise ValueError("empty transformation")
         for q, img in enumerate(self.images, start=1):
-            if not isinstance(img, int) or not 1 <= img <= n:
+            if not int_in(img, 1, n):
                 raise ValueError(f"image of {q} is {img!r}, not in 1..{n}")
 
     @property
@@ -378,7 +383,7 @@ def dfa_from_dict(obj: dict) -> Dfa:
         m = obj["states"]
     except KeyError:
         raise FormatError("missing field", "states") from None
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:  # bool is refused too
         raise FormatError(f"expected a positive integer, got {m!r}", "states")
     alphabet = obj.get("alphabet")
     if not isinstance(alphabet, list) or not alphabet or not all(
@@ -388,13 +393,13 @@ def dfa_from_dict(obj: dict) -> Dfa:
     if len(set(alphabet)) != len(alphabet):
         raise FormatError("duplicate letters", "alphabet")
     initial = obj.get("initial", 1)
-    if not isinstance(initial, int) or not 1 <= initial <= m:
+    if not int_in(initial, 1, m):
         raise FormatError(f"state {initial!r} out of range 1..{m}", "initial")
     finals = obj.get("finals")
     if not isinstance(finals, list):
         raise FormatError("expected a list of states", "finals")
     for i, f in enumerate(finals):
-        if not isinstance(f, int) or not 1 <= f <= m:
+        if not int_in(f, 1, m):
             raise FormatError(f"state {f!r} out of range 1..{m}", f"finals[{i}]")
     trans = obj.get("transitions")
     if not isinstance(trans, dict):
@@ -412,7 +417,7 @@ def dfa_from_dict(obj: dict) -> Dfa:
         if not isinstance(row, list) or len(row) != m:
             raise FormatError(f"expected a list of {m} states", f"transitions[{x!r}]")
         for qi, img in enumerate(row):
-            if not isinstance(img, int) or not 1 <= img <= m:
+            if not int_in(img, 1, m):
                 raise FormatError(
                     f"state {img!r} out of range 1..{m}", f"transitions[{x!r}][{qi}]"
                 )

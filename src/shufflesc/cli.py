@@ -3,13 +3,14 @@
 Exit codes: 0 success, 1 user/input error, 2 internal-invariant violation
 (for example a reached count exceeding the valid-subset bound, which would
 falsify the reachability validity lemma and signals a bug, not bad input).
+argparse also exits 2, with a usage message on stderr, on a malformed
+command line: an unknown option, a missing argument or a non-integer m.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import automata, disting, reach, search, shuffle
@@ -29,14 +30,6 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
     else:
         for line in text_lines:
             print(line)
-
-
-def _default_workers() -> int:
-    value = os.environ.get("SSC_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def cmd_bound(args) -> int:
@@ -89,7 +82,6 @@ def cmd_reach(args) -> int:
         args.m,
         args.n,
         alphabet,
-        workers=args.workers,
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
         max_generations=args.max_generations,
@@ -242,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_mn(p)
     p.add_argument("--alphabet", default="full",
                    help="'full' or a letter-list JSON file")
-    p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--checkpoint-dir", default=None)
     p.add_argument("--resume", action="store_true")
     p.add_argument("--max-generations", type=int, default=None)

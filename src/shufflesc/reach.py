@@ -3,9 +3,9 @@
 The extremal automaton over the m x n grid carries one input letter for
 every pair of transformations (s, t) from T_m x T_n; a subset S steps to
 {(s(p), q)} union {(p, t(q))} over its members. This module explores that
-automaton exhaustively (BFS over a dense visited bitmap, with checkpoints
-and worker sharding), and replays the inductive reduction arguments that
-substitute for BFS where exhaustive search is out of reach:
+automaton exhaustively (BFS in one thread over a dense visited bitmap, with
+checkpoints), and replays the inductive reduction arguments that substitute
+for BFS where exhaustive search is out of reach:
 
   * containment reduction: a row/column containing another strips the
     duplicated entries and restores them with a one-point map;
@@ -36,16 +36,15 @@ import math
 import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, islice, permutations, product
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .automata import Transformation
+from .automata import Transformation, int_in
 from .shuffle import (
     ENUM_GUARD_CELLS,
     GridSizeError,
@@ -216,14 +215,6 @@ def _chunk_tables(a: ExtremalLetter, m: int, n: int) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
-class _LetterTables(list):
-    """A letter list as the chunk tables of its letters, one entry per
-    letter, so that BFS builds them once and not once per generation."""
-
-    def __init__(self, letters: Iterable[ExtremalLetter], m: int, n: int):
-        super().__init__(_chunk_tables(a, m, n) for a in letters)
-
-
 def _successor_bitmap(
     frontier: np.ndarray,
     m: int,
@@ -231,15 +222,14 @@ def _successor_bitmap(
     alphabet,
 ) -> np.ndarray:
     """Dense bool bitmap of every one-step successor of the frontier, over
-    the full alphabet, a letter list or its _LetterTables."""
+    the full alphabet ("full") or a list holding the _chunk_tables of each
+    letter, built once by the caller and not once per generation."""
     out = np.zeros(1 << (m * n), dtype=bool)
     if isinstance(alphabet, str):  # full alphabet
         for x in frontier.tolist():
             R, C = _line_images(x, m, n)
             out[R[:, None] | C[None, :]] = True
         return out
-    if not isinstance(alphabet, _LetterTables):
-        alphabet = _LetterTables(alphabet, m, n)
     chunks = [(frontier >> base & (1 << CHUNK_BITS) - 1).astype(np.intp)
               for base in range(0, m * n, CHUNK_BITS)]
     for tables in alphabet:
@@ -248,6 +238,15 @@ def _successor_bitmap(
             succ |= table[chunk]
         out[succ] = True
     return out
+
+
+def _generation(frontier: np.ndarray, visited: np.ndarray, m: int, n: int, alphabet):
+    """One BFS generation: mark the frontier's successors (alphabet as in
+    _successor_bitmap) in visited, and return the new ones, ascending."""
+    succ = _successor_bitmap(frontier, m, n, alphabet)
+    np.greater(succ, visited, out=succ)  # succ & ~visited, in place
+    visited |= succ
+    return np.flatnonzero(succ).astype(np.uint64)
 
 
 # -- reach report ------------------------------------------------------------
@@ -444,19 +443,15 @@ def bfs_reach(
     n: int,
     alphabet="full",
     *,
-    workers: int = 1,
     checkpoint_dir=None,
     resume: bool = False,
     max_generations: int | None = None,
 ) -> ReachReport:
     """Fixpoint of extremal_step from {(1,1)}; counts reached subsets.
 
-    Workers split each frontier generation into disjoint slices; discovered
-    states merge by set union, so the final report is independent of worker
-    count and visit order. Checkpoints are written once per completed
-    generation when checkpoint_dir is given. A letter list whose s or t
-    does not have degree m or n, or a negative max_generations, raises
-    ValueError.
+    Checkpoints are written once per completed generation when
+    checkpoint_dir is given. A letter list whose s or t does not have
+    degree m or n, or a negative max_generations, raises ValueError.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
@@ -487,26 +482,11 @@ def bfs_reach(
         if checkpoint_dir is not None:
             write_checkpoint(checkpoint_dir, m, n, aid, 0, visited, frontier)
 
-    workers = max(1, workers)
-    letters = alphabet if isinstance(alphabet, str) else _LetterTables(alphabet, m, n)
+    letters = alphabet if isinstance(alphabet, str) else [
+        _chunk_tables(a, m, n) for a in alphabet]
     steps = 0
-    while frontier.size:
-        if max_generations is not None and steps >= max_generations:
-            break
-        if workers == 1 or frontier.size < 2 * workers:
-            succ = _successor_bitmap(frontier, m, n, letters)
-        else:
-            slices = np.array_split(frontier, workers)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(
-                    pool.map(lambda sl: _successor_bitmap(sl, m, n, letters), slices)
-                )
-            succ = parts[0]
-            for part in parts[1:]:
-                succ |= part
-        np.greater(succ, visited, out=succ)  # succ & ~visited, in place
-        visited |= succ
-        frontier = np.flatnonzero(succ).astype(np.uint64)
+    while frontier.size and (max_generations is None or steps < max_generations):
+        frontier = _generation(frontier, visited, m, n, letters)
         generation += 1
         steps += 1
         if checkpoint_dir is not None:
@@ -1062,11 +1042,6 @@ def certify(m: int, n: int) -> Certificate:
 # -- certificate verification ------------------------------------------------
 
 
-def _int_in(x, lo: int, hi: int) -> bool:
-    """x is an int, not a bool, with lo <= x <= hi."""
-    return type(x) is int and lo <= x <= hi
-
-
 def _letter_images(obj, rows: frozenset, cols: frozenset) -> tuple[list, list] | None:
     """(s, t) of a row's letter, or None unless obj is {"s": [...], "t": [...]}
     with len(rows) int images in rows = {1..m} and len(cols) in cols."""
@@ -1249,20 +1224,20 @@ def _check_rows(mi: int, ni: int, table: dict, encs: list[int],
                 bad[enc] = f"{where}{enc}: INITIAL claimed but not {{(1,1)}}"
         elif kind == "SHRINK":
             axis, index = j["axis"], j["index"]
-            if _int_in(index, 1, ni if axis == "column" else mi if axis == "row" else 0):
+            if int_in(index, 1, ni if axis == "column" else mi if axis == "row" else 0):
                 shrink.append((enc, axis == "column", index))
             else:
                 bad[enc] = f"{where}{enc}: SHRINK {axis!r} {index!r} is not an empty line"
         elif kind == "SINGLE_ELEMENT":
             p, q = j["p"], j["q"]
-            if min(mi, ni) >= 2 and _int_in(p, 1, mi) and _int_in(q, 1, ni):
+            if min(mi, ni) >= 2 and int_in(p, 1, mi) and int_in(q, 1, ni):
                 single.append((enc, p, q))
             else:
                 bad[enc] = (f"{where}{enc}: SINGLE_ELEMENT ({p!r},{q!r}) is not a cell "
                             f"of a grid of at least 2x2")
         else:  # CONTAINMENT and PERMUTATION: one edge, pred . letter = S
             pred, images = j["pred"], _letter_images(j["letter"], rows, cols)
-            if not _int_in(pred, 0, (1 << mi * ni) - 1):
+            if not int_in(pred, 0, (1 << mi * ni) - 1):
                 bad[enc] = f"{where}{enc}: {kind} predecessor {pred!r} is outside the grid"
             elif images is None:
                 bad[enc] = (f"{where}{enc}: {kind} letter is not a pair of transformations "
@@ -1309,10 +1284,10 @@ def _family_witnesses(entry: InstanceEntry, failures: list[str]) -> dict | None:
         shaped = isinstance(fam, dict) and fam.keys() == {"columns", "phi"}
         cols, phi = (fam["columns"], fam["phi"]) if shaped else (None, None)
         if not (shaped and isinstance(cols, list)
-                and all(isinstance(c, list) and all(_int_in(i, 1, mi) for i in c)
+                and all(isinstance(c, list) and all(int_in(i, 1, mi) for i in c)
                         for c in cols)
                 and isinstance(phi, list) and len(phi) == mi
-                and all(_int_in(i, 1, mi) for i in phi) and len(set(phi)) == mi):
+                and all(int_in(i, 1, mi) for i in phi) and len(set(phi)) == mi):
             failures.append(f"({mi},{ni}): family {k} is not {{'columns': [[rows]], "
                             f"'phi': [a permutation of 1..{mi}]}}")
             return None
@@ -1441,21 +1416,9 @@ def greedy_alphabet(m: int, n: int) -> list[ExtremalLetter]:
     bound = bound_f(m, n)
     total = 1 << (m * n)
     letters: list[ExtremalLetter] = []
+    tables: list[tuple[np.ndarray, ...]] = []
     in_closure = np.zeros(total, dtype=bool)
     in_closure[1] = True
-
-    tables = _LetterTables([], m, n)
-
-    def closure(current: np.ndarray) -> np.ndarray:
-        reach = current.copy()
-        frontier = np.flatnonzero(reach).astype(np.uint64)
-        while frontier.size:
-            succ = _successor_bitmap(frontier, m, n, tables)
-            np.greater(succ, reach, out=succ)
-            reach |= succ
-            frontier = np.flatnonzero(succ).astype(np.uint64)
-        return reach
-
     while np.count_nonzero(in_closure) < bound:
         closure_states = np.flatnonzero(in_closure).astype(np.uint64)
         best_gain = 0
@@ -1473,5 +1436,7 @@ def greedy_alphabet(m: int, n: int) -> list[ExtremalLetter]:
             )
         letters.append(best_letter)
         tables.append(_chunk_tables(best_letter, m, n))
-        in_closure = closure(in_closure)
+        frontier = closure_states
+        while frontier.size:
+            frontier = _generation(frontier, in_closure, m, n, tables)
     return letters

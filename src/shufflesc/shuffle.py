@@ -250,12 +250,14 @@ def ideal_bound(n: int) -> int:
 
 
 def min_alphabet_lower_bound(m: int, n: int) -> int:
-    """Proven lower bound on |Sigma| for a witness pair meeting f(m,n).
+    """A lower bound on |Sigma| for a witness pair meeting f(m,n): mn-1,
+    and 4 at 2x2, where the exhaustive search (`search 2 2 3`) finds no
+    three-letter witness.
 
-    This is mn-1 in general. For (2,2) the three transformations available
-    for reaching the 2x2 grid subsets force a fourth letter, so the bound
-    sharpens to 4. The bound is known not to be tight in general (for (2,3)
-    the computed minimum alphabet is 6 while the formula gives 5).
+    This is weaker than the paper's abstract, which states that mn letters
+    are needed for all m, n >= 2. That the least alphabet at 2x3 is 6, above
+    the 5 returned here, rests on an uncommitted prototype of a pruned
+    witness search (ROADMAP item 3); no committed run computes it.
     """
     if m < 2 or n < 2:
         raise ValueError("min_alphabet_lower_bound requires m, n >= 2")

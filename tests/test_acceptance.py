@@ -101,7 +101,7 @@ class TestCriterion4Reachability:
 
     @pytest.mark.slow
     def test_4x4_complete(self):
-        report = bfs_reach(4, 4, workers=4)
+        report = bfs_reach(4, 4)
         assert report.complete and report.reached == bound_f(4, 4)
 
 
@@ -222,11 +222,6 @@ class TestCriterion10PropertySuites:
                     rows2, cols2 = projections(S2)
                     assert rows <= rows2 and cols <= cols2
             checked += 1
-
-    def test_bfs_determinism_across_worker_counts(self):
-        serial = bfs_reach(3, 3, workers=1)
-        sharded = bfs_reach(3, 3, workers=4)
-        assert serial == sharded  # elapsed_seconds excluded from equality
 
     def test_checkpoint_resume_equivalence(self, tmp_path):
         interrupted = bfs_reach(

@@ -73,6 +73,10 @@ class TestTransformation:
         with pytest.raises(ValueError):
             apply(T((1, 2)), 3)
 
+    def test_bool_image_rejected(self):
+        with pytest.raises(ValueError, match="image of 1 is True"):
+            T((True, 2))
+
     def test_composition(self):
         s = T((2, 3, 1))
         t = T((1, 1, 2))
@@ -217,6 +221,21 @@ class TestFileFormat:
         with pytest.raises(FormatError) as exc:
             dfa_from_dict(obj)
         assert "transitions" in str(exc.value)
+
+    @pytest.mark.parametrize("where,patch", [
+        ("states", {"states": True}),
+        ("initial", {"initial": True}),
+        ("finals[0]", {"finals": [True]}),
+        ("transitions['a'][0]", {"transitions": {"a": [True, 1]}}),
+    ])
+    def test_bool_is_not_a_state(self, where, patch):
+        obj = {
+            "states": 2, "alphabet": ["a"], "initial": 1,
+            "finals": [2], "transitions": {"a": [2, 1]}, **patch,
+        }
+        with pytest.raises(FormatError) as exc:
+            dfa_from_dict(obj)
+        assert exc.value.where == where
 
     def test_missing_field_diagnostic(self):
         with pytest.raises(FormatError) as exc:

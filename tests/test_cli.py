@@ -138,6 +138,13 @@ class TestReach:
         out = capsys.readouterr().out
         assert "reached  = 400" in out and "complete = true" in out
 
+    def test_workers_option_is_usage_error(self, capsys):
+        # BFS runs in one thread, so there is no --workers option
+        with pytest.raises(SystemExit) as exc:
+            main(["reach", "2", "2", "--workers", "2"])
+        assert exc.value.code == 2  # argparse usage failure
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
     def test_bad_alphabet_path_is_user_error(self, tmp_path):
         assert main([
             "reach", "2", "2", "--alphabet", str(tmp_path / "nope.json")
