@@ -8,12 +8,11 @@ exhaustive witness search over small DFA pairs (search).
 """
 
 from .automata import (
-    CanonicalForm,
     Dfa,
     FormatError,
     Nfa,
     Transformation,
-    canonicalize,
+    canonical_key,
     determinize,
     dfa_from_dict,
     dfa_to_dict,
@@ -44,7 +43,6 @@ from .reach import (
     CheckpointError,
     ExtremalLetter,
     ReachReport,
-    alphabet_sufficiency,
     bfs_reach,
     certify,
     direct_smaller_check,

@@ -313,21 +313,6 @@ def state_complexity(d: Dfa) -> int:
     return minimize(d).state_count
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Total ordering key for a DFA, equal iff isomorphic.
-
-    `letters_complete` is True when the key was minimized over all letter
-    permutations; only then does equality also absorb letter renaming.
-    """
-
-    key: tuple
-    letters_complete: bool
-
-
-MAX_CANONICAL_LETTERS = 8
-
-
 def bfs_key(d: Dfa, letter_order: Sequence[int]) -> tuple:
     """Key of a DFA under state relabeling with the letter order fixed.
 
@@ -345,15 +330,15 @@ def bfs_key(d: Dfa, letter_order: Sequence[int]) -> tuple:
     return (d.state_count, rows, finals)
 
 
-def canonicalize(d: Dfa) -> CanonicalForm:
-    """Canonical form under state relabeling (initial fixed) and, for
-    alphabets up to 8 letters, letter renaming."""
-    d = trim(d)
-    k = len(d.alphabet)
-    if k <= MAX_CANONICAL_LETTERS:
-        best = min(bfs_key(d, perm) for perm in permutations(range(k)))
-        return CanonicalForm(best, True)
-    return CanonicalForm(bfs_key(d, tuple(range(k))), False)
+def canonical_key(*dfas: Dfa, finals: bool = True) -> tuple:
+    """Key of DFAs over one alphabet, equal iff they are isomorphic under
+    state relabeling of each (initial fixed) and one joint letter renaming:
+    the least tuple of their bfs_keys over all letter orders, blind to the
+    final sets unless finals. It costs k! bfs_keys for k letters."""
+    trimmed = [trim(d) for d in dfas]
+    size = 3 if finals else 2
+    return min(tuple(bfs_key(d, perm)[:size] for d in trimmed)
+               for perm in permutations(range(len(dfas[0].alphabet))))
 
 
 # -- DFA file format ---------------------------------------------------------

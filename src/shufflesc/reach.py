@@ -718,52 +718,59 @@ def reduce_permutation(
     orbit classes under the row permutation phi.
 
     Standing assumptions of the underlying lemma: columns pairwise distinct
-    and nonempty, first row with at least two elements. Returns None when
-    the class structure fails; never returns a non-replayable pair.
+    and nonempty, first row with at least two elements.
+
+    Why pred = phi^-1(S without column k) works, k being the first column
+    after column 1 that phi moves: phi permutes the columns of S, so psi,
+    sending column j to the column of S equal to phi^-1(column j), is a
+    permutation. Under (phi; psi) the row part of pred is phi(pred) = S
+    without column k, and the column part moves each column of pred onto
+    an equal column of S, so it stays inside S; column k comes back from
+    the column j of S equal to phi(column k), and j != k as phi moves
+    column k. So pred . (phi; psi) = S, with |column k| fewer members.
+
+    Returns None when the class structure fails, pred is invalid, or the
+    edge does not replay; never returns a non-replayable pair.
     """
     if not is_valid(S):
         raise ValueError("permutation reduction expects a valid subset")
     m, n = S.m, S.n
     if phi.degree != m or not phi.is_permutation():
         raise ValueError("phi must be a permutation of the rows")
-    cols = [S.column(q) for q in range(1, n + 1)]
-    if any(not c for c in cols) or len(set(cols)) != n:
-        return None
-    if len(S.row(1)) < 2:
-        return None
+    rows, cols = _lines(S.bits, m, n)
     col_of = {c: q for q, c in enumerate(cols, start=1)}
-
-    def phi_image(U: frozenset[int]) -> frozenset[int]:
-        return frozenset(phi.apply(i) for i in U)
-
-    for U in cols:
-        if phi_image(U) not in col_of:
-            return None
-    moved = [q for q in range(2, n + 1) if phi_image(cols[q - 1]) != cols[q - 1]]
+    if 0 in col_of or len(col_of) != n or rows[0].bit_count() < 2:
+        return None
+    images = [_row_map(c, phi.images, m, n) for c in cols]
+    if any(U not in col_of for U in images):
+        return None
+    moved = [q for q in range(2, n + 1) if images[q - 1] != cols[q - 1]]
     if not moved:
         return None  # every class is fixed (column 1 alone cannot move)
-    k = moved[0]
-    phi_inv = phi.inverse()
-
-    def phi_inv_image(U: frozenset[int]) -> frozenset[int]:
-        return frozenset(phi_inv.apply(i) for i in U)
-
-    psi_images = [0] * n
-    for j in range(1, n + 1):
-        psi_images[j - 1] = col_of[phi_inv_image(cols[j - 1])]
-    psi = Transformation(tuple(psi_images))
-    pairs = []
-    for j in range(1, n + 1):
-        if j == k:
-            continue
-        for i in phi_inv_image(cols[j - 1]):
-            pairs.append((i, j))
-    smaller = ProductSubset.from_pairs(m, n, pairs)
+    k, inverse = moved[0], phi.inverse().images
+    psi = Transformation(tuple(col_of[_row_map(c, inverse, m, n)] for c in cols))
+    smaller = ProductSubset(m, n, _row_map(S.bits & ~(cols[k - 1] << k - 1), inverse, m, n))
     letter = ExtremalLetter(phi, psi)
-    if not is_valid(smaller):
+    if not is_valid(smaller) or extremal_step(smaller, letter) != S or len(smaller) >= len(S):
         return None
-    assert extremal_step(smaller, letter) == S and len(smaller) < len(S)
     return PermutationReduction(phi, psi, k, smaller, letter)
+
+
+def _first_reductions(encs: Sequence[int], mi: int, ni: int) -> list | None:
+    """The permutation reductions of the valid subsets encs of (mi, ni)
+    under the first row permutation, in permutations order, that reduces
+    them all, or None if none does."""
+    subsets = [ProductSubset(mi, ni, enc) for enc in encs]
+    for phi_images in permutations(range(1, mi + 1)):
+        phi, found = Transformation(phi_images), []
+        for S in subsets:
+            reduction = reduce_permutation(S, phi)
+            if reduction is None:
+                break
+            found.append(reduction)
+        else:
+            return found
+    return None
 
 
 def sperner_limit(m: int) -> int:
@@ -874,11 +881,6 @@ class Certificate:
         return cls.from_dict(json.loads(text))
 
 
-def _first_empty_line(S: ProductSubset) -> tuple[str, int] | None:
-    rule, axis, index, _, _ = _first_rule_of(S, ("SHRINK",))
-    return (_AXES[axis], index) if rule else None
-
-
 def _valid_batches(m: int, n: int) -> Iterator[np.ndarray]:
     """The valid encodings of (m, n) in ascending order, at most TABLE_BATCH
     at a time."""
@@ -889,8 +891,7 @@ def _valid_batches(m: int, n: int) -> Iterator[np.ndarray]:
 
 def _exhaustive_entry(mi: int, ni: int, gaps: list[str]) -> InstanceEntry:
     """A row for every valid subset: the first line rule that applies
-    (_first_rule), else a permutation reduction under the first row
-    permutation phi that gives one."""
+    (_first_rule), else its reduction by _first_reductions."""
     table: dict[str, dict] = {}
     for batch in _valid_batches(mi, ni):
         found = zip(batch.tolist(), *(a.tolist() for a in _first_rule(batch, mi, ni)))
@@ -905,42 +906,14 @@ def _exhaustive_entry(mi: int, ni: int, gaps: list[str]) -> InstanceEntry:
                 row = {"kind": kind, "pred": pred, "letter": {"s": list(s), "t": list(t)}}
             elif kind == "SINGLE_ELEMENT":
                 row = {"kind": kind, "p": i, "q": j}
+            elif reductions := _first_reductions([enc], mi, ni):
+                row = {"kind": "PERMUTATION", "pred": reductions[0].smaller.bits,
+                       "letter": reductions[0].letter.to_dict()}
             else:
-                S = ProductSubset(mi, ni, enc)
-                for phi_images in permutations(range(1, mi + 1)):
-                    perm = reduce_permutation(S, Transformation(phi_images))
-                    if perm is not None:
-                        row = {"kind": "PERMUTATION", "pred": perm.smaller.bits,
-                               "letter": perm.letter.to_dict()}
-                        break
-                else:
-                    gaps.append(f"instance ({mi},{ni}): subset encoding {enc} unjustified")
-                    continue
+                gaps.append(f"instance ({mi},{ni}): subset encoding {enc} unjustified")
+                continue
             table[str(enc)] = row
     return InstanceEntry(mi, ni, STRATEGY_EXHAUSTIVE, {"justifications": table})
-
-
-def _find_family_phi(
-    columns: frozenset[frozenset[int]], mi: int
-) -> Transformation | None:
-    """A nonidentity row permutation whose orbit classes of the column sets
-    are all fully present."""
-    for phi_images in permutations(range(1, mi + 1)):
-        phi = Transformation(phi_images)
-        if all(i == phi.apply(i) for i in range(1, mi + 1)):
-            continue
-        ok = True
-        any_moved = False
-        for U in columns:
-            V = frozenset(phi.apply(i) for i in U)
-            if V not in columns:
-                ok = False
-                break
-            if V != U:
-                any_moved = True
-        if ok and any_moved:
-            return phi
-    return None
 
 
 def _family_scan(
@@ -991,13 +964,14 @@ def _family_entry(mi: int, ni: int, gaps: list[str]) -> InstanceEntry:
     the reduction chain succeeds depends on the arrangement only through
     the member sitting at position 1, so each (column set, position-1
     member) pair is probed on a representative arrangement. Families where
-    the chain bottoms out get a permutation-lemma witness phi recorded.
+    the chain bottoms out record the phi of _first_reductions on their
+    representatives, which the verifier replays on each of them.
     """
     reps_checked, needing = _family_scan(mi, ni)
     families: list[dict] = []
-    for combo, _ in needing:
-        phi = _find_family_phi(frozenset(combo), mi)
-        if phi is None:
+    for combo, reps in needing:
+        found = _first_reductions(reps, mi, ni)
+        if found is None:
             gaps.append(
                 f"instance ({mi},{ni}): column family "
                 f"{sorted(sorted(c) for c in combo)} has no permutation witness"
@@ -1005,7 +979,7 @@ def _family_entry(mi: int, ni: int, gaps: list[str]) -> InstanceEntry:
         else:
             families.append({
                 "columns": sorted(sorted(c) for c in combo),
-                "phi": list(phi.images),
+                "phi": list(found[0].phi.images),
             })
     return InstanceEntry(
         mi, ni, STRATEGY_FAMILY,
@@ -1396,15 +1370,7 @@ def direct_smaller_check(m: int, n: int) -> DirectSmallerReport:
     return DirectSmallerReport(m, n, checked, tuple(exceptions))
 
 
-# -- alphabet sufficiency ----------------------------------------------------
-
-
-def alphabet_sufficiency(
-    m: int, n: int, letters: Sequence[ExtremalLetter]
-) -> bool:
-    """Whether BFS over just these letters reaches every valid subset."""
-    report = bfs_reach(m, n, list(letters))
-    return report.complete
+# -- greedy alphabet ---------------------------------------------------------
 
 
 def greedy_alphabet(m: int, n: int) -> list[ExtremalLetter]:

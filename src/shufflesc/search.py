@@ -5,32 +5,31 @@ s acting on the m-state left DFA and t on the n-state right DFA, plus a
 choice of final sets. Letter order never matters to the shuffle, so
 multisets are generated in nondecreasing canonical order, killing letter
 permutations at the source; remaining symmetry (per-DFA state relabeling
-and joint letter renaming) is removed by canonicalizing reported
-witnesses with automata.bfs_key. The search works on image tuples: each
-multiset gets one subset table (shuffle.cell_successors into
-automata.subset_table), and each final-set choice marks that table's final
-subsets and runs automata.refine on it. The search runs serially in one
-thread. The guard formula deliberately overcounts — it prices the raw
-space before the minimality and reachability filters bite.
+and joint letter renaming) is removed by keying reported witnesses with
+automata.canonical_key. The search works on image tuples: each multiset
+gets one subset table (shuffle.cell_successors into automata.subset_table),
+and each final-set choice marks that table's final subsets and runs
+automata.refine on it. The search runs serially in one thread. The guard
+formula deliberately overcounts — it prices the raw space before the
+minimality and reachability filters bite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
 from string import ascii_lowercase
 
 from .automata import (
     Dfa,
     Transformation,
     _bfs_order,
-    bfs_key,
+    canonical_key,
     refine,
     subset_table,
-    trim,
 )
-from .shuffle import bound_f, cell_successors
+from .shuffle import bound_f, cell_successors, min_alphabet_lower_bound
 
 SEARCH_GUARD_EVALUATIONS = 10**9
 
@@ -94,36 +93,18 @@ def _proper_final_sets(size: int) -> list[frozenset[int]]:
     return out
 
 
-def pair_canonical_key(
-    K: Dfa, L: Dfa, *, allow_swap: bool = False, ignore_finals: bool = False
-) -> tuple:
-    """Canonical key of a witness pair: minimum of the per-DFA relabeling
-    keys over joint renamings of the shared alphabet.
+def pair_canonical_key(K: Dfa, L: Dfa, *, relaxed: bool = False) -> tuple:
+    """canonical_key of a witness pair.
 
-    allow_swap also minimizes over the operand order (sound because the
-    shuffle commutes; only available for equal state counts). ignore_finals
-    drops both final sets from the key — the convention under which the
-    4-letter 2x2 witness is unique: with final sets distinguished, the
-    exhaustive search finds bound-meeting variants of the same transition
-    structure that differ only in which state is final on each side.
+    relaxed drops both final sets from the key and also minimizes over the
+    operand order (sound because the shuffle commutes; only for equal state
+    counts) — the convention under which the 4-letter 2x2 witness is
+    unique: with final sets distinguished, the exhaustive search finds
+    bound-meeting variants of the same transition structure that differ
+    only in which state is final on each side.
     """
-    size = 2 if ignore_finals else 3
-    orders = [(trim(K), trim(L))]
-    if allow_swap and K.state_count == L.state_count:
-        orders.append(orders[0][::-1])
-    return min(
-        (bfs_key(first, perm)[:size], bfs_key(second, perm)[:size])
-        for first, second in orders
-        for perm in permutations(range(len(K.alphabet)))
-    )
-
-
-def right_dfa_canonical_key(L: Dfa) -> tuple:
-    """Canonical key of one DFA under letter renaming and state relabeling,
-    blind to the final set. Unlike canonicalize, it renames letters at
-    every alphabet size."""
-    L = trim(L)
-    return min(bfs_key(L, perm)[:2] for perm in permutations(range(len(L.alphabet))))
+    pairs = [(K, L), (L, K)] if relaxed and K.state_count == L.state_count else [(K, L)]
+    return min(canonical_key(*pair, finals=not relaxed) for pair in pairs)
 
 
 def _guard(space: SearchSpace, force: bool) -> None:
@@ -172,12 +153,11 @@ def max_shuffle_complexity(
     Witnesses attaining the maximum are reported in canonical form, at most
     result_cap of them (a negative cap raises ValueError). One
     representative, the one with the least strict pair_canonical_key,
-    survives per class of pair_canonical_key(K, L, allow_swap=True,
-    ignore_finals=True): operand swap allowed and final sets not
-    distinguished, the convention under which the 4-letter 2x2 witness is
-    unique. stop_at_bound returns as soon as some pair meets bound_f(m, n);
-    the reported maximum is then the bound but the witness list may be
-    truncated early.
+    survives per class of pair_canonical_key(K, L, relaxed=True): operand
+    swap allowed and final sets not distinguished, the convention under
+    which the 4-letter 2x2 witness is unique. stop_at_bound returns as soon
+    as some pair meets bound_f(m, n); the reported maximum is then the
+    bound but the witness list may be truncated early.
     """
     if result_cap < 0:
         raise ValueError(f"result_cap must be >= 0, not {result_cap}")
@@ -224,7 +204,7 @@ def max_shuffle_complexity(
     classes: dict[tuple, tuple] = {}
     for strict_key in sorted(witnesses):
         K, L = witnesses[strict_key]
-        relaxed = pair_canonical_key(K, L, allow_swap=True, ignore_finals=True)
+        relaxed = pair_canonical_key(K, L, relaxed=True)
         classes.setdefault(relaxed, strict_key)
     pairs = [witnesses[classes[key]] for key in sorted(classes)][:result_cap]
     return SearchResult(best, bound, best >= bound, pairs, evaluated)
@@ -234,8 +214,6 @@ def min_witness_alphabet(m: int, n: int, k_range, *, force: bool = False) -> int
     """Smallest letter count in k_range whose best pair meets the bound,
     or None. Values below the proven alphabet lower bound are skipped
     without search."""
-    from .shuffle import min_alphabet_lower_bound
-
     lower = min_alphabet_lower_bound(m, n)
     for k in k_range:
         if k < lower:
@@ -254,4 +232,4 @@ def count_nonisomorphic_witness_right_dfas(m: int, n: int, k: int, *, force: boo
     result = max_shuffle_complexity(m, n, k, result_cap=10**6, force=force)
     if not result.met:
         return 0
-    return len({right_dfa_canonical_key(L) for _, L in result.witnesses})
+    return len({canonical_key(L, finals=False) for _, L in result.witnesses})

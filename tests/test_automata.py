@@ -10,7 +10,7 @@ from shufflesc.automata import (
     Nfa,
     Transformation,
     apply,
-    canonicalize,
+    canonical_key,
     determinize,
     dfa_from_dict,
     dfa_to_dict,
@@ -18,7 +18,6 @@ from shufflesc.automata import (
     dump_dfa,
     minimize,
     state_complexity,
-    trim,
 )
 
 T = Transformation
@@ -181,20 +180,33 @@ class TestCanonicalize:
 
     def test_state_relabel_invariance(self):
         d = Dfa(3, ("a", "b"), (T((2, 3, 1)), T((1, 1, 2))), frozenset([3]))
-        assert canonicalize(trim(d)) == canonicalize(trim(self._swap_states(d)))
+        assert canonical_key(d) == canonical_key(self._swap_states(d))
 
     def test_letter_swap_invariance(self):
         d = Dfa(3, ("a", "b"), (T((2, 3, 1)), T((1, 1, 2))), frozenset([3]))
         swapped = Dfa(3, ("a", "b"), (d.transitions[1], d.transitions[0]),
                       d.finals)
-        assert canonicalize(trim(d)) == canonicalize(trim(swapped))
+        assert canonical_key(d) == canonical_key(swapped)
 
     def test_witness_2x2_left_right_differ(self):
         K = Dfa(2, ("a", "b", "c", "d"),
                 (T((2, 2)), T((2, 1)), T((2, 1)), T((1, 1))), frozenset([2]))
         L = Dfa(2, ("a", "b", "c", "d"),
                 (T((2, 1)), T((1, 1)), T((2, 1)), T((2, 1))), frozenset([2]))
-        assert canonicalize(K) != canonicalize(L)
+        assert canonical_key(K) != canonical_key(L)
+
+    def test_joint_renaming_and_finals(self):
+        K = Dfa(2, ("a", "b"), (T((2, 2)), T((2, 1))), frozenset([2]))
+        L = Dfa(2, ("a", "b"), (T((2, 1)), T((1, 1))), frozenset([1]))
+
+        def swap(d, finals=None):
+            return Dfa(2, ("a", "b"), d.transitions[::-1],
+                       d.finals if finals is None else finals)
+        assert canonical_key(K, L) == canonical_key(swap(K), swap(L))
+        assert canonical_key(K, L) != canonical_key(swap(K), L)
+        assert canonical_key(L) != canonical_key(swap(L, frozenset([2])))
+        assert canonical_key(L, finals=False) == canonical_key(swap(L, frozenset([2])),
+                                                               finals=False)
 
 
 class TestFileFormat:

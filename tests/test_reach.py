@@ -15,7 +15,7 @@ from shufflesc.reach import (
     _checkpoint_name,
     _chunk_tables,
     _drop,
-    _first_empty_line,
+    _first_rule_of,
     _single_element_anchor,
     _successor_bitmap,
     Certificate,
@@ -24,7 +24,6 @@ from shufflesc.reach import (
     ExtremalLetter,
     InstanceEntry,
     bfs_reach,
-    alphabet_sufficiency,
     certify,
     direct_smaller_check,
     dump_letters,
@@ -266,7 +265,7 @@ class TestBfsReach:
         with pytest.raises(ValueError, match=r"letter 1 .*not \(3, 3\)"):
             bfs_reach(3, 3, [good, wrong])
         with pytest.raises(ValueError, match="letter 0"):
-            alphabet_sufficiency(3, 3, [wrong])
+            bfs_reach(3, 3, [wrong])
 
     def test_negative_max_generations_refused(self):
         with pytest.raises(ValueError, match="max_generations"):
@@ -637,7 +636,8 @@ class TestDropMatchesPairs:
         empty_rows = [p for p in range(1, S.m + 1) if not S.row(p)]
         expected = (("column", empty_cols[0]) if empty_cols
                     else ("row", empty_rows[0]) if empty_rows else None)
-        assert _first_empty_line(S) == expected
+        rule, axis, index, _, _ = _first_rule_of(S, ("SHRINK",))
+        assert ((("row", "column")[axis], index) if rule else None) == expected
         if empty_cols and S.n > 1:
             q = data.draw(st.sampled_from(empty_cols))
             assert _drop(S, 0, q) == _shrink_reference(S, "column", q)
@@ -688,6 +688,34 @@ def _single_reference(S):
     return None
 
 
+def _permutation_reference(S, phi):
+    """reduce_permutation on sets of rows, one column at a time: the
+    implementation before it worked on encodings, kept as its reference."""
+    m, n = S.m, S.n
+    cols = [S.column(q) for q in range(1, n + 1)]
+    if any(not c for c in cols) or len(set(cols)) != n or len(S.row(1)) < 2:
+        return None
+    col_of = {c: q for q, c in enumerate(cols, start=1)}
+
+    def image(U, f):
+        return frozenset(f.apply(i) for i in U)
+
+    if any(image(U, phi) not in col_of for U in cols):
+        return None
+    moved = [q for q in range(2, n + 1) if image(cols[q - 1], phi) != cols[q - 1]]
+    if not moved:
+        return None
+    k, phi_inv = moved[0], phi.inverse()
+    psi = T(tuple(col_of[image(U, phi_inv)] for U in cols))
+    smaller = ProductSubset.from_pairs(m, n, [
+        (i, j) for j in range(1, n + 1) if j != k for i in image(cols[j - 1], phi_inv)])
+    if not is_valid(smaller):
+        return None
+    red = reach.PermutationReduction(phi, psi, k, smaller, ExtremalLetter(phi, psi))
+    assert extremal_step(smaller, red.letter) == S and len(smaller) < len(S)
+    return red
+
+
 def _justify_subset(S):
     """One justification row for S by the reduction lemmas, one subset at a
     time: the builder before it worked on arrays, kept as its reference."""
@@ -708,7 +736,7 @@ def _justify_subset(S):
     if single is not None:
         return {"kind": "SINGLE_ELEMENT", "p": single[0], "q": single[1]}
     for phi_images in permutations(range(1, S.m + 1)):
-        perm = reduce_permutation(S, T(phi_images))
+        perm = _permutation_reference(S, T(phi_images))
         if perm is not None:
             return {"kind": "PERMUTATION", "pred": perm.smaller.bits,
                     "letter": perm.letter.to_dict()}
@@ -816,6 +844,24 @@ class TestReducePermutation:
         S = orbit_table_subset(3, [{1, 2}, {1, 3}])
         with pytest.raises(ValueError):
             reduce_permutation(S, T((1, 1, 2)))
+
+    @staticmethod
+    def _assert_matches_reference(S):
+        for phi in permutations(range(1, S.m + 1)):
+            assert reduce_permutation(S, T(phi)) == _permutation_reference(S, T(phi))
+
+    @settings(max_examples=300, deadline=None)
+    @given(subset_strategy(max_m=4, max_n=4))
+    def test_matches_reference(self, S):
+        if is_valid(S):
+            self._assert_matches_reference(S)
+
+    @pytest.mark.parametrize("m,n", [(4, 5), (4, 6), pytest.param(5, 5, marks=pytest.mark.slow)])
+    def test_family_representatives_match_reference(self, m, n):
+        reps = [rep for _, reps in reach._family_scan(m, n)[1] for rep in reps]
+        assert len(reps) == {(4, 5): 30, (4, 6): 6, (5, 5): 2475}[(m, n)]
+        for rep in reps:
+            self._assert_matches_reference(ProductSubset(m, n, rep))
 
 
 class TestSperner:
@@ -1168,6 +1214,20 @@ class TestCertify:
             "1c149edc38e610d41b6fbaea5731c18ddf598fa5e9fb854b70ecb737a450cbce"
         )
 
+    @pytest.mark.slow
+    def test_5x5_certificate(self):
+        cert = certify(5, 5)
+        failures = []
+        assert verify_certificate(cert, failures), failures[:5]
+        entry = cert.entry(5, 5)
+        assert entry.strategy == "FAMILY"
+        assert len(entry.data["families"]) == 495
+        assert entry.data["representatives_checked"] == 775_530
+        text = cert.to_json() + "\n"  # the bytes of `certify 5 5 --out`
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f2ae6269f947a146bd1f7b476cd09a1709771711aab62e400645070451324d01"
+        )
+
 
 class TestDirectSmaller:
     CHECKED = {(2, 2): 5, (3, 3): 387, (2, 4): 173, (3, 4): 3374}
@@ -1187,7 +1247,7 @@ class TestAlphabets:
     def test_shipped_letter_fixture_sufficient(self):
         letters = load_letters(FIXTURES / "letters_3x3.json")
         assert len(letters) == 12
-        assert alphabet_sufficiency(3, 3, letters)
+        assert bfs_reach(3, 3, letters).complete
 
     def test_minimum_extremal_alphabet_2x2_is_three(self):
         # Sharp on both sides: no pair of extremal letters reaches all 10
@@ -1207,11 +1267,11 @@ class TestAlphabets:
 
     def test_greedy_completes_2x2(self):
         letters = greedy_alphabet(2, 2)
-        assert alphabet_sufficiency(2, 2, letters)
+        assert bfs_reach(2, 2, letters).complete
 
     def test_greedy_completes_2x3(self):
         letters = greedy_alphabet(2, 3)
-        assert alphabet_sufficiency(2, 3, letters)
+        assert bfs_reach(2, 3, letters).complete
 
     def test_greedy_2x3_letters_pinned(self):
         assert [(a.s.images, a.t.images) for a in greedy_alphabet(2, 3)] == [
