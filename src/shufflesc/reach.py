@@ -4,8 +4,12 @@ The extremal automaton over the m x n grid carries one input letter for
 every pair of transformations (s, t) from T_m x T_n; a subset S steps to
 {(s(p), q)} union {(p, t(q))} over its members. This module explores that
 automaton exhaustively (BFS in one thread over a dense visited bitmap, with
-checkpoints), and replays the inductive reduction arguments that substitute
-for BFS where exhaustive search is out of reach:
+checkpoints). Over the full alphabet every BFS generation is a union of
+orbits under the permutations of rows 2..m and columns 2..n, so BFS steps
+one subset per orbit and marks the whole orbit visited (_orbit_generation),
+which brings 4x5 and 3x6 within reach. The module also replays the
+inductive reduction arguments that substitute for BFS where exhaustive
+search is out of reach:
 
   * containment reduction: a row/column containing another strips the
     duplicated entries and restores them with a one-point map;
@@ -144,11 +148,12 @@ def extremal_step(S: ProductSubset, a: ExtremalLetter) -> ProductSubset:
 
 # -- the step kernel ---------------------------------------------------------
 #
-# Subsets are encodings: a Python int, or a uint64 array of them. Masks and
-# shifts are Python ints, which keep uint64 arrays uint64 under numpy 2's
-# promotion rules (NEP 50), so the same code steps one subset or many. An
-# image may also be a uint64 array, one image per encoding, so the same code
-# steps many subsets each by its own letter.
+# Subsets are encodings: a Python int, or a uint64 or intp array of them
+# (intp where they index a bitmap, always below 2^24). Masks and shifts are
+# Python ints, which keep an array's dtype under numpy 2's promotion rules
+# (NEP 50), so the same code steps one subset or many. An image may also be
+# a uint64 array, one image per encoding, so the same code steps many
+# subsets each by its own letter.
 
 
 def _row_map(enc, images: Sequence, m: int, n: int):
@@ -187,7 +192,7 @@ def _line_images(x: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         col = (x & colmask << q) >> q
         if col:
             C = {c | col << j for c in C for j in range(n)}
-    return np.fromiter(R, np.uint64, len(R)), np.fromiter(C, np.uint64, len(C))
+    return np.fromiter(R, np.intp, len(R)), np.fromiter(C, np.intp, len(C))
 
 
 def _lines(x, m: int, n: int) -> tuple[list, list]:
@@ -247,6 +252,110 @@ def _generation(frontier: np.ndarray, visited: np.ndarray, m: int, n: int, alpha
     np.greater(succ, visited, out=succ)  # succ & ~visited, in place
     visited |= succ
     return np.flatnonzero(succ).astype(np.uint64)
+
+
+# -- orbits under row and column permutations that fix 1 ----------------------
+#
+# G = S_{m-1} x S_{n-1} acts on subsets by g.S = {(sigma(p), tau(q))}, where
+# sigma permutes rows 2..m and tau columns 2..n; g.S is _col_map(_row_map(S,
+# sigma), tau). Full-alphabet BFS expands one subset per orbit of G.
+
+KEY_BATCH = 4096
+
+
+def _orbit_keys(x: np.ndarray, m: int, n: int) -> np.ndarray:
+    """A key for each encoding in x that is constant on its G-orbit and is
+    itself a member of that orbit.
+
+    For each permutation of the smaller factor's lines 2..k, the other
+    factor's lines 2..k are sorted by mask value, which makes the result
+    the same for every element of the other factor; the key is the least
+    result. Two subsets in one orbit differ by some (sigma, tau), and the
+    minimum over the smaller factor absorbs its part, so they get the same
+    key; a key is g.S for some g, so subsets of two orbits never share one."""
+    rows_first = m <= n
+    shift = 1 if rows_first else n  # from one sorted line to the next
+    key = None
+    for perm in permutations(range(2, min(m, n) + 1)):
+        images = (1, *perm)
+        if rows_first:
+            _, lines = _lines(_row_map(x, images, m, n), m, n)
+        else:
+            lines, _ = _lines(_col_map(x, images, m, n), m, n)
+        rest = lines[1:]
+        # an insertion sorting network of minimum and xor: np.sort would map
+        # numpy's sort code into memory, which BFS touches nowhere else
+        for i in range(1, len(rest)):
+            for j in range(i, 0, -1):
+                low = np.minimum(rest[j - 1], rest[j])
+                rest[j - 1], rest[j] = low, rest[j - 1] ^ rest[j] ^ low
+        y = lines[0]
+        for i, line in enumerate(rest, 1):
+            y = y | line << i * shift
+        key = y if key is None else np.minimum(key, y)
+    return key
+
+
+def _orbit_representatives(x: np.ndarray, bitmap: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The distinct orbit keys of x, ascending. bitmap must be all False; on
+    return it holds exactly those keys."""
+    for start in range(0, x.size, KEY_BATCH):
+        bitmap[_orbit_keys(x[start:start + KEY_BATCH], m, n)] = True
+    return np.flatnonzero(bitmap)
+
+
+def _orbit_generators(m: int, n: int) -> list[tuple]:
+    """(map, images) pairs for the swap (2 3) and the cycle (2 3 ... k) of
+    rows and of columns, which generate G; a factor of order 1 or 2 needs
+    fewer."""
+    gens = []
+    for step, k in ((_row_map, m), (_col_map, n)):
+        if k >= 3:
+            swap, cycle = (1, 3, 2, *range(4, k + 1)), (1, *range(3, k + 1), 2)
+            gens += [(step, images) for images in dict.fromkeys([swap, cycle])]
+    return gens
+
+
+def _mark_orbits(reps: np.ndarray, bitmap: np.ndarray, m: int, n: int) -> None:
+    """Mark the whole G-orbit of each of reps in bitmap, which holds reps
+    already, by closure under _orbit_generators. Each generator is a
+    bijection and its images are filtered against the bitmap before the
+    next one runs, so no encoding enters the frontier twice."""
+    gens = _orbit_generators(m, n)
+    frontier = reps
+    while frontier.size and gens:
+        found = []
+        for step, images in gens:
+            img = step(frontier, images, m, n)
+            img = img[~bitmap[img]]
+            bitmap[img] = True
+            found.append(img)
+        frontier = np.concatenate(found)
+
+
+def _orbit_generation(reps: np.ndarray, visited: np.ndarray, m: int, n: int):
+    """One full-alphabet BFS generation from the orbit representatives of
+    the last one: mark the new generation in visited, and return its
+    representatives and the whole generation, both ascending.
+
+    Each generation is a union of G-orbits, so stepping one subset per
+    orbit is enough. For g in G and a letter a = (s, t), write g a g^-1
+    for (sigma s sigma^-1, tau t tau^-1), again a letter. Then g.(S.a) =
+    (g.S).(g a g^-1): both sides are {(sigma s(p), tau q)} union {(sigma p,
+    tau t(q))} over (p, q) in S. Conjugation by g permutes the full
+    alphabet, and g fixes {(1,1)}, so by induction g maps the subsets at
+    distance d from {(1,1)} onto themselves for every d. Hence the new
+    generation is the union of the orbits of the representatives' new
+    successors, and visited, a union of generations, is a union of orbits.
+    """
+    succ = _successor_bitmap(reps, m, n, "full")
+    np.greater(succ, visited, out=succ)  # succ & ~visited, in place
+    new = np.flatnonzero(succ)
+    succ[new] = False
+    reps = _orbit_representatives(new, succ, m, n)
+    _mark_orbits(reps, succ, m, n)
+    visited |= succ
+    return reps, np.flatnonzero(succ)
 
 
 # -- reach report ------------------------------------------------------------
@@ -482,11 +591,17 @@ def bfs_reach(
         if checkpoint_dir is not None:
             write_checkpoint(checkpoint_dir, m, n, aid, 0, visited, frontier)
 
-    letters = alphabet if isinstance(alphabet, str) else [
-        _chunk_tables(a, m, n) for a in alphabet]
+    full = isinstance(alphabet, str)
+    if full:
+        reps = _orbit_representatives(frontier, np.zeros(total, dtype=bool), m, n)
+    else:
+        letters = [_chunk_tables(a, m, n) for a in alphabet]
     steps = 0
     while frontier.size and (max_generations is None or steps < max_generations):
-        frontier = _generation(frontier, visited, m, n, letters)
+        if full:
+            reps, frontier = _orbit_generation(reps, visited, m, n)
+        else:
+            frontier = _generation(frontier, visited, m, n, letters)
         generation += 1
         steps += 1
         if checkpoint_dir is not None:

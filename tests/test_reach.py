@@ -16,6 +16,7 @@ from shufflesc.reach import (
     _chunk_tables,
     _drop,
     _first_rule_of,
+    _orbit_keys,
     _single_element_anchor,
     _successor_bitmap,
     Certificate,
@@ -23,6 +24,7 @@ from shufflesc.reach import (
     CheckpointError,
     ExtremalLetter,
     InstanceEntry,
+    ReachReport,
     bfs_reach,
     certify,
     direct_smaller_check,
@@ -241,15 +243,44 @@ class TestBfsReach:
     def test_complete_medium(self, m, n):
         assert bfs_reach(m, n).complete
 
-    @pytest.mark.slow
     def test_complete_4x4(self):
         assert bfs_reach(4, 4).complete
 
-    @pytest.mark.slow
     def test_complete_2x7(self):
         report = bfs_reach(2, 7)
         assert report.complete
         assert report.reached == bound_f(2, 7) == 12_224
+
+    @pytest.mark.slow
+    def test_complete_3x6(self):
+        report = bfs_reach(3, 6)
+        assert report.complete
+        assert report.reached == bound_f(3, 6) == 226_304
+
+    @pytest.mark.slow
+    def test_complete_4x5(self):
+        report = bfs_reach(4, 5)
+        assert report.complete
+        assert report.reached == bound_f(4, 5) == 954_368
+
+    @pytest.mark.slow
+    def test_4x5_agrees_with_certificate(self, tmp_path):
+        # two independent proofs that every valid 4x5 subset is reachable:
+        # BFS reaches each one, and the certificate's family rule covers them
+        cert = certify(4, 5)
+        failures = []
+        assert verify_certificate(cert, failures), failures[:5]
+        entry = cert.entry(4, 5)
+        assert entry.strategy == "FAMILY"
+        report = bfs_reach(4, 5, checkpoint_dir=tmp_path)
+        assert report.complete
+        _, visited, _ = read_checkpoint(tmp_path, 4, 5, "full")
+        for family in entry.data["families"]:
+            masks = [sum(1 << (p - 1) * 5 for p in column) for column in family["columns"]]
+            for first in range(5):
+                order = [masks[first]] + masks[:first] + masks[first + 1:]
+                enc = sum(mask << q for q, mask in enumerate(order))
+                assert is_valid(ProductSubset(4, 5, enc)) and visited[enc], family
 
     def test_guard(self):
         with pytest.raises(GridSizeError):
@@ -299,6 +330,112 @@ class TestBfsReach:
         jsonschema.validate(
             bfs_reach(2, 2, [letter([2, 1], [2, 1])]).to_dict(), schema
         )
+
+
+def plain_bfs_reach(m, n, checkpoint_dir=None, max_generations=None):
+    """Full-alphabet BFS that steps every subset of each generation through
+    the kernel, writing the checkpoints bfs_reach writes: the reference for
+    bfs_reach, which steps one subset per orbit."""
+    visited = np.zeros(1 << m * n, dtype=bool)
+    visited[1] = True
+    frontier = np.array([1], dtype=np.uint64)
+    generation = 0
+    if checkpoint_dir is not None:
+        write_checkpoint(checkpoint_dir, m, n, "full", 0, visited, frontier)
+    while frontier.size and (max_generations is None or generation < max_generations):
+        succ = _successor_bitmap(frontier, m, n, "full") & ~visited
+        visited |= succ
+        frontier = np.flatnonzero(succ).astype(np.uint64)
+        generation += 1
+        if checkpoint_dir is not None:
+            write_checkpoint(checkpoint_dir, m, n, "full", generation, visited, frontier)
+    unreached = [enc for enc in all_valid(m, n) if not visited[enc]][:32]
+    reached = int(np.count_nonzero(visited))
+    return ReachReport(
+        m=m, n=n, alphabet="full", alphabet_id="full", bound=bound_f(m, n),
+        reached=reached, complete=reached == bound_f(m, n),
+        unreached_sample=tuple(unreached), lineage=reach._lineage(m, n, "full"),
+        generations=generation, elapsed_seconds=0.0,
+    )
+
+
+def brute_orbit(enc, m, n):
+    """g.S for every g in S_{m-1} x S_{n-1}, from the pairs of S."""
+    pairs = ProductSubset(m, n, enc).pairs()
+    return {
+        sum(1 << (s[p - 1] - 1) * n + t[q - 1] - 1 for p, q in pairs)
+        for s in [(1, *sigma) for sigma in permutations(range(2, m + 1))]
+        for t in [(1, *tau) for tau in permutations(range(2, n + 1))]
+    }
+
+
+def orbit_key(enc, m, n):
+    return int(_orbit_keys(np.array([enc], dtype=np.uint64), m, n)[0])
+
+
+# stepping every subset of a single-line grid maps up to k^j parts for a
+# subset on j of its k cells, so above 10 cells the reference takes seconds
+SMALL_GRIDS = [
+    pytest.param(m, n, marks=pytest.mark.slow) if min(m, n) == 1 and m * n > 10 else (m, n)
+    for m in range(1, 13) for n in range(1, 13) if m * n <= 12
+]
+
+
+class TestOrbitBfs:
+    @pytest.mark.parametrize("m,n", SMALL_GRIDS)
+    def test_matches_plain_bfs(self, m, n, tmp_path):
+        expected = plain_bfs_reach(m, n, tmp_path / "plain")
+        assert bfs_reach(m, n, checkpoint_dir=tmp_path / "orbit") == expected
+        self.assert_same_files(tmp_path / "plain", tmp_path / "orbit")
+
+    def test_matches_plain_bfs_4x4_to_generation_3(self, tmp_path):
+        expected = plain_bfs_reach(4, 4, tmp_path / "plain", max_generations=3)
+        report = bfs_reach(4, 4, checkpoint_dir=tmp_path / "orbit", max_generations=3)
+        assert report == expected
+        self.assert_same_files(tmp_path / "plain", tmp_path / "orbit")
+
+    @staticmethod
+    def assert_same_files(plain, orbit):
+        names = sorted(p.name for p in plain.iterdir())
+        assert names == sorted(p.name for p in orbit.iterdir())
+        for name in names:
+            assert (plain / name).read_bytes() == (orbit / name).read_bytes(), name
+
+    def test_resumes_plain_checkpoint(self, tmp_path):
+        plain_bfs_reach(3, 4, tmp_path, max_generations=2)
+        resumed = bfs_reach(3, 4, checkpoint_dir=tmp_path, resume=True)
+        assert resumed == bfs_reach(3, 4)
+        final = _checkpoint_name(resumed.generations)
+        plain_bfs_reach(3, 4, tmp_path / "plain")
+        assert (tmp_path / final).read_bytes() == (tmp_path / "plain" / final).read_bytes()
+
+    def test_2x12_two_generations(self):
+        # G has 11! elements here; the orbit key enumerates only the row factor
+        report = bfs_reach(2, 12, max_generations=2)
+        assert report.reached == 3280
+        assert report.elapsed_seconds < 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_key_against_brute_force_orbits(self, data):
+        m = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(1, min(4, 12 // m)))
+        enc = data.draw(st.integers(0, (1 << m * n) - 1))
+        other = data.draw(st.integers(0, (1 << m * n) - 1))
+        orbit = brute_orbit(enc, m, n)
+        keys = _orbit_keys(np.array(sorted(orbit), dtype=np.uint64), m, n)
+        key = orbit_key(enc, m, n)
+        assert set(keys.tolist()) == {key}
+        assert key in orbit
+        assert (orbit_key(other, m, n) == key) == (other in orbit)
+
+    @pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (4, 2), (2, 5), (3, 4), (4, 3)])
+    def test_one_key_per_orbit(self, m, n):
+        encs = np.arange(1 << m * n, dtype=np.uint64)
+        keys = _orbit_keys(encs, m, n)
+        orbits = {min(brute_orbit(enc, m, n)) for enc in range(1 << m * n)}
+        assert len(set(keys.tolist())) == len(orbits)
+        assert all(keys[key] == key for key in set(keys.tolist()))
 
 
 class TestCheckpoints:
