@@ -9,7 +9,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .automata import Dfa, Nfa, Transformation, refine, subset_table
+from .automata import Dfa, Nfa, Transformation, subset_complexity
 
 #: Grid enumeration guard: brute-force ops refuse grids with more cells.
 ENUM_GUARD_CELLS = 24
@@ -206,11 +206,11 @@ def shuffle_state_complexity(K: Dfa, L: Dfa) -> int:
     """kappa(K shuffle L): the number of Moore classes of the accessible
     subset automaton of the shuffle NFA, built from cell_successors, a
     subset being final when it meets F_K x F_L."""
-    n = L.state_count
-    succ = cell_successors(_letters(K, L), K.state_count, n)
-    subsets, table = subset_table(succ, 1 << (K.initial - 1) * n + L.initial - 1)
+    m, n = K.state_count, L.state_count
+    succ = cell_successors(_letters(K, L), m, n)
+    start = 1 << (K.initial - 1) * n + L.initial - 1
     final_mask = sum(1 << (p - 1) * n + q - 1 for p in K.finals for q in L.finals)
-    return max(refine(table, [s & final_mask for s in subsets]))
+    return subset_complexity(succ, start, m * n, final_mask)
 
 
 def sigma_star_dfa(alphabet: Iterable[str]) -> Dfa:

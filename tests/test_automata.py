@@ -1,10 +1,16 @@
 import json
+import math
+import random
 from itertools import product
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shufflesc.automata import (
+    ARRAY_BLOCK,
+    ARRAY_MAX_CELLS,
+    ARRAY_MIN_CELLS,
     Dfa,
     FormatError,
     Nfa,
@@ -17,7 +23,13 @@ from shufflesc.automata import (
     load_dfa,
     dump_dfa,
     minimize,
+    refine,
+    refine_array,
     state_complexity,
+    subset_automaton,
+    subset_complexity,
+    subset_table,
+    subset_table_array,
 )
 
 T = Transformation
@@ -164,6 +176,114 @@ class TestMinimize:
     def test_idempotent(self, d):
         once = minimize(d)
         assert minimize(once) == once
+
+
+@st.composite
+def succ_strategy(draw, min_states=9, max_states=20, max_letters=40):
+    """(succ, start, states) of a random NFA whose successor sets all lie in
+    a set A of at most 10 states spread over the encoding, so at most
+    2^10 + 1 subsets are reachable; the start is any single state."""
+    states = draw(st.integers(min_states, max_states))
+    k = draw(st.integers(1, max_letters))
+    targets = draw(st.lists(st.integers(0, states - 1), min_size=1, max_size=10,
+                            unique=True))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    succ = [[sum(1 << q for q in rng.sample(targets, rng.randint(0, len(targets))))
+             for _ in range(states)] for _ in range(k)]
+    return succ, 1 << draw(st.integers(0, states - 1)), states
+
+
+def as_lists(subsets, table):
+    return subsets.tolist(), [tuple(row) for row in table.tolist()]
+
+
+class TestArrayPath:
+    """The array subset table and refinement against the loop, which stays
+    the reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(succ_strategy())
+    def test_subset_table_matches_loop(self, nfa):
+        succ, start, states = nfa
+        subsets, table = subset_table_array(succ, start, states)
+        assert table.dtype == np.int32
+        assert as_lists(subsets, table) == subset_table(succ, start)
+
+    @settings(max_examples=20, deadline=None)
+    @given(succ_strategy(max_states=12, max_letters=4))
+    def test_determinize_on_arrays(self, nfa):
+        succ, start, states = nfa
+        letters = tuple("abcd"[:len(succ)])
+        transitions = tuple(
+            tuple(frozenset(p + 1 for p in range(states) if images[q] >> p & 1)
+                  for images in succ)
+            for q in range(states))
+        det, subsets = determinize(Nfa(states, letters, transitions,
+                                       start.bit_length(), frozenset([states])))
+        masks, table = subset_table(succ, start)
+        assert [sum(1 << q - 1 for q in S) for S in subsets] == masks
+        assert [t.images for t in det.transitions] == list(zip(*table))
+        assert det.finals == {i for i, S in enumerate(subsets, 1) if states in S}
+
+    @settings(max_examples=20, deadline=None)
+    @given(succ_strategy(min_states=33, max_states=ARRAY_MAX_CELLS, max_letters=6))
+    def test_subset_table_matches_loop_on_uint64(self, nfa):
+        succ, start, states = nfa
+        subsets, table = subset_table_array(succ, start, states)
+        assert subsets.dtype == np.uint64
+        assert as_lists(subsets, table) == subset_table(succ, start)
+
+    @st.composite
+    def tables(draw):
+        """A complete table of up to 300 states whose successors take at most
+        `spread` values, so that many states fall in one class."""
+        states = draw(st.integers(1, 300))
+        k = draw(st.integers(1, 6))
+        spread = draw(st.integers(1, states))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        table = rng.integers(1, spread + 1, size=(states, k)).tolist()
+        accepting = (rng.random(states) < draw(st.floats(0, 1))).tolist()
+        return [tuple(row) for row in table], accepting
+
+    @settings(max_examples=100, deadline=None)
+    @given(tables())
+    @example(([(2,), (3,), (1,)], [True] * 3))  # all final
+    @example(([(2, 1), (2, 2)], [False] * 2))  # no final
+    @example(([(2,), (3,), (4,), (4,)], [False, False, True, False]))  # one letter
+    def test_refine_matches_loop(self, args):
+        table, accepting = args
+        block = refine_array(np.array(table, dtype=np.int32), np.array(accepting))
+        assert block.dtype == np.int32
+        assert block.tolist() == refine(table, accepting)
+
+    def test_generation_over_several_blocks(self):
+        # letter q adds state q to any nonempty subset: generation g holds
+        # the C(13, g) subsets of g + 1 states that contain the start state,
+        # so generation 6 steps 1,716 * 14 pairs, more than one block
+        states = 14
+        letters = [5, 0, 13, 2, 9, 11, 1, 7, 4, 12, 3, 10, 6, 8]
+        succ = [[1 << p | 1 << q for p in range(states)] for q in letters]
+        assert math.comb(states - 1, 6) * len(letters) > ARRAY_BLOCK
+        subsets, table = subset_table_array(succ, 1 << 3, states)
+        assert len(subsets) == 1 << states - 1
+        assert as_lists(subsets, table) == subset_table(succ, 1 << 3)
+
+    def test_path_boundary(self):
+        # the letter (q -> q+1 mod states) plus a letter onto {1, 2}
+        def cycle(states):
+            return [[1 << (q + 1) % states for q in range(states)], [3] * states]
+
+        loop = subset_automaton(cycle(ARRAY_MIN_CELLS - 1), 1, ARRAY_MIN_CELLS - 1)
+        arrays = subset_automaton(cycle(ARRAY_MIN_CELLS), 1, ARRAY_MIN_CELLS)
+        assert isinstance(loop[1], list)
+        assert isinstance(arrays[1], np.ndarray)
+        assert as_lists(*arrays) == subset_table(cycle(ARRAY_MIN_CELLS), 1)
+        wide = ARRAY_MAX_CELLS + 1
+        subsets, table = subset_automaton(cycle(wide), 1, wide)
+        assert isinstance(table, list) and len(subsets) == 2 * wide
+        final = 1 << wide - 1
+        assert subset_complexity(cycle(wide), 1, wide, final) == max(
+            refine(table, [s & final for s in subsets]))
 
 
 class TestCanonicalize:

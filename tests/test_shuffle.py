@@ -1,3 +1,8 @@
+import json
+import random
+from itertools import product
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,7 +11,10 @@ from shufflesc.automata import (
     Transformation,
     determinize,
     refine,
+    refine_array,
     state_complexity,
+    subset_table,
+    subset_table_array,
 )
 from shufflesc.shuffle import (
     GridSizeError,
@@ -19,12 +27,14 @@ from shufflesc.shuffle import (
     is_valid,
     min_alphabet_lower_bound,
     okhotin_witness,
+    cell_successors,
     projections,
     shuffle_state_complexity,
     sigma_star_dfa,
 )
 
 T = Transformation
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "shufflesc" / "fixtures"
 
 
 def witness_2x2_pair():
@@ -177,6 +187,50 @@ class TestShuffleComplexity:
         K = Dfa(2, ("a",), (T((2, 1)),), frozenset())
         L = Dfa(2, ("a",), (T((2, 1)),), frozenset([2]))
         assert shuffle_state_complexity(K, L) == 1
+
+    def test_fixture_letters_meet_3x3_with_finals_one(self):
+        # the 12 letters of letters_3x3.json meet f(3, 3) = 400 with final
+        # set {1} on both sides, and with no other of the 36 final-set pairs
+        letters = json.loads((FIXTURES / "letters_3x3.json").read_text())
+        names = tuple(f"x{i}" for i in range(len(letters)))
+        proper = [frozenset(q for q in (1, 2, 3) if bits >> q - 1 & 1)
+                  for bits in range(1, 7)]
+        meeting = []
+        for FK, FL in product(proper, proper):
+            K = Dfa(3, names, tuple(T(tuple(a["s"])) for a in letters), FK)
+            L = Dfa(3, names, tuple(T(tuple(a["t"])) for a in letters), FL)
+            kappa = shuffle_state_complexity(K, L)
+            assert kappa <= bound_f(3, 3) == 400
+            if kappa == 400:
+                meeting.append((FK, FL))
+        assert meeting == [({1}, {1})]
+
+    @pytest.mark.slow
+    def test_array_path_matches_loop_on_random_4x6(self):
+        # a random minimal 4x6 pair over 8 letters, drawn as the benchmark
+        # draws its random pairs: 56,288 subsets and kappa 53,454; the loop
+        # takes about 3 s of the test's 3.4 s on a 2-vCPU VM
+        rng = random.Random(6)
+        while True:
+            ks = [tuple(rng.randint(1, 4) for _ in range(4)) for _ in range(8)]
+            ls = [tuple(rng.randint(1, 6) for _ in range(6)) for _ in range(8)]
+            fk = frozenset(rng.sample(range(1, 5), rng.randint(1, 3)))
+            fl = frozenset(rng.sample(range(1, 7), rng.randint(1, 5)))
+            names = tuple(f"x{i}" for i in range(8))
+            K = Dfa(4, names, tuple(map(T, ks)), fk)
+            L = Dfa(6, names, tuple(map(T, ls)), fl)
+            if state_complexity(K) == 4 and state_complexity(L) == 6:
+                break
+        succ = cell_successors(list(zip(ks, ls)), 4, 6)
+        final = sum(1 << (p - 1) * 6 + q - 1 for p in fk for q in fl)
+        subsets, table = subset_table(succ, 1)
+        kappa = max(refine(table, [s & final for s in subsets]))
+        array_subsets, array_table = subset_table_array(succ, 1, 24)
+        assert array_subsets.tolist() == subsets
+        assert array_table.tolist() == [list(row) for row in table]
+        assert refine_array(array_table, array_subsets & final != 0).max() == kappa
+        assert (len(subsets), kappa) == (56288, 53454)
+        assert shuffle_state_complexity(K, L) == kappa
 
     def test_2x2_witness_subset_automaton_has_ten_reachable(self):
         sh = build_shuffle_nfa(*witness_2x2_pair())
