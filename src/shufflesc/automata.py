@@ -9,17 +9,14 @@ The subset construction and Moore refinement come in two forms that give
 the same subsets, ids and blocks. subset_table and refine loop over one
 (state, letter) pair at a time in Python; subset_table_array steps a
 whole BFS generation, and refine_array a whole refinement round, through
-numpy arrays. numpy costs microseconds per call, so the loop wins on small
-automata and the arrays on large ones. subset_automaton picks the form
-from the NFA's state count alone: the arrays serve 9 to 64 states, the
-loop the rest. At 8 states or fewer there are at most 256 subsets, too few
-for the arrays to repay their per-call cost; above 64 a subset no longer
-fits in a uint64.
-The shuffle complexity of one pair (the `complexity` and `okhotin`
-commands) and determinize go through subset_automaton. The exhaustive
-search builds thousands of tables of a few dozen subsets each and calls
-the loop directly: on arrays `search 2 2 4` took 1.5 to 2.3 s instead of
-0.2 to 0.3 s.
+numpy arrays. subset_complexity, which the shuffle complexity of one pair
+(the `complexity` and `okhotin` commands) goes through, takes the arrays
+for every NFA of up to 64 states, the most a uint64 subset holds, and the
+loop above that. The loop also serves determinize and the exhaustive
+search, which builds thousands of tables of a few dozen subsets each:
+numpy costs microseconds per call, and on arrays `search 2 2 4` took 1.5
+to 2.3 s instead of 0.2 to 0.3 s. The tests keep the loop as the
+reference for the arrays.
 
 States are 1-based everywhere; this convention leaks into file formats and
 reports on purpose, so internal code never exposes 0-based offsets.
@@ -241,13 +238,6 @@ def subset_table(succ, start: int) -> tuple[list[int], list[tuple[int, ...]]]:
     return subsets, table
 
 
-#: NFAs of at most 8 states (at most 256 subsets) take the loop. Each BFS
-#: generation costs the arrays a few dozen numpy calls, whatever its size,
-#: so they lose on small tables: on random shuffle pairs (2-vCPU VM) the
-#: loop took 0.39 against 0.99 ms at 2x4 with 4 letters. From 9 states they
-#: win by more than they can lose: 5.7 against 1.9 ms at 3x3 with 12 letters
-#: (276 subsets), 0.57 against 0.70 ms with 4 letters (84 subsets).
-ARRAY_MIN_CELLS = 9
 #: The arrays hold a subset as one uint64 with a bit per NFA state, so 64
 #: states is the most they can encode.
 ARRAY_MAX_CELLS = 64
@@ -336,21 +326,14 @@ def subset_table_array(succ, start: int, cells: int) -> tuple[np.ndarray, np.nda
     return np.concatenate(subsets), np.concatenate(table)
 
 
-def subset_automaton(succ, start: int, cells: int):
-    """subset_table(succ, start) for an NFA of `cells` states, from the
-    loop as lists or from subset_table_array as arrays: the one place that
-    picks the path, by ARRAY_MIN_CELLS and ARRAY_MAX_CELLS."""
-    if ARRAY_MIN_CELLS <= cells <= ARRAY_MAX_CELLS:
-        return subset_table_array(succ, start, cells)
-    return subset_table(succ, start)
-
-
 def subset_complexity(succ, start: int, cells: int, final_mask: int) -> int:
-    """Number of Moore classes of the accessible subset automaton of
-    subset_automaton, a subset being final when it meets final_mask."""
-    subsets, table = subset_automaton(succ, start, cells)
-    if isinstance(table, np.ndarray):
+    """Number of Moore classes of the accessible subset automaton of an
+    NFA of `cells` states (subset_table's succ and start), a subset being
+    final when it meets final_mask; on arrays up to ARRAY_MAX_CELLS."""
+    if cells <= ARRAY_MAX_CELLS:
+        subsets, table = subset_table_array(succ, start, cells)
         return int(refine_array(table, subsets & final_mask != 0).max())
+    subsets, table = subset_table(succ, start)
     return max(refine(table, [s & final_mask for s in subsets]))
 
 
@@ -362,9 +345,7 @@ def determinize(a: Nfa) -> tuple[Dfa, list[frozenset[int]]]:
     """
     succ = [[sum(1 << s - 1 for s in targets) for targets in letter]
             for letter in zip(*a.transitions)]
-    subsets, table = subset_automaton(succ, 1 << a.initial - 1, a.state_count)
-    if isinstance(table, np.ndarray):  # a Transformation holds Python ints
-        subsets, table = subsets.tolist(), table.tolist()
+    subsets, table = subset_table(succ, 1 << a.initial - 1)
     final_mask = sum(1 << (f - 1) for f in a.finals)
     finals = frozenset(i for i, s in enumerate(subsets, 1) if s & final_mask)
     transitions = tuple(map(Transformation, zip(*table)))

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from shufflesc import automata
 from shufflesc.automata import (
     ARRAY_BLOCK,
     ARRAY_MAX_CELLS,
-    ARRAY_MIN_CELLS,
     Dfa,
     FormatError,
     Nfa,
@@ -26,7 +26,6 @@ from shufflesc.automata import (
     refine,
     refine_array,
     state_complexity,
-    subset_automaton,
     subset_complexity,
     subset_table,
     subset_table_array,
@@ -179,7 +178,7 @@ class TestMinimize:
 
 
 @st.composite
-def succ_strategy(draw, min_states=9, max_states=20, max_letters=40):
+def succ_strategy(draw, min_states=1, max_states=20, max_letters=40):
     """(succ, start, states) of a random NFA whose successor sets all lie in
     a set A of at most 10 states spread over the encoding, so at most
     2^10 + 1 subsets are reachable; the start is any single state."""
@@ -208,22 +207,6 @@ class TestArrayPath:
         subsets, table = subset_table_array(succ, start, states)
         assert table.dtype == np.int32
         assert as_lists(subsets, table) == subset_table(succ, start)
-
-    @settings(max_examples=20, deadline=None)
-    @given(succ_strategy(max_states=12, max_letters=4))
-    def test_determinize_on_arrays(self, nfa):
-        succ, start, states = nfa
-        letters = tuple("abcd"[:len(succ)])
-        transitions = tuple(
-            tuple(frozenset(p + 1 for p in range(states) if images[q] >> p & 1)
-                  for images in succ)
-            for q in range(states))
-        det, subsets = determinize(Nfa(states, letters, transitions,
-                                       start.bit_length(), frozenset([states])))
-        masks, table = subset_table(succ, start)
-        assert [sum(1 << q - 1 for q in S) for S in subsets] == masks
-        assert [t.images for t in det.transitions] == list(zip(*table))
-        assert det.finals == {i for i, S in enumerate(subsets, 1) if states in S}
 
     @settings(max_examples=20, deadline=None)
     @given(succ_strategy(min_states=33, max_states=ARRAY_MAX_CELLS, max_letters=6))
@@ -268,22 +251,28 @@ class TestArrayPath:
         assert len(subsets) == 1 << states - 1
         assert as_lists(subsets, table) == subset_table(succ, 1 << 3)
 
-    def test_path_boundary(self):
+    def test_path_boundary(self, monkeypatch):
         # the letter (q -> q+1 mod states) plus a letter onto {1, 2}
         def cycle(states):
             return [[1 << (q + 1) % states for q in range(states)], [3] * states]
 
-        loop = subset_automaton(cycle(ARRAY_MIN_CELLS - 1), 1, ARRAY_MIN_CELLS - 1)
-        arrays = subset_automaton(cycle(ARRAY_MIN_CELLS), 1, ARRAY_MIN_CELLS)
-        assert isinstance(loop[1], list)
-        assert isinstance(arrays[1], np.ndarray)
-        assert as_lists(*arrays) == subset_table(cycle(ARRAY_MIN_CELLS), 1)
-        wide = ARRAY_MAX_CELLS + 1
-        subsets, table = subset_automaton(cycle(wide), 1, wide)
-        assert isinstance(table, list) and len(subsets) == 2 * wide
-        final = 1 << wide - 1
-        assert subset_complexity(cycle(wide), 1, wide, final) == max(
-            refine(table, [s & final for s in subsets]))
+        cells = []
+        array_table = automata.subset_table_array
+        monkeypatch.setattr(automata, "subset_table_array",
+                            lambda succ, start, states: cells.append(states)
+                            or array_table(succ, start, states))
+        for states in (3, ARRAY_MAX_CELLS, ARRAY_MAX_CELLS + 1):
+            subsets, table = subset_table(cycle(states), 1)
+            assert len(subsets) == 2 * states
+            final = 1 << states - 1
+            assert subset_complexity(cycle(states), 1, states, final) == max(
+                refine(table, [s & final for s in subsets]))
+        assert cells == [3, ARRAY_MAX_CELLS]  # 65 states take the loop
+
+    def test_no_letters(self):
+        subsets, table = subset_table_array([], 1 << 2, 5)
+        assert as_lists(subsets, table) == subset_table([], 1 << 2) == ([4], [()])
+        assert refine_array(table, subsets != 0).tolist() == [1]
 
 
 class TestCanonicalize:
