@@ -27,8 +27,9 @@ instance- or column-family-level rules above that.
 Subsets are integer encodings, and the line rules (empty line, containment,
 single element) run on uint64 arrays of them: a table is built from one
 array pass per batch of subsets, and only the subsets no line rule covers
-go through the permutation search one at a time. The verifier checks each
-row's fields on its own, then replays every kind in batch, so neither side
+go through the permutation search one at a time. A line-rule row stores
+only its kind: the verifier runs the same array pass, requires each row to
+name the rule it finds, and replays every kind in batch, so neither side
 builds an object per subset.
 """
 
@@ -909,13 +910,11 @@ DEFAULT_EXHAUSTIVE_CELLS = 16
 #: holds stay well under the size of the table
 TABLE_BATCH = 4096
 
-#: the fields of each justification row kind; a row holds exactly these
+#: the fields of each justification row kind; a row holds exactly these. A
+#: line-rule row holds only its kind: the verifier derives its claim
 ROW_FIELDS = {
-    "INITIAL": frozenset({"kind"}),
-    "SHRINK": frozenset({"kind", "axis", "index"}),
-    "CONTAINMENT": frozenset({"kind", "pred", "letter"}),
+    **dict.fromkeys(_RULES, frozenset({"kind"})),
     "PERMUTATION": frozenset({"kind", "pred", "letter"}),
-    "SINGLE_ELEMENT": frozenset({"kind", "p", "q"}),
 }
 
 
@@ -952,19 +951,24 @@ class Certificate:
     """Reachability certificate for every instance (m', n') <= (m, n).
 
     Instances of at most DEFAULT_EXHAUSTIVE_CELLS cells carry a table with
-    a row for every valid subset S, holding only the claim the verifier
-    checks (ROW_FIELDS): INITIAL (S = {(1,1)}); SHRINK (an empty line, S
-    without it justified in a smaller instance); CONTAINMENT and PERMUTATION
-    (a justified valid pred, smaller than S, with pred . letter = S);
-    SINGLE_ELEMENT (a cell (p, q) alone in its row and column, S without
-    them justified in the (m-1) x (n-1) instance; the verifier derives the
-    lemma's letter, power and anchor from (p, q) and replays them). Larger
-    instances carry Sperner or column-family rules; none is taken on trust.
+    a row for every valid subset S, holding only what the verifier cannot
+    derive (ROW_FIELDS). A line-rule row holds only its kind, the first
+    rule _first_rule finds for S, and the verifier derives the rest:
+    INITIAL (S = {(1,1)}); SHRINK (the first empty line; S without it is
+    justified in a smaller instance); CONTAINMENT (the first contained
+    line; pred = S without its twins, restored by a one-point letter);
+    SINGLE_ELEMENT (the first cell (p, q) alone in its row and column; S
+    without them is justified in the (m-1) x (n-1) instance, and the
+    lemma's letter, power and anchor for (p, q) replay). A PERMUTATION row,
+    where no line rule applies, stores a pred and a letter: a justified
+    valid pred, smaller than S, with pred . letter = S. Larger instances
+    carry Sperner or column-family rules; none is taken on trust.
 
     Every row points to something strictly smaller, so no chain of rows
-    can cycle: CONTAINMENT and PERMUTATION name a predecessor in the same
-    instance, which the verifier refuses unless it has fewer members than
-    S; SHRINK and SINGLE_ELEMENT point into an instance with smaller m + n.
+    can cycle: CONTAINMENT and PERMUTATION lead to a predecessor in the
+    same instance (derived, or stored), which the verifier refuses unless it
+    has fewer members than S; SHRINK and SINGLE_ELEMENT point into an
+    instance with smaller m + n.
     Chains descend on (m + n, |S|) and end at INITIAL or at an
     instance-level rule (SPERNER, FAMILY).
     """
@@ -1005,29 +1009,18 @@ def _valid_batches(m: int, n: int) -> Iterator[np.ndarray]:
 
 
 def _exhaustive_entry(mi: int, ni: int, gaps: list[str]) -> InstanceEntry:
-    """A row for every valid subset: the first line rule that applies
-    (_first_rule), else its reduction by _first_reductions."""
+    """A row for every valid subset: the name of the first line rule that
+    applies (_first_rule), else its reduction by _first_reductions."""
     table: dict[str, dict] = {}
     for batch in _valid_batches(mi, ni):
-        found = zip(batch.tolist(), *(a.tolist() for a in _first_rule(batch, mi, ni)))
-        for enc, rule, axis, i, j, pred in found:
-            kind = _RULES[rule - 1] if rule else None
-            if kind == "INITIAL":
-                row = {"kind": kind}
-            elif kind == "SHRINK":
-                row = {"kind": kind, "axis": _AXES[axis], "index": i}
-            elif kind == "CONTAINMENT":  # each row gets lists of its own
-                s, t = _point_images(mi, ni, axis, i, j)
-                row = {"kind": kind, "pred": pred, "letter": {"s": list(s), "t": list(t)}}
-            elif kind == "SINGLE_ELEMENT":
-                row = {"kind": kind, "p": i, "q": j}
+        for enc, rule in zip(batch.tolist(), _first_rule(batch, mi, ni)[0].tolist()):
+            if rule:  # each row gets a dict of its own
+                table[str(enc)] = {"kind": _RULES[rule - 1]}
             elif reductions := _first_reductions([enc], mi, ni):
-                row = {"kind": "PERMUTATION", "pred": reductions[0].smaller.bits,
-                       "letter": reductions[0].letter.to_dict()}
+                table[str(enc)] = {"kind": "PERMUTATION", "pred": reductions[0].smaller.bits,
+                                   "letter": reductions[0].letter.to_dict()}
             else:
                 gaps.append(f"instance ({mi},{ni}): subset encoding {enc} unjustified")
-                continue
-            table[str(enc)] = row
     return InstanceEntry(mi, ni, STRATEGY_EXHAUSTIVE, {"justifications": table})
 
 
@@ -1223,81 +1216,62 @@ def _require_dropped(
                            _drop_lines(encs[group], mi, ni, p, q), where, encs[group], bad)
 
 
-def _replay_shrink(tables: _Tables, mi: int, ni: int, rows: list, where: str,
-                   bad: dict[int, str]) -> None:
-    """SHRINK rows (enc, is column, index): the line is empty, and S
-    without it is justified in the instance one line smaller."""
-    if not rows:
-        return
-    encs, is_col, index = zip(*rows)
-    encs, is_col, index = (np.array(encs, np.uint64), np.array(is_col),
-                           np.array(index, np.uint64))
-    lines = np.where(is_col, encs >> index - 1 & col1_mask(mi, ni),
-                     encs >> (index - 1) * ni & (1 << ni) - 1)
-    ok = _record_first(bad, where, encs, [(lines != 0, lambda i: (
-        f"SHRINK {_AXES[int(is_col[i])]!r} {int(index[i])} is not an empty line"))])
-    none = np.zeros_like(index)
-    _require_dropped(tables, mi, ni, encs[ok], np.where(is_col, none, index)[ok],
-                     np.where(is_col, index, none)[ok], where, bad)
-
-
-def _replay_single(tables: _Tables, mi: int, ni: int, rows: list, where: str,
-                   bad: dict[int, str]) -> None:
-    """SINGLE_ELEMENT rows (enc, p, q): the cell is alone in its row and its
-    column, the lemma's anchor replays (once for each cell), and S without
+def _replay_single(tables: _Tables, mi: int, ni: int, encs: np.ndarray, P: np.ndarray,
+                   Q: np.ndarray, where: str, bad: dict[int, str]) -> None:
+    """SINGLE_ELEMENT rows, each subset encs[i] with its lone cell (P[i],
+    Q[i]): the lemma's anchor replays (once for each cell), and S without
     row p and column q is justified in the (mi-1) x (ni-1) instance."""
-    if not rows:
-        return
-    encs, P, Q = (np.array(x, np.uint64) for x in zip(*rows))
-    cross = ((1 << ni) - 1 << (P - 1) * ni) | (col1_mask(mi, ni) << Q - 1)
-    alone = (encs & cross) == 1 << (P - 1) * ni + Q - 1
-    cells = sorted(set(zip(P.tolist(), Q.tolist())))
     anchored = np.zeros(encs.shape, bool)
-    for p, q in cells:
+    for p, q in set(zip(P.tolist(), Q.tolist())):
         letter, power, anchor = _single_element_anchor(mi, ni, p, q)
         probe = ProductSubset(mi, ni, 1)
         for _ in range(power):
             probe = extremal_step(probe, letter)
         anchored[(P == p) & (Q == q)] = probe == anchor
     ok = _record_first(bad, where, encs, [
-        (~alone, lambda i: f"SINGLE_ELEMENT cell ({P[i]},{Q[i]}) not alone"),
-        (~anchored, lambda i: "SINGLE_ELEMENT anchor does not replay"),
-    ])
+        (~anchored, lambda i: "SINGLE_ELEMENT anchor does not replay")])
     _require_dropped(tables, mi, ni, encs[ok], P[ok], Q[ok], where, bad)
 
 
-def _replay_edges(tables: _Tables, mi: int, ni: int, rows: list, where: str,
+def _replay_edges(tables: _Tables, mi: int, ni: int, kind: str, encs: np.ndarray,
+                  preds: np.ndarray, letters: Sequence, where: str,
                   bad: dict[int, str]) -> None:
-    """CONTAINMENT and PERMUTATION rows (enc, kind, pred, s, t): one edge
-    pred . (s, t) = S, stepped with each row's own images, then pred has
-    fewer members than S, is valid, and is justified in the same instance."""
-    if not rows:
+    """Rows of one edge kind, each subset encs[i] with its pred preds[i] and
+    letter letters[i] = (s images, t images): pred . (s, t) = S, stepped with
+    each row's own images, then pred has fewer members than S, is valid,
+    and is justified in the same instance."""
+    if not encs.size:
         return
-    encs, kinds, preds, s, t = zip(*rows)
-    encs, preds = np.array(encs, np.uint64), np.array(preds, np.uint64)
-    s, t = np.array(s, np.uint64).T, np.array(t, np.uint64).T
+    s, t = (np.array(images, np.uint64).T for images in zip(*letters))
     image = _row_map(preds, s, mi, ni) | _col_map(preds, t, mi, ni)
     ok = _record_first(bad, where, encs, [
-        (image != encs, lambda i: f"{kinds[i]} edge does not replay"),
+        (image != encs, lambda i: f"{kind} edge does not replay"),
         (np.bitwise_count(preds) >= np.bitwise_count(encs),
-         lambda i: f"{kinds[i]} predecessor is not smaller"),
+         lambda i: f"{kind} predecessor is not smaller"),
         (((preds & row1_mask(mi, ni)) == 0) | ((preds & col1_mask(mi, ni)) == 0),
-         lambda i: f"{kinds[i]} predecessor is invalid"),
+         lambda i: f"{kind} predecessor is invalid"),
     ])
     _require_justified(tables, mi, ni, preds[ok], where, encs[ok], bad)
 
 
-def _check_rows(mi: int, ni: int, table: dict, encs: list[int],
-                bad: dict[int, str]) -> tuple[list, list, list]:
+def _check_rows(mi: int, ni: int, table: dict, encs: list[int], rule: np.ndarray,
+                bad: dict[int, str]) -> tuple[np.ndarray, list]:
     """The checks of each row of the valid subsets encs on its own: listed,
-    kind, exact fields, int-not-bool fields in range, letter shape. Records
-    a failing row in bad; returns the rest as the SHRINK, SINGLE_ELEMENT and
-    edge rows left to replay."""
+    a known kind with exactly its fields, the kind of the first line rule
+    (rule, from _first_rule) or PERMUTATION where none applies, and a
+    PERMUTATION row's pred in range and letter shape. Records a failing row
+    in bad; returns the mask of the line-rule rows that pass, and the
+    PERMUTATION edges (enc, pred, (s, t)) left to replay."""
     where = f"({mi},{ni}) subset "
     rows, cols = frozenset(range(1, mi + 1)), frozenset(range(1, ni + 1))
-    shrink, single, edges = [], [], []
-    for enc in encs:
+    derived = [None] + [{"kind": kind} for kind in _RULES]
+    passed = np.zeros(len(encs), bool)
+    edges = []
+    for k, (enc, code) in enumerate(zip(encs, rule.tolist())):
         j = table.get(str(enc), _ABSENT)
+        if code and j == derived[code]:
+            passed[k] = True
+            continue
         if j is _ABSENT:
             bad[enc] = f"({mi},{ni}): valid subset {enc} has no justification"
             continue
@@ -1308,23 +1282,11 @@ def _check_rows(mi: int, ni: int, table: dict, encs: list[int],
         elif j.keys() != fields:
             bad[enc] = (f"{where}{enc}: {kind} row has fields {sorted(map(str, j))}, "
                         f"not {sorted(fields)}")
-        elif kind == "INITIAL":
-            if enc != 1:
-                bad[enc] = f"{where}{enc}: INITIAL claimed but not {{(1,1)}}"
-        elif kind == "SHRINK":
-            axis, index = j["axis"], j["index"]
-            if int_in(index, 1, ni if axis == "column" else mi if axis == "row" else 0):
-                shrink.append((enc, axis == "column", index))
-            else:
-                bad[enc] = f"{where}{enc}: SHRINK {axis!r} {index!r} is not an empty line"
-        elif kind == "SINGLE_ELEMENT":
-            p, q = j["p"], j["q"]
-            if min(mi, ni) >= 2 and int_in(p, 1, mi) and int_in(q, 1, ni):
-                single.append((enc, p, q))
-            else:
-                bad[enc] = (f"{where}{enc}: SINGLE_ELEMENT ({p!r},{q!r}) is not a cell "
-                            f"of a grid of at least 2x2")
-        else:  # CONTAINMENT and PERMUTATION: one edge, pred . letter = S
+        elif code:
+            bad[enc] = f"{where}{enc}: {kind} row, but {_RULES[code - 1]} applies first"
+        elif kind != "PERMUTATION":
+            bad[enc] = f"{where}{enc}: {kind} row, but no line rule applies"
+        else:  # one edge, pred . letter = S
             pred, images = j["pred"], _letter_images(j["letter"], rows, cols)
             if not int_in(pred, 0, (1 << mi * ni) - 1):
                 bad[enc] = f"{where}{enc}: {kind} predecessor {pred!r} is outside the grid"
@@ -1332,14 +1294,15 @@ def _check_rows(mi: int, ni: int, table: dict, encs: list[int],
                 bad[enc] = (f"{where}{enc}: {kind} letter is not a pair of transformations "
                             f"of degrees {mi} and {ni}")
             else:
-                edges.append((enc, kind, pred, *images))
-    return shrink, single, edges
+                edges.append((enc, pred, images))
+    return passed, edges
 
 
 def _verify_exhaustive(tables: _Tables, entry: InstanceEntry, failures: list[str]) -> None:
-    """Check each row on its own, then replay each kind in batch. A row
-    reports at most one failure, the first check it fails; failures are
-    listed in ascending order of subset."""
+    """Derive each batch's line rules with _first_rule, check each row on its
+    own against them, then replay each kind in batch. A row reports at most
+    one failure, the first check it fails; failures are listed in ascending
+    order of subset."""
     mi, ni = entry.m, entry.n
     table = _table(entry)
     if table is None:
@@ -1349,10 +1312,21 @@ def _verify_exhaustive(tables: _Tables, entry: InstanceEntry, failures: list[str
     where = f"({mi},{ni}) subset "
     bad: dict[int, str] = {}
     for batch in _valid_batches(mi, ni):
-        shrink, single, edges = _check_rows(mi, ni, table, batch.tolist(), bad)
-        _replay_shrink(tables, mi, ni, shrink, where, bad)
-        _replay_single(tables, mi, ni, single, where, bad)
-        _replay_edges(tables, mi, ni, edges, where, bad)
+        rule, axis, i, j, pred = _first_rule(batch, mi, ni)
+        passed, edges = _check_rows(mi, ni, table, batch.tolist(), rule, bad)
+        shrink, contained, single = (passed & (rule == _RULES.index(kind) + 1)
+                                     for kind in ("SHRINK", "CONTAINMENT", "SINGLE_ELEMENT"))
+        on_column = axis[shrink] == 1
+        _require_dropped(tables, mi, ni, batch[shrink], np.where(on_column, 0, i[shrink]),
+                         np.where(on_column, i[shrink], 0), where, bad)
+        _replay_single(tables, mi, ni, batch[single], i[single], j[single], where, bad)
+        letters = [_point_images(mi, ni, *c) for c in
+                   zip(*(a[contained].tolist() for a in (axis, i, j)))]
+        _replay_edges(tables, mi, ni, "CONTAINMENT", batch[contained], pred[contained],
+                      letters, where, bad)
+        encs, preds, letters = zip(*edges) if edges else ((), (), ())
+        _replay_edges(tables, mi, ni, "PERMUTATION", np.array(encs, np.uint64),
+                      np.array(preds, np.uint64), letters, where, bad)
     failures.extend(bad[enc] for enc in sorted(bad))
     extra = len(table) - int(np.count_nonzero(listed))
     if extra:
@@ -1423,7 +1397,12 @@ def verify_certificate(
                 failures.append(f"missing instance entry ({mi},{ni})")
     for entry in c.entries:
         mi, ni = entry.m, entry.n
-        if entry.strategy == STRATEGY_SPERNER:
+        if not (int_in(mi, 1, c.m) and int_in(ni, 1, c.n)):
+            failures.append(f"({mi},{ni}): entry outside the {c.m}x{c.n} grid")
+        elif entry.strategy == STRATEGY_EXHAUSTIVE and mi * ni > ENUM_GUARD_CELLS:
+            failures.append(f"({mi},{ni}): EXHAUSTIVE entry beyond the "
+                            f"{ENUM_GUARD_CELLS}-cell guard")
+        elif entry.strategy == STRATEGY_SPERNER:
             axis = entry.data.get("axis") if isinstance(entry.data, dict) else None
             if axis == "column":
                 if ni <= sperner_limit(mi):

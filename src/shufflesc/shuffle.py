@@ -182,10 +182,12 @@ def cell_successors(letters, m: int, n: int) -> list[list[int]]:
 
 
 def _letters(K: Dfa, L: Dfa) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The joint letters (s images, t images) of a pair over one alphabet."""
-    if K.alphabet != L.alphabet:
+    """The joint letters (s images, t images) of a pair over one alphabet,
+    in K's letter order: L may list the same letters in another order."""
+    if set(K.alphabet) != set(L.alphabet):
         raise ValueError(f"alphabet mismatch: {list(K.alphabet)} vs {list(L.alphabet)}")
-    return [(s.images, t.images) for s, t in zip(K.transitions, L.transitions)]
+    t_of = dict(zip(L.alphabet, L.transitions))
+    return [(s.images, t_of[x].images) for x, s in zip(K.alphabet, K.transitions)]
 
 
 def build_shuffle_nfa(K: Dfa, L: Dfa) -> ShuffleNfa:

@@ -82,6 +82,17 @@ class TestComplexity:
         out = capsys.readouterr().out
         assert "kappa(K shuffle L) = 44" in out and "bound met" in out
 
+    def test_right_alphabet_in_another_order(self, tmp_path, capsys):
+        right = json.loads((FIXTURES / "witness_2x3_right.json").read_text())
+        right["alphabet"].reverse()
+        (tmp_path / "l.json").write_text(json.dumps(right))
+        code = main([
+            "complexity", str(FIXTURES / "witness_2x3_left.json"), str(tmp_path / "l.json")
+        ])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert "kappa(K shuffle L) = 44" in out and "bound met" in out
+
     def test_bound_not_met_is_success(self, tmp_path, capsys):
         d = Dfa(
             2,
@@ -213,7 +224,7 @@ class TestCertify:
         assert payload["verified"] is True and "base_facts" not in payload
         assert set(payload["strategies"].values()) == {"EXHAUSTIVE"}  # none trusted
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "8f54fdb5b03e2e74a09fdd9363b296b5b31cbcd142db3520ccd438061560f3f6"
+            "263acccdae033674d3ad961670cf303e39ca8caf97ca49a3223775ff825d6048"
         )
 
     @pytest.mark.parametrize("m,n", [("0", "0"), ("2", "-1")])

@@ -853,25 +853,34 @@ def _permutation_reference(S, phi):
     return red
 
 
-def _justify_subset(S):
-    """One justification row for S by the reduction lemmas, one subset at a
-    time: the builder before it worked on arrays, kept as its reference."""
+def _first_rule_reference(S):
+    """(kind, axis, i, j, pred) of the first line rule for S, one subset at a
+    time, in _first_rule's terms (axis 0 row, 1 column; 0 for a field the
+    rule does not set); kind None when no line rule applies."""
     if S.bits == 1:
-        return {"kind": "INITIAL"}
+        return "INITIAL", 0, 0, 0, 0
     empty_cols = [q for q in range(1, S.n + 1) if not S.column(q)]
     empty_rows = [p for p in range(1, S.m + 1) if not S.row(p)]
     if empty_cols or empty_rows:
-        axis, index = ("column", empty_cols[0]) if empty_cols else ("row", empty_rows[0])
-        return {"kind": "SHRINK", "axis": axis, "index": index}
+        return ("SHRINK", 1, empty_cols[0], 0, 0) if empty_cols else (
+            "SHRINK", 0, empty_rows[0], 0, 0)
     red = _containment_reference(S)
     if red is not None:
         axis, inner, outer, pred = red
-        s, t = list(range(1, S.m + 1)), list(range(1, S.n + 1))
-        (s if axis == "row" else t)[inner - 1] = outer
-        return {"kind": "CONTAINMENT", "pred": pred, "letter": {"s": s, "t": t}}
+        return "CONTAINMENT", ("row", "column").index(axis), inner, outer, pred
     single = _single_reference(S) if min(S.m, S.n) >= 2 else None
     if single is not None:
-        return {"kind": "SINGLE_ELEMENT", "p": single[0], "q": single[1]}
+        return "SINGLE_ELEMENT", 0, *single, 0
+    return None, 0, 0, 0, 0
+
+
+def _justify_subset(S, kind):
+    """One justification row for S by the reduction lemmas, one subset at a
+    time: the builder before it worked on arrays, kept as its reference.
+    kind is the first line rule for S (_first_rule_reference), and a
+    line-rule row holds only that."""
+    if kind is not None:
+        return {"kind": kind}
     for phi_images in permutations(range(1, S.m + 1)):
         perm = _permutation_reference(S, T(phi_images))
         if perm is not None:
@@ -909,10 +918,16 @@ class TestBatchedRulesMatchReference:
         gaps = []
         table = reach._exhaustive_entry(m, n, gaps).data["justifications"]
         assert gaps == []
-        want = {str(enc): _justify_subset(ProductSubset(m, n, enc))
-                for chunk in valid_encodings(m, n) for enc in chunk.tolist()}
+        encs = np.concatenate(list(valid_encodings(m, n)))
+        subsets = [ProductSubset(m, n, enc) for enc in encs.tolist()]
+        first = [_first_rule_reference(S) for S in subsets]
+        want = {str(S.bits): _justify_subset(S, f[0]) for S, f in zip(subsets, first)}
         assert list(table) == list(want)
         assert table == want
+        # the fields a line-rule row no longer stores, as the verifier derives them
+        rule, *fields = (a.tolist() for a in reach._first_rule(encs, m, n))
+        kinds = [reach._RULES[r - 1] if r else None for r in rule]
+        assert list(zip(kinds, *fields)) == first
 
     @pytest.mark.parametrize("m,n", [(4, 5), (4, 6)])
     def test_family_scan(self, m, n):
@@ -1077,39 +1092,62 @@ class TestCertify:
         )
         jsonschema.validate(certify(2, 3).to_dict(), schema)
 
+    # Rows of certify(3, 3) corrupted below, one kind each: 1 (INITIAL), 3 =
+    # {(1,1),(1,2)} (SHRINK column 3), 84 = {(1,3),(2,2),(3,1)}
+    # (SINGLE_ELEMENT (1,3)), 78 (CONTAINMENT, pred 14) and 238 (PERMUTATION,
+    # the first subset of (3,3) that no line rule covers; pred 332).
+    @staticmethod
+    def _rows_3x3():
+        cert = certify(3, 3)
+        table = cert.entry(3, 3).data["justifications"]
+        kinds = [table[k]["kind"] for k in ("1", "3", "84", "78", "238")]
+        assert kinds == ["INITIAL", "SHRINK", "SINGLE_ELEMENT", "CONTAINMENT", "PERMUTATION"]
+        assert table["238"] == {"kind": "PERMUTATION", "pred": 332,
+                                "letter": {"s": [1, 3, 2], "t": [1, 3, 2]}}
+        return cert, table
+
     def test_corrupted_letter_detected(self):
-        cert = certify(2, 2)
-        table = cert.entry(2, 2).data["justifications"]
-        enc, j = next((k, j) for k, j in table.items() if j["kind"] == "CONTAINMENT")
-        j["letter"] = {"s": [1, 2], "t": [1, 2]}
+        cert, table = self._rows_3x3()
+        table["238"]["letter"] = {"s": [1, 1, 1], "t": [1, 1, 1]}
         failures = []
         assert not verify_certificate(cert, failures)
-        assert failures == [f"(2,2) subset {enc}: CONTAINMENT edge does not replay"]
+        assert failures == ["(3,3) subset 238: PERMUTATION edge does not replay"]
 
-    @pytest.mark.parametrize("kind,corrupt,message", [
-        ("SINGLE_ELEMENT", lambda j: j.update(p=0),
-         "SINGLE_ELEMENT (0,2) is not a cell of a grid of at least 2x2"),
-        ("CONTAINMENT", lambda j: j.update(pred=2**10),
-         "CONTAINMENT predecessor 1024 is outside the grid"),
-        ("CONTAINMENT", lambda j: j.update(pred=-1),
-         "CONTAINMENT predecessor -1 is outside the grid"),
-        ("CONTAINMENT", lambda j: j["letter"].update(s=[1]),
-         "CONTAINMENT letter is not a pair of transformations of degrees 2 and 2"),
-        ("CONTAINMENT", lambda j: j["letter"].update(t=[0, 1]),
-         "CONTAINMENT letter is not a pair of transformations of degrees 2 and 2"),
-        ("CONTAINMENT", lambda j: j.pop("letter"),
-         "CONTAINMENT row has fields ['kind', 'pred'], not ['kind', 'letter', 'pred']"),
-        ("SHRINK", lambda j: j.update(index="1"), "SHRINK 'row' '1' is not an empty line"),
-    ], ids=["p_0", "pred_2_10", "pred_negative", "letter_degree", "letter_image_0",
-            "letter_missing", "index_str"])
-    def test_malformed_row_refused(self, kind, corrupt, message):
-        cert = certify(2, 2)
-        table = cert.entry(2, 2).data["justifications"]
-        enc, j = next((k, j) for k, j in table.items() if j["kind"] == kind)
-        corrupt(j)
+    @pytest.mark.parametrize("enc,corrupt,message", [
+        ("238", lambda j: j.update(pred=2**10),
+         "PERMUTATION predecessor 1024 is outside the grid"),
+        ("238", lambda j: j.update(pred=-1),
+         "PERMUTATION predecessor -1 is outside the grid"),
+        ("238", lambda j: j["letter"].update(s=[1]),
+         "PERMUTATION letter is not a pair of transformations of degrees 3 and 3"),
+        ("238", lambda j: j["letter"].update(t=[0, 1, 2]),
+         "PERMUTATION letter is not a pair of transformations of degrees 3 and 3"),
+        ("238", lambda j: j.pop("letter"),
+         "PERMUTATION row has fields ['kind', 'pred'], not ['kind', 'letter', 'pred']"),
+        ("1", lambda j: j.update(pred=0), "INITIAL row has fields ['kind', 'pred'], not ['kind']"),
+        ("3", lambda j: j.update(axis="column", index=3),
+         "SHRINK row has fields ['axis', 'index', 'kind'], not ['kind']"),
+        ("84", lambda j: j.update(p=1, q=3),
+         "SINGLE_ELEMENT row has fields ['kind', 'p', 'q'], not ['kind']"),
+        ("78", lambda j: j.update(pred=14, letter={"s": [1, 2, 3], "t": [1, 2, 3]}),
+         "CONTAINMENT row has fields ['kind', 'letter', 'pred'], not ['kind']"),
+        ("3", lambda j: j.update(kind="SINGLE_ELEMENT"),
+         "SINGLE_ELEMENT row, but SHRINK applies first"),
+        ("78", lambda j: j.update(kind="PERMUTATION", pred=14,
+                                  letter={"s": [1, 2, 3], "t": [1, 2, 3]}),
+         "PERMUTATION row, but CONTAINMENT applies first"),
+        ("238", lambda j: j.clear() or j.update(kind="CONTAINMENT"),
+         "CONTAINMENT row, but no line rule applies"),
+    ], ids=["pred_2_10", "pred_negative", "letter_degree", "letter_image_0", "letter_missing",
+            "initial_extra_field", "shrink_extra_fields", "single_extra_fields",
+            "containment_extra_fields", "not_the_first_rule", "permutation_not_the_first_rule",
+            "line_rule_uncovered"])
+    def test_malformed_row_refused(self, enc, corrupt, message):
+        cert, table = self._rows_3x3()
+        corrupt(table[enc])
         failures = []
         assert verify_certificate(cert, failures) is False
-        assert failures == [f"(2,2) subset {enc}: {message}"]
+        assert failures == [f"(3,3) subset {enc}: {message}"]
 
     def test_exhaustive_entry_without_table_refused(self):
         cert = certify(2, 2)
@@ -1199,6 +1237,29 @@ class TestCertify:
         assert verify_certificate(Certificate(1, 1, [entry]), failures) is False
         assert failures == [message]
 
+    @pytest.mark.parametrize("m,n,entry,message", [
+        (2, 2, InstanceEntry(0, 2, "EXHAUSTIVE", {"justifications": {}}),
+         "(0,2): entry outside the 2x2 grid"),
+        (2, 2, InstanceEntry(-1, 2, "SPERNER", {"axis": "column"}),
+         "(-1,2): entry outside the 2x2 grid"),
+        (2, 2, InstanceEntry(5, 5, "EXHAUSTIVE", {"justifications": {}}),
+         "(5,5): entry outside the 2x2 grid"),
+        (2, 2, InstanceEntry(0, 3, "FAMILY", {"families": []}),
+         "(0,3): entry outside the 2x2 grid"),
+        (2, 2, InstanceEntry(2, 3, "SPERNER", {"axis": "column"}),
+         "(2,3): entry outside the 2x2 grid"),
+        (1, 25, InstanceEntry(1, 25, "EXHAUSTIVE", {"justifications": {}}),
+         "(1,25): EXHAUSTIVE entry beyond the 24-cell guard"),
+    ], ids=["row_0", "row_negative", "beyond_both", "family_row_0", "beyond_n", "guard"])
+    def test_entry_outside_the_grid_refused(self, m, n, entry, message):
+        # these raised from valid_encodings, sperner_limit or the cell guard,
+        # or verified
+        cert = certify(m, n)
+        cert.entries.append(entry)
+        failures = []
+        assert verify_certificate(cert, failures) is False
+        assert failures == [message]
+
     def test_sperner_data_list_refused(self):
         cert = certify(3, 6)
         assert cert.entry(3, 6).strategy == "SPERNER"
@@ -1207,22 +1268,22 @@ class TestCertify:
         assert verify_certificate(cert, failures) is False
         assert failures == ["(3,6): Sperner rule with unknown axis"]
 
-    # Rows of certify(3, 3) corrupted below, one kind each: 3 = {(1,1),(1,2)}
-    # (SHRINK column 3), 84 = {(1,3),(2,1),(3,1)} (SINGLE_ELEMENT (1,3)), 238
-    # (PERMUTATION) and 78 (CONTAINMENT, pred 14). The expected lines are
-    # those of the one-row-at-a-time verifier the batched replay replaced.
+    # Corruptions of certify(3, 3), rows as in _rows_3x3: shrink_sub_missing
+    # drops the (3,2) row that 3 and 5 shrink to, containment_pred_missing
+    # the pred 14 of 78 and 398. The replay lines are those of the
+    # one-row-at-a-time verifier the batched replay replaced.
     REPLAY_CORRUPTIONS = {
-        "shrink_line_not_empty": (
-            lambda t: t[3, 3]["3"].update(index=1),
-            ["(3,3) subset 3: SHRINK 'column' 1 is not an empty line"]),
+        "shrink_row_with_fields": (
+            lambda t: t[3, 3]["3"].update(axis="column", index=1),
+            ["(3,3) subset 3: SHRINK row has fields ['axis', 'index', 'kind'], not ['kind']"]),
         "shrink_sub_missing": (
             lambda t: t[3, 2].pop("3"),
             ["(3,2): valid subset 3 has no justification",
              "(3,3) subset 3: referenced subset 3 of (3,2) is unjustified",
              "(3,3) subset 5: referenced subset 3 of (3,2) is unjustified"]),
-        "single_not_alone": (
-            lambda t: t[3, 3]["84"].update(p=1, q=1),
-            ["(3,3) subset 84: SINGLE_ELEMENT cell (1,1) not alone"]),
+        "single_names_shrink": (
+            lambda t: t[3, 3]["84"].update(kind="SHRINK"),
+            ["(3,3) subset 84: SHRINK row, but SINGLE_ELEMENT applies first"]),
         "permutation_not_smaller": (
             lambda t: t[3, 3]["238"].update(pred=238, letter={"s": [1, 2, 3], "t": [1, 2, 3]}),
             ["(3,3) subset 238: PERMUTATION predecessor is not smaller"]),
@@ -1242,11 +1303,9 @@ class TestCertify:
     @pytest.mark.parametrize("name", list(REPLAY_CORRUPTIONS))
     def test_each_replay_check_refuses(self, name):
         corrupt, expected = self.REPLAY_CORRUPTIONS[name]
-        cert = certify(3, 3)
+        cert, _ = self._rows_3x3()
         tables = {(e.m, e.n): e.data["justifications"] for e in cert.entries}
-        kinds = [tables[3, 3][k]["kind"] for k in ("3", "84", "238", "78")]
-        assert kinds == ["SHRINK", "SINGLE_ELEMENT", "PERMUTATION", "CONTAINMENT"]
-        assert tables[3, 3]["78"]["pred"] == 14
+        assert reach._first_rule(np.array([78], np.uint64), 3, 3)[4].tolist() == [14]
         corrupt(tables)
         failures = []
         assert verify_certificate(cert, failures) is False
@@ -1263,7 +1322,7 @@ class TestCertify:
         assert [f for f in failures if "BASE" in f] == base
         assert len(failures) == len(base) + 8
         assert "(1,3) subset 3: SHRINK row has fields ['axis', 'index', 'kind', " \
-            "'sub_encoding', 'sub_m', 'sub_n'], not ['axis', 'index', 'kind']" in failures
+            "'sub_encoding', 'sub_m', 'sub_n'], not ['kind']" in failures
         assert all("row has fields" in f for f in failures if f not in base)
 
     def test_single_element_row_with_stored_anchor_refused(self):
@@ -1294,26 +1353,32 @@ class TestCertify:
         assert failures == [f"(2,2) subset {enc}: SINGLE_ELEMENT anchor does not replay"
                             for enc in (6, 9)]
 
-    def test_containment_without_shrinking_refused(self):
-        # pred = S under the identity letter replays, but does not descend
-        cert = certify(2, 2)
-        table = cert.entry(2, 2).data["justifications"]
-        enc, j = next((k, j) for k, j in table.items() if j["kind"] == "CONTAINMENT")
-        j["pred"] = int(enc)
-        j["letter"] = {"s": [1, 2], "t": [1, 2]}
+    def test_single_element_drop_is_justified(self):
+        # 6 = {(1,2),(2,1)} of (2,2) is what 84, 98 and 161 of (3,3) drop to
+        cert = certify(3, 3)
+        cert.entry(2, 2).data["justifications"].pop("6")
         failures = []
         assert not verify_certificate(cert, failures)
-        assert failures == [f"(2,2) subset {enc}: CONTAINMENT predecessor is not smaller"]
+        assert [f for f in failures if f.startswith("(3,3)")] == [
+            f"(3,3) subset {enc}: referenced subset 6 of (2,2) is unjustified"
+            for enc in (84, 98, 161)]
+
+    def test_containment_without_shrinking_refused(self):
+        # an edge from 245, as large as 238 and justified, replays but does
+        # not descend
+        cert, table = self._rows_3x3()
+        table["238"].update(pred=245, letter={"s": [2, 1, 3], "t": [2, 1, 3]})
+        failures = []
+        assert not verify_certificate(cert, failures)
+        assert failures == ["(3,3) subset 238: PERMUTATION predecessor is not smaller"]
 
     def test_bfs_edge_refused(self):
         # a replaying edge under a kind the certificate layer never writes
-        cert = certify(2, 2)
-        table = cert.entry(2, 2).data["justifications"]
-        enc, j = next((k, j) for k, j in table.items() if j["kind"] == "CONTAINMENT")
-        table[enc] = {"kind": "BFS_EDGE", "pred": j["pred"], "letter": j["letter"]}
+        cert, table = self._rows_3x3()
+        table["238"]["kind"] = "BFS_EDGE"
         failures = []
         assert not verify_certificate(cert, failures)
-        assert failures == [f"(2,2) subset {enc}: unknown justification kind 'BFS_EDGE'"]
+        assert failures == ["(3,3) subset 238: unknown justification kind 'BFS_EDGE'"]
 
     @pytest.mark.parametrize("m,n", [(0, 0), (2, -1), (0, 3)])
     def test_no_instance_refused(self, m, n):
@@ -1348,7 +1413,7 @@ class TestCertify:
         assert verify_certificate(cert, failures), failures[:5]
         text = cert.to_json() + "\n"  # the bytes of `certify 4 8 --out`
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "1c149edc38e610d41b6fbaea5731c18ddf598fa5e9fb854b70ecb737a450cbce"
+            "9382e44a10ec6268cbd1b5a0b1fe8c7c43eb121ef9ed5d1e1818cc5a4218e2ab"
         )
 
     @pytest.mark.slow
@@ -1362,7 +1427,7 @@ class TestCertify:
         assert entry.data["representatives_checked"] == 775_530
         text = cert.to_json() + "\n"  # the bytes of `certify 5 5 --out`
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "f2ae6269f947a146bd1f7b476cd09a1709771711aab62e400645070451324d01"
+            "c34f02e2e42c8c1ffc2120fa743cd4b3b47195e13c3dff388fe8bed6cb6777a8"
         )
 
 

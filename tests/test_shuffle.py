@@ -175,6 +175,18 @@ class TestShuffleNfa:
         with pytest.raises(ValueError, match="alphabet mismatch"):
             shuffle_state_complexity(K, L)
 
+    def test_alphabet_in_another_order(self):
+        # a DFA file keys its transitions by letter name, so the letter order
+        # of its alphabet list carries no meaning
+        K, L = witness_2x3_pair()
+        order = [5, 3, 0, 4, 1, 2]
+        reordered = Dfa(L.state_count, tuple(L.alphabet[i] for i in order),
+                        tuple(L.transitions[i] for i in order), L.finals)
+        assert reordered.alphabet != K.alphabet
+        assert shuffle_state_complexity(K, reordered) == shuffle_state_complexity(K, L) == 44
+        assert (build_shuffle_nfa(K, reordered).nfa.transitions
+                == build_shuffle_nfa(K, L).nfa.transitions)
+
 
 class TestShuffleComplexity:
     def test_2x2_witness_meets_bound(self):
