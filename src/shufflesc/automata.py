@@ -18,6 +18,12 @@ numpy costs microseconds per call, and on arrays `search 2 2 4` took 1.5
 to 2.3 s instead of 0.2 to 0.3 s. The tests keep the loop as the
 reference for the arrays.
 
+The arrays step subsets through _step_tables, the successors of every
+value of each fixed-width chunk of an encoding. It is the one subset-step
+kernel of the package: the letter-list BFS of reach builds its per-letter
+tables with it too, with 12-bit chunks where the complexity reads 8-bit
+ones, because each caller ran slower with the other's width.
+
 States are 1-based everywhere; this convention leaks into file formats and
 reports on purpose, so internal code never exposes 0-based offsets.
 """
@@ -27,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -68,9 +74,6 @@ class Transformation:
             raise ValueError(f"state {q} out of range 1..{self.degree}")
         return self.images[q - 1]
 
-    def __call__(self, q: int) -> int:
-        return self.apply(q)
-
     def then(self, other: "Transformation") -> "Transformation":
         """Composition: first self, then other."""
         if other.degree != self.degree:
@@ -107,9 +110,12 @@ class Transformation:
         return Transformation(tuple(images))
 
 
-def apply(t: Transformation, q: int) -> int:
-    """Image of state q under t."""
-    return t.apply(q)
+def _letter_at(alphabet: tuple[str, ...], x: str) -> int:
+    """Position of letter x in alphabet; ValueError if it is not there."""
+    try:
+        return alphabet.index(x)
+    except ValueError:
+        raise ValueError(f"letter {x!r} not in alphabet") from None
 
 
 @dataclass(frozen=True)
@@ -138,14 +144,8 @@ class Dfa:
         if not 1 <= self.initial <= self.state_count:
             raise ValueError("initial state out of range")
 
-    def letter_index(self, x: str) -> int:
-        try:
-            return self.alphabet.index(x)
-        except ValueError:
-            raise ValueError(f"letter {x!r} not in alphabet") from None
-
     def step(self, q: int, x: str) -> int:
-        return self.transitions[self.letter_index(x)].apply(q)
+        return self.transitions[_letter_at(self.alphabet, x)].apply(q)
 
     def run(self, word: Iterable[str], start: int | None = None) -> int:
         q = self.initial if start is None else start
@@ -185,14 +185,8 @@ class Nfa:
             if not 1 <= f <= self.state_count:
                 raise ValueError(f"final state {f} out of range")
 
-    def letter_index(self, x: str) -> int:
-        try:
-            return self.alphabet.index(x)
-        except ValueError:
-            raise ValueError(f"letter {x!r} not in alphabet") from None
-
     def step(self, states: frozenset[int], x: str) -> frozenset[int]:
-        i = self.letter_index(x)
+        i = _letter_at(self.alphabet, x)
         out: set[int] = set()
         for q in states:
             out |= self.transitions[q - 1][i]
@@ -203,14 +197,6 @@ class Nfa:
         for x in word:
             current = self.step(current, x)
         return bool(current & self.finals)
-
-
-Automaton = Union[Dfa, Nfa]
-
-
-def accepts(a: Automaton, word: Iterable[str]) -> bool:
-    """Membership of a word (any iterable of letters; a str iterates chars)."""
-    return a.accepts(word)
 
 
 def subset_table(succ, start: int) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -259,17 +245,20 @@ def _first_occurrence_ids(order: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return ids
 
 
-def _step_tables(succ, cells: int, dtype) -> np.ndarray:
+def _step_tables(succ, cells: int, bits: int) -> np.ndarray:
     """tables[j, v, li], the successors on letter li of the states whose
-    bits are set in byte value v of byte j of an encoding. A subset x steps
-    on all letters at once to the OR over j of tables[j, x >> 8*j & 255]."""
+    bits are set in v, read as chunk j (bits j*bits to (j+1)*bits - 1) of
+    an encoding. A subset x steps on letter li to the OR over j of
+    tables[j, x >> bits*j & (1 << bits) - 1, li]; uint32 up to 32 states,
+    uint64 above."""
+    dtype = np.uint32 if cells <= 32 else np.uint64
     k = len(succ)
-    nbytes = -(-cells // 8)
-    masks = np.zeros((nbytes * 8, k), dtype=dtype)
+    chunks = -(-cells // bits)
+    masks = np.zeros((chunks * bits, k), dtype=dtype)
     masks[:cells] = np.array(succ, dtype=dtype).reshape(k, cells).T
-    masks = masks.reshape(nbytes, 8, k)
-    tables = np.zeros((nbytes, 256, k), dtype=dtype)
-    for b in range(8):
+    masks = masks.reshape(chunks, bits, k)
+    tables = np.zeros((chunks, 1 << bits, k), dtype=dtype)
+    for b in range(bits):
         tables[:, 1 << b:2 << b] = tables[:, :1 << b] | masks[:, b:b + 1]
     return tables
 
@@ -286,11 +275,10 @@ def subset_table_array(succ, start: int, cells: int) -> tuple[np.ndarray, np.nda
     up to 32 states, uint64 above) and the int32 table, table[i, li] the id
     of the successor of state i+1 on letter li.
     """
-    dtype = np.uint32 if cells <= 32 else np.uint64
     k = len(succ)
-    tables = _step_tables(succ, cells, dtype)
+    tables = _step_tables(succ, cells, 8)
     rows = max(1, ARRAY_BLOCK // max(k, 1))
-    keys = np.array([start], dtype=dtype)  # every known subset, ascending
+    keys = np.array([start], dtype=tables.dtype)  # every known subset, ascending
     key_ids = np.array([1], dtype=np.int32)
     frontier = keys
     subsets, table = [frontier], []

@@ -42,19 +42,19 @@ import os
 import re
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations, islice, permutations, product
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .automata import Transformation, int_in
+from .automata import Transformation, _step_tables, int_in
 from .shuffle import (
     ENUM_GUARD_CELLS,
     GridSizeError,
     ProductSubset,
     bound_f,
+    cell_successors,
     col1_mask,
     is_valid,
     row1_mask,
@@ -208,17 +208,12 @@ def _lines(x, m: int, n: int) -> tuple[list, list]:
 CHUNK_BITS = 12
 
 
-def _chunk_tables(a: ExtremalLetter, m: int, n: int) -> tuple[np.ndarray, ...]:
-    """The step of a on every value of each 12-bit chunk of an encoding.
-
-    The step is a union over cells, so x . a is the OR over chunks i of
-    tables[i][x >> 12*i & 4095]. The last table is shorter when m*n is not
-    a multiple of 12. The tables are a cache of _row_map | _col_map."""
-    tables = []
-    for base in range(0, m * n, CHUNK_BITS):
-        x = np.arange(1 << min(CHUNK_BITS, m * n - base), dtype=np.uint64) << base
-        tables.append(_row_map(x, a.s.images, m, n) | _col_map(x, a.t.images, m, n))
-    return tuple(tables)
+def _letter_tables(alphabet: Sequence[ExtremalLetter], m: int, n: int) -> np.ndarray:
+    """tables[li, j], the step of letter li on every value of the j-th
+    12-bit chunk of an encoding: automata._step_tables over the letters'
+    cell_successors, stored contiguously per letter."""
+    succ = cell_successors([(a.s.images, a.t.images) for a in alphabet], m, n)
+    return np.ascontiguousarray(_step_tables(succ, m * n, CHUNK_BITS).transpose(2, 0, 1))
 
 
 def _successor_bitmap(
@@ -228,8 +223,11 @@ def _successor_bitmap(
     alphabet,
 ) -> np.ndarray:
     """Dense bool bitmap of every one-step successor of the frontier, over
-    the full alphabet ("full") or a list holding the _chunk_tables of each
-    letter, built once by the caller and not once per generation."""
+    the full alphabet ("full") or a letter list given as its _letter_tables,
+    which the caller builds once and not once per generation. The letter
+    list and the complexity's subset construction share one table builder,
+    automata._step_tables: x steps on a letter to the OR over chunks j of
+    tables[j, x >> 12*j & 4095]."""
     out = np.zeros(1 << (m * n), dtype=bool)
     if isinstance(alphabet, str):  # full alphabet
         for x in frontier.tolist():
@@ -596,7 +594,7 @@ def bfs_reach(
     if full:
         reps = _orbit_representatives(frontier, np.zeros(total, dtype=bool), m, n)
     else:
-        letters = [_chunk_tables(a, m, n) for a in alphabet]
+        letters = _letter_tables(alphabet, m, n)
     steps = 0
     while frontier.size and (max_generations is None or steps < max_generations):
         if full:
@@ -714,13 +712,15 @@ def _first_rule_of(S: ProductSubset, rules: Sequence[str]) -> tuple:
     return (_RULES[rule - 1] if rule else None, *fields)
 
 
-@lru_cache(maxsize=None)
-def _point_images(m: int, n: int, axis: int, inner: int, outer: int) -> tuple[tuple, tuple]:
-    """Images (s, t) of the containment letter: the map (inner -> outer) on
-    rows (axis 0) or columns (axis 1), the identity on the other axis."""
-    s, t = list(range(1, m + 1)), list(range(1, n + 1))
-    (t if axis else s)[inner - 1] = outer
-    return tuple(s), tuple(t)
+def _point_images(m: int, n: int, axis: np.ndarray, inner: np.ndarray,
+                  outer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Images (s, t) of each containment letter, as (m, N) and (n, N)
+    uint64 arrays holding letter k's images in column k: the map (inner ->
+    outer) on rows (axis 0) or columns (axis 1), the identity on the other
+    axis."""
+    return tuple(np.where((axis == ax) & (lines == inner), outer, lines).astype(np.uint64)
+                 for ax, lines in enumerate((np.arange(1, m + 1)[:, None],
+                                             np.arange(1, n + 1)[:, None])))
 
 
 @dataclass(frozen=True)
@@ -745,7 +745,9 @@ def reduce_containment(S: ProductSubset) -> ContainmentReduction | None:
     rule, axis, inner, outer, pred = _first_rule_of(S, ("CONTAINMENT",))
     if not rule:
         return None
-    letter = ExtremalLetter(*map(Transformation, _point_images(S.m, S.n, axis, inner, outer)))
+    images = [Transformation.identity(S.m), Transformation.identity(S.n)]
+    images[axis] = Transformation.point(images[axis].degree, inner, outer)
+    letter = ExtremalLetter(*images)
     return ContainmentReduction(
         _AXES[axis], inner, outer, ProductSubset(S.m, S.n, pred), letter)
 
@@ -919,12 +921,13 @@ ROW_FIELDS = {
 
 
 def _fields(obj, where: str, **kinds: type) -> list:
-    """The values of the named fields of obj, each of its given type;
-    ValueError names the first field that is missing or mistyped."""
+    """The values of the named fields of obj, each of its given type (an
+    int field refuses a bool); ValueError names the first field that is
+    missing or mistyped."""
     for key, kind in kinds.items():
         if not isinstance(obj, dict) or key not in obj:
             raise ValueError(f"{where}: missing field {key!r}")
-        if not isinstance(obj[key], kind):
+        if not isinstance(obj[key], kind) or kind is int and isinstance(obj[key], bool):
             raise ValueError(f"{where}: field {key!r} is not a {kind.__name__}")
     return [obj[key] for key in kinds]
 
@@ -1234,15 +1237,15 @@ def _replay_single(tables: _Tables, mi: int, ni: int, encs: np.ndarray, P: np.nd
 
 
 def _replay_edges(tables: _Tables, mi: int, ni: int, kind: str, encs: np.ndarray,
-                  preds: np.ndarray, letters: Sequence, where: str,
+                  preds: np.ndarray, s: np.ndarray, t: np.ndarray, where: str,
                   bad: dict[int, str]) -> None:
     """Rows of one edge kind, each subset encs[i] with its pred preds[i] and
-    letter letters[i] = (s images, t images): pred . (s, t) = S, stepped with
-    each row's own images, then pred has fewer members than S, is valid,
-    and is justified in the same instance."""
+    letter (s[:, i], t[:, i]), uint64 image arrays of shapes (mi, N) and
+    (ni, N): pred . (s, t) = S, stepped with each row's own images, then
+    pred has fewer members than S, is valid, and is justified in the same
+    instance."""
     if not encs.size:
         return
-    s, t = (np.array(images, np.uint64).T for images in zip(*letters))
     image = _row_map(preds, s, mi, ni) | _col_map(preds, t, mi, ni)
     ok = _record_first(bad, where, encs, [
         (image != encs, lambda i: f"{kind} edge does not replay"),
@@ -1261,7 +1264,7 @@ def _check_rows(mi: int, ni: int, table: dict, encs: list[int], rule: np.ndarray
     (rule, from _first_rule) or PERMUTATION where none applies, and a
     PERMUTATION row's pred in range and letter shape. Records a failing row
     in bad; returns the mask of the line-rule rows that pass, and the
-    PERMUTATION edges (enc, pred, (s, t)) left to replay."""
+    PERMUTATION edges (enc, pred, s, t) left to replay."""
     where = f"({mi},{ni}) subset "
     rows, cols = frozenset(range(1, mi + 1)), frozenset(range(1, ni + 1))
     derived = [None] + [{"kind": kind} for kind in _RULES]
@@ -1294,7 +1297,7 @@ def _check_rows(mi: int, ni: int, table: dict, encs: list[int], rule: np.ndarray
                 bad[enc] = (f"{where}{enc}: {kind} letter is not a pair of transformations "
                             f"of degrees {mi} and {ni}")
             else:
-                edges.append((enc, pred, images))
+                edges.append((enc, pred, *images))
     return passed, edges
 
 
@@ -1320,13 +1323,13 @@ def _verify_exhaustive(tables: _Tables, entry: InstanceEntry, failures: list[str
         _require_dropped(tables, mi, ni, batch[shrink], np.where(on_column, 0, i[shrink]),
                          np.where(on_column, i[shrink], 0), where, bad)
         _replay_single(tables, mi, ni, batch[single], i[single], j[single], where, bad)
-        letters = [_point_images(mi, ni, *c) for c in
-                   zip(*(a[contained].tolist() for a in (axis, i, j)))]
         _replay_edges(tables, mi, ni, "CONTAINMENT", batch[contained], pred[contained],
-                      letters, where, bad)
-        encs, preds, letters = zip(*edges) if edges else ((), (), ())
+                      *_point_images(mi, ni, axis[contained], i[contained], j[contained]),
+                      where, bad)
+        encs, preds, s, t = zip(*edges) if edges else ((),) * 4
         _replay_edges(tables, mi, ni, "PERMUTATION", np.array(encs, np.uint64),
-                      np.array(preds, np.uint64), letters, where, bad)
+                      np.array(preds, np.uint64), np.array(s, np.uint64).reshape(-1, mi).T,
+                      np.array(t, np.uint64).reshape(-1, ni).T, where, bad)
     failures.extend(bad[enc] for enc in sorted(bad))
     extra = len(table) - int(np.count_nonzero(listed))
     if extra:
@@ -1476,7 +1479,6 @@ def greedy_alphabet(m: int, n: int) -> list[ExtremalLetter]:
     bound = bound_f(m, n)
     total = 1 << (m * n)
     letters: list[ExtremalLetter] = []
-    tables: list[tuple[np.ndarray, ...]] = []
     in_closure = np.zeros(total, dtype=bool)
     in_closure[1] = True
     fresh = np.zeros(total, dtype=bool)  # cleared after each letter
@@ -1499,7 +1501,7 @@ def greedy_alphabet(m: int, n: int) -> list[ExtremalLetter]:
                 f"greedy alphabet stalled at {np.count_nonzero(in_closure)} of {bound}"
             )
         letters.append(best_letter)
-        tables.append(_chunk_tables(best_letter, m, n))
+        tables = _letter_tables(letters, m, n)
         frontier = closure_states
         while frontier.size:
             frontier = _generation(frontier, in_closure, m, n, tables)

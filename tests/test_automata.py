@@ -15,7 +15,6 @@ from shufflesc.automata import (
     FormatError,
     Nfa,
     Transformation,
-    apply,
     canonical_key,
     determinize,
     dfa_from_dict,
@@ -68,20 +67,20 @@ class TestTransformation:
     def test_apply_paper_example(self):
         # a = [2,2,3] on three states
         t = T((2, 2, 3))
-        assert apply(t, 1) == 2
+        assert t.apply(1) == 2
 
     def test_identity_fixes_everything(self):
         t = T.identity(5)
-        assert apply(t, 4) == 4
+        assert t.apply(4) == 4
 
     def test_point_map_fixes_others(self):
         t = T.point(4, 1, 3)
-        assert apply(t, 2) == 2
-        assert apply(t, 1) == 3
+        assert t.apply(2) == 2
+        assert t.apply(1) == 3
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            apply(T((1, 2)), 3)
+            T((1, 2)).apply(3)
 
     def test_bool_image_rejected(self):
         with pytest.raises(ValueError, match="image of 1 is True"):
@@ -92,7 +91,7 @@ class TestTransformation:
         t = T((1, 1, 2))
         st_ = s.then(t)
         for q in (1, 2, 3):
-            assert apply(st_, q) == apply(t, apply(s, q))
+            assert st_.apply(q) == t.apply(s.apply(q))
 
     def test_inverse_of_permutation(self):
         p = T((3, 1, 2))

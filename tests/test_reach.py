@@ -10,15 +10,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shufflesc import reach
-from shufflesc.automata import Transformation
+from shufflesc.automata import Transformation, _step_tables
 from shufflesc.reach import (
     _checkpoint_name,
-    _chunk_tables,
     _drop,
     _first_rule_of,
+    _letter_tables,
     _orbit_keys,
     _single_element_anchor,
     _successor_bitmap,
+    CHUNK_BITS,
     Certificate,
     CertificationGapError,
     CheckpointError,
@@ -113,8 +114,10 @@ def all_valid(m, n):
 
 
 def successors(frontier, m, n, alphabet):
+    """_successor_bitmap as a set, over "full" or a letter list, whose
+    tables come from _letter_tables as in bfs_reach."""
     if not isinstance(alphabet, str):
-        alphabet = [_chunk_tables(a, m, n) for a in alphabet]
+        alphabet = _letter_tables(alphabet, m, n)
     bitmap = _successor_bitmap(np.array(frontier, dtype=np.uint64), m, n, alphabet)
     return set(np.flatnonzero(bitmap).tolist())
 
@@ -143,8 +146,9 @@ class TestKernelMatchesDefinition:
             union |= expected
         assert successors(frontier, 3, 3, letters) == union
 
-    # 12-bit chunks split these grids after 12, 12, 12, 12 and 12 cells
-    CHUNK_GRIDS = [(1, 13), (3, 5), (4, 4), (2, 7), (4, 6)]
+    # 12-bit chunks: 3x3 fits in one short chunk, the grids of 13 to 20
+    # cells end in a short second chunk, and 4x6 fills two
+    CHUNK_GRIDS = [(3, 3), (1, 13), (3, 5), (4, 4), (2, 7), (4, 5), (4, 6)]
 
     @staticmethod
     def random_letters(rng, m, n, count):
@@ -164,6 +168,13 @@ class TestKernelMatchesDefinition:
             assert successors(frontier, m, n, [a]) == expected, a
             union |= expected
         assert successors(frontier, m, n, letters) == union
+
+    @pytest.mark.parametrize("cells,dtype", [(32, np.uint32), (33, np.uint64)])
+    def test_step_table_width(self, cells, dtype):
+        top = 1 << cells - 1  # every cell steps to the last one
+        tables = _step_tables([[top] * cells], cells, CHUNK_BITS)
+        assert tables.dtype == dtype
+        assert tables[-1, -1, 0] == top
 
     @pytest.mark.parametrize("m,n", CHUNK_GRIDS)
     def test_bfs_letter_list_across_chunks(self, m, n, tmp_path):
@@ -1079,6 +1090,24 @@ class TestCertify:
         # these raised KeyError or TypeError, unlike load_letters' ValueError
         with pytest.raises(ValueError) as info:
             Certificate.from_dict(obj)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("path, message", [
+        (("m",), "certificate: field 'm' is not a int"),
+        (("n",), "certificate: field 'n' is not a int"),
+        (("entries", 0, "m"), "certificate entry: field 'm' is not a int"),
+    ])
+    def test_bool_size_refused(self, path, message):
+        # a JSON true is a bool, which isinstance(x, int) accepts: with
+        # "m": true this certificate read back and verified
+        obj = json.loads(certify(1, 2).to_json())
+        *parents, key = path
+        target = obj
+        for k in parents:
+            target = target[k]
+        target[key] = True
+        with pytest.raises(ValueError) as info:
+            Certificate.from_json(json.dumps(obj))
         assert str(info.value) == message
 
     def test_matches_schema(self):
