@@ -2,8 +2,7 @@
 
 Transformations (total maps on {1..n}), complete DFAs given as one
 transformation per letter, NFAs, and the standard constructions: subset
-construction, Moore refinement and minimization, canonical forms, word
-acceptance.
+construction, Moore refinement and minimization, canonical forms.
 
 The subset construction and Moore refinement come in two forms that give
 the same subsets, ids and blocks. subset_table and refine loop over one
@@ -110,14 +109,6 @@ class Transformation:
         return Transformation(tuple(images))
 
 
-def _letter_at(alphabet: tuple[str, ...], x: str) -> int:
-    """Position of letter x in alphabet; ValueError if it is not there."""
-    try:
-        return alphabet.index(x)
-    except ValueError:
-        raise ValueError(f"letter {x!r} not in alphabet") from None
-
-
 @dataclass(frozen=True)
 class Dfa:
     """Complete DFA: one Transformation per letter, initial state 1."""
@@ -143,18 +134,6 @@ class Dfa:
                 raise ValueError(f"final state {f} out of range")
         if not 1 <= self.initial <= self.state_count:
             raise ValueError("initial state out of range")
-
-    def step(self, q: int, x: str) -> int:
-        return self.transitions[_letter_at(self.alphabet, x)].apply(q)
-
-    def run(self, word: Iterable[str], start: int | None = None) -> int:
-        q = self.initial if start is None else start
-        for x in word:
-            q = self.step(q, x)
-        return q
-
-    def accepts(self, word: Iterable[str]) -> bool:
-        return self.run(word) in self.finals
 
 
 @dataclass(frozen=True)
@@ -184,19 +163,6 @@ class Nfa:
         for f in self.finals:
             if not 1 <= f <= self.state_count:
                 raise ValueError(f"final state {f} out of range")
-
-    def step(self, states: frozenset[int], x: str) -> frozenset[int]:
-        i = _letter_at(self.alphabet, x)
-        out: set[int] = set()
-        for q in states:
-            out |= self.transitions[q - 1][i]
-        return frozenset(out)
-
-    def accepts(self, word: Iterable[str]) -> bool:
-        current = frozenset([self.initial])
-        for x in word:
-            current = self.step(current, x)
-        return bool(current & self.finals)
 
 
 def subset_table(succ, start: int) -> tuple[list[int], list[tuple[int, ...]]]:

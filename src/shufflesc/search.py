@@ -6,18 +6,20 @@ choice of final sets. Letter order never matters to the shuffle, so
 multisets are generated in nondecreasing canonical order, killing letter
 permutations at the source; remaining symmetry (per-DFA state relabeling
 and joint letter renaming) is removed by keying reported witnesses with
-automata.canonical_key. The search works on image tuples: each multiset
-gets one subset table (shuffle.cell_successors into automata.subset_table),
-and each final-set choice marks that table's final subsets and runs
-automata.refine on it. The search runs serially in one thread. The guard
-formula deliberately overcounts — it prices the raw space before the
-minimality and reachability filters bite.
+automata.canonical_key. The search works on image tuples: each multiset's
+subsets are first counted through memoized steps of its letters'
+shuffle.cell_successors masks, and only a multiset whose count reaches the
+best kappa so far gets a table (automata.subset_table), which each
+final-set choice marks and refines (automata.refine). The search runs
+serially in one thread. The guard formula deliberately overcounts — it
+prices the raw space before the minimality and reachability filters bite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations_with_replacement, product
 from string import ascii_lowercase
 
@@ -54,8 +56,8 @@ class SearchSpace:
         ))
 
     def final_choices(self) -> int:
-        """Nonempty proper final sets on each side."""
-        return (2**self.m - 2) * (2**self.n - 2)
+        """Final-set pairs the scan tries: _final_sets on each side."""
+        return len(_final_sets(self.m)) * len(_final_sets(self.n))
 
     def volume_estimate(self) -> int:
         """Letter multisets times final-set choices, before any filtering."""
@@ -86,11 +88,14 @@ def _letter_names(k: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(k))
 
 
-def _proper_final_sets(size: int) -> list[frozenset[int]]:
-    out = []
-    for bits in range(1, (1 << size) - 1):
-        out.append(frozenset(q + 1 for q in range(size) if bits >> q & 1))
-    return out
+def _final_sets(size: int) -> list[frozenset[int]]:
+    """The final sets a minimal DFA with `size` states can have: the
+    nonempty proper subsets of its states, or, for one state, both the
+    empty set and {1}, since either gives a minimal DFA."""
+    if size == 1:
+        return [frozenset(), frozenset([1])]
+    return [frozenset(q + 1 for q in range(size) if bits >> q & 1)
+            for bits in range(1, (1 << size) - 1)]
 
 
 def pair_canonical_key(K: Dfa, L: Dfa, *, relaxed: bool = False) -> tuple:
@@ -117,17 +122,44 @@ def _guard(space: SearchSpace, force: bool) -> None:
         )
 
 
-def _minimal_finals(
-    images: list[tuple[int, ...]], size: int, finals: list[frozenset[int]]
-) -> list[frozenset[int]]:
-    """The F in finals for which the DFA with initial state 1, finals F and
-    images[li][q-1] the successor of q on letter li is minimal with `size`
-    states: every state reachable and no two states equivalent."""
+def _minimal_finals(images: tuple[tuple[int, ...], ...], size: int) -> list[frozenset[int]]:
+    """The F in _final_sets(size) for which the DFA with initial state 1,
+    finals F and images[li][q-1] the successor of q on letter li is minimal
+    with `size` states: every state reachable and no two states equivalent."""
     if len(_bfs_order(images, 1)[0]) < size:
         return []
     table = list(zip(*images))
     states = range(1, size + 1)
-    return [F for F in finals if max(refine(table, [q in F for q in states])) == size]
+    return [F for F in _final_sets(size)
+            if max(refine(table, [q in F for q in states])) == size]
+
+
+def _subset_counter(succ):
+    """count(multiset), the number of subsets that subset_table reaches from
+    subset 1 on the letters succ[i] for i in the nondecreasing multiset,
+    without building the table. Each letter's step of a subset is memoized
+    on first use, and the memos are shared by every call of one counter."""
+    memos = [{} for _ in succ]
+
+    def count(multiset) -> int:
+        steps = [(memos[i], succ[i]) for i in dict.fromkeys(multiset)]
+        seen = {1}
+        order = [1]
+        for current in order:  # order grows while it is scanned
+            for memo, images in steps:
+                nxt = memo.get(current)
+                if nxt is None:
+                    nxt = 0
+                    for q in range(current.bit_length()):
+                        if current >> q & 1:
+                            nxt |= images[q]
+                    memo[current] = nxt
+                if nxt not in seen:
+                    seen.add(nxt)
+                    order.append(nxt)
+        return len(order)
+
+    return count
 
 
 def max_shuffle_complexity(
@@ -141,14 +173,15 @@ def max_shuffle_complexity(
 ) -> SearchResult:
     """Exact maximum of the shuffle complexity over the deduplicated space.
 
-    Each letter multiset gets one subset table, stepped by the cell_successors
-    masks of its image tuples; its subset count bounds kappa for every choice
-    of final sets, so a multiset whose count is below the best kappa so far
-    is skipped. For the others, each pair (F_K, F_L) giving minimal K and L
-    marks the subsets meeting F_K x F_L final and refines the table; kappa
-    is the number of blocks. candidates_evaluated counts these pairs; Dfas
-    are built only for those that attain the best kappa so far.
-    The scan is serial and in a fixed order, so its counts are deterministic.
+    The subset count of a letter multiset bounds kappa for every choice of
+    final sets, so a multiset whose _subset_counter count is below the best
+    kappa so far is skipped. The others get a subset table, and each pair
+    (F_K, F_L) giving minimal K and L marks the subsets meeting F_K x F_L
+    final and refines the table; kappa is the number of blocks.
+    candidates_evaluated counts these pairs. The pairs at the best kappa so
+    far are kept as image tuples and final sets; Dfas are built and keyed
+    only for those at the final maximum, in scan order. The scan is serial
+    and in a fixed order, so its counts are deterministic.
 
     Witnesses attaining the maximum are reported in canonical form, at most
     result_cap of them (a negative cap raises ValueError). One
@@ -164,41 +197,42 @@ def max_shuffle_complexity(
     space = SearchSpace(m, n, k)
     _guard(space, force)
     bound = bound_f(m, n)
-    names = _letter_names(k)
-    left_finals = _proper_final_sets(m)
-    right_finals = _proper_final_sets(n)
     candidates = space.letter_candidates()
+    succ = cell_successors(candidates, m, n)
+    count = _subset_counter(succ)
+    minimal_finals = cache(_minimal_finals)  # one entry per side's images
 
-    def scan() -> tuple[int, dict[tuple, tuple[Dfa, Dfa]], int]:
+    def scan() -> tuple[int, list[tuple], int]:
         best = 0
-        witnesses: dict[tuple, tuple[Dfa, Dfa]] = {}
+        ties: list[tuple] = []  # (K images, L images, F_K, F_L) at kappa == best
         evaluated = 0
         for multiset in combinations_with_replacement(range(len(candidates)), k):
-            letters = [candidates[i] for i in multiset]
-            subsets, table = subset_table(cell_successors(letters, m, n), 1)
-            if len(subsets) < best:
+            if count(multiset) < best:
                 continue  # cannot attain the current maximum
-            k_images = [s for s, _ in letters]
-            l_images = [t for _, t in letters]
-            lefts = _minimal_finals(k_images, m, left_finals)
-            rights = _minimal_finals(l_images, n, right_finals)
-            for FK in lefts:
-                for FL in rights:
+            subsets, table = subset_table([succ[i] for i in multiset], 1)
+            k_images = tuple(candidates[i][0] for i in multiset)
+            l_images = tuple(candidates[i][1] for i in multiset)
+            for FK in minimal_finals(k_images, m):
+                for FL in minimal_finals(l_images, n):
                     evaluated += 1
                     final_mask = sum(1 << (p - 1) * n + q - 1 for p in FK for q in FL)
                     kappa = max(refine(table, [s & final_mask for s in subsets]))
                     if kappa > best:
                         best = kappa
-                        witnesses = {}
+                        ties = []
                     if kappa == best:
-                        K = Dfa(m, names, tuple(map(Transformation, k_images)), FK)
-                        L = Dfa(n, names, tuple(map(Transformation, l_images)), FL)
-                        witnesses.setdefault(pair_canonical_key(K, L), (K, L))
+                        ties.append((k_images, l_images, FK, FL))
                     if stop_at_bound and best >= bound:
-                        return best, witnesses, evaluated
-        return best, witnesses, evaluated
+                        return best, ties, evaluated
+        return best, ties, evaluated
 
-    best, witnesses, evaluated = scan()
+    best, ties, evaluated = scan()
+    names = _letter_names(k)
+    witnesses: dict[tuple, tuple[Dfa, Dfa]] = {}
+    for k_images, l_images, FK, FL in ties:
+        K = Dfa(m, names, tuple(map(Transformation, k_images)), FK)
+        L = Dfa(n, names, tuple(map(Transformation, l_images)), FL)
+        witnesses.setdefault(pair_canonical_key(K, L), (K, L))
     # regroup the strictly-deduplicated witnesses under the relaxed key; the
     # representative is the one with the least strict key
     classes: dict[tuple, tuple] = {}

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from automaton_words import nfa_step
 from shufflesc.automata import (
     Dfa,
     Transformation,
@@ -213,7 +214,7 @@ class TestCriterion10PropertySuites:
                 assert is_valid(S)
                 rows, cols = projections(S)
                 for x in letters:
-                    succ = sh.nfa.step(sub, x)
+                    succ = nfa_step(sh.nfa, sub, x)
                     S2 = ProductSubset.from_pairs(
                         m, n, [sh.state_pair(s) for s in succ]
                     )

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from automaton_words import dfa_accepts, dfa_run, nfa_accepts
 from shufflesc import automata
 from shufflesc.automata import (
     ARRAY_BLOCK,
@@ -129,7 +130,7 @@ class TestDeterminize:
     def test_language_preserved(self, nfa, word_idx):
         word = [nfa.alphabet[i % len(nfa.alphabet)] for i in word_idx]
         det, _ = determinize(nfa)
-        assert nfa.accepts(word) == det.accepts(word)
+        assert nfa_accepts(nfa, word) == dfa_accepts(det, word)
 
 
 class TestMinimize:
@@ -151,7 +152,7 @@ class TestMinimize:
     @given(dfa_strategy(), st.lists(st.integers(0, 2), max_size=8))
     def test_language_preserved(self, d, word_idx):
         word = [d.alphabet[i % len(d.alphabet)] for i in word_idx]
-        assert d.accepts(word) == minimize(d).accepts(word)
+        assert dfa_accepts(d, word) == dfa_accepts(minimize(d), word)
 
     @settings(max_examples=80, deadline=None)
     @given(dfa_strategy(max_states=5))
@@ -163,9 +164,9 @@ class TestMinimize:
             w for size in range(d.state_count)
             for w in product(d.alphabet, repeat=size)
         ]
-        reachable = {d.run(w) for w in words}
+        reachable = {dfa_run(d, w) for w in words}
         classes = {
-            tuple(d.run(w, start=q) in d.finals for w in words) for q in reachable
+            tuple(dfa_run(d, w, start=q) in d.finals for w in words) for q in reachable
         }
         assert state_complexity(d) == len(classes)
 

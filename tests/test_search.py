@@ -1,15 +1,26 @@
 """Exhaustive witness search over small DFA pairs."""
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from shufflesc.automata import Dfa, Transformation, load_dfa, state_complexity
+from shufflesc.automata import (
+    Dfa,
+    Transformation,
+    dfa_to_dict,
+    load_dfa,
+    refine,
+    state_complexity,
+    subset_table,
+)
 from shufflesc.cli import main
 from shufflesc.search import (
+    _final_sets,
+    _letter_names,
     _minimal_finals,
+    _subset_counter,
     SearchSpace,
     SearchVolumeError,
     count_nonisomorphic_witness_right_dfas,
@@ -17,7 +28,7 @@ from shufflesc.search import (
     min_witness_alphabet,
     pair_canonical_key,
 )
-from shufflesc.shuffle import bound_f, shuffle_state_complexity
+from shufflesc.shuffle import bound_f, cell_successors, shuffle_state_complexity
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "shufflesc" / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -37,6 +48,11 @@ class TestSearchSpace:
     def test_guard_refuses_2_3_6(self):
         with pytest.raises(SearchVolumeError):
             max_shuffle_complexity(2, 3, 6)
+
+    @pytest.mark.parametrize("size, choices", [(1, 2), (2, 2), (3, 6)])
+    def test_final_choices_count_the_scanned_sets(self, size, choices):
+        assert len(_final_sets(size)) == choices
+        assert SearchSpace(size, 2, 1).final_choices() == choices * 2
 
 
 class TestMaxShuffleComplexity:
@@ -86,7 +102,6 @@ class TestMaxShuffleComplexity:
                         best = max(best, shuffle_state_complexity(K, L))
         assert max_shuffle_complexity(2, 2, 2).maximum == best
 
-    @pytest.mark.slow
     def test_three_letters_at_2x3(self):
         # the only pinned search with m != n
         result = max_shuffle_complexity(2, 3, 3)
@@ -118,6 +133,116 @@ class TestMaxShuffleComplexity:
         assert s["bound"] == 10 and s["met"] is False
 
 
+def _brute_maximum(m, n, k):
+    """Max shuffle complexity over every k-letter pair of minimal m- and
+    n-state DFAs, each final set tried and kept if state_complexity agrees."""
+    names = tuple("abcd"[:k])
+
+    def minimal_dfas(size):
+        images = list(product(range(1, size + 1), repeat=size))
+        for letters in product(images, repeat=k):
+            for bits in range(1 << size):
+                F = frozenset(q + 1 for q in range(size) if bits >> q & 1)
+                d = Dfa(size, names, tuple(map(Transformation, letters)), F)
+                if state_complexity(d) == size:
+                    yield d
+
+    return max(shuffle_state_complexity(K, L)
+               for K in minimal_dfas(m) for L in minimal_dfas(n))
+
+
+class TestOneStateSide:
+    # a one-state DFA is minimal with final set {} or {1}; the search once
+    # tried no final set there and reported max 0
+    @pytest.mark.parametrize("m, n, k, maximum", [
+        (1, 1, 1, 1), (1, 2, 1, 2), (2, 1, 2, 2), (1, 2, 2, 2), (1, 3, 2, 3),
+    ])
+    def test_matches_brute_force(self, m, n, k, maximum):
+        assert _brute_maximum(m, n, k) == maximum
+        result = max_shuffle_complexity(m, n, k)
+        assert result.maximum == maximum
+        assert result.met == (maximum == bound_f(m, n))
+        assert result.witnesses
+        for K, L in result.witnesses:
+            assert (state_complexity(K), state_complexity(L)) == (m, n)
+            assert shuffle_state_complexity(K, L) == maximum
+
+
+def _eager_search(m, n, k, result_cap=10, stop_at_bound=False):
+    """Reference scan: a subset table for every letter multiset, and Dfas
+    built and keyed for every pair that ties the best kappa so far."""
+    bound = bound_f(m, n)
+    names = _letter_names(k)
+    candidates = SearchSpace(m, n, k).letter_candidates()
+    best, witnesses, evaluated = 0, {}, 0
+
+    def scan():
+        nonlocal best, witnesses, evaluated
+        for multiset in combinations_with_replacement(range(len(candidates)), k):
+            letters = [candidates[i] for i in multiset]
+            subsets, table = subset_table(cell_successors(letters, m, n), 1)
+            if len(subsets) < best:
+                continue
+            k_images = [s for s, _ in letters]
+            l_images = [t for _, t in letters]
+            for FK in _minimal_finals(k_images, m):
+                for FL in _minimal_finals(l_images, n):
+                    evaluated += 1
+                    final_mask = sum(1 << (p - 1) * n + q - 1 for p in FK for q in FL)
+                    kappa = max(refine(table, [s & final_mask for s in subsets]))
+                    if kappa > best:
+                        best, witnesses = kappa, {}
+                    if kappa == best:
+                        K = Dfa(m, names, tuple(map(Transformation, k_images)), FK)
+                        L = Dfa(n, names, tuple(map(Transformation, l_images)), FL)
+                        witnesses.setdefault(pair_canonical_key(K, L), (K, L))
+                    if stop_at_bound and best >= bound:
+                        return
+
+    scan()
+    classes = {}
+    for strict_key in sorted(witnesses):
+        K, L = witnesses[strict_key]
+        classes.setdefault(pair_canonical_key(K, L, relaxed=True), strict_key)
+    pairs = [witnesses[classes[key]] for key in sorted(classes)][:result_cap]
+    summary = {"max": best, "bound": bound, "met": best >= bound,
+               "candidates_evaluated": evaluated}
+    return summary, pairs
+
+
+def _as_dicts(pairs):
+    return [(dfa_to_dict(K), dfa_to_dict(L)) for K, L in pairs]
+
+
+class TestAgainstEagerScan:
+    @pytest.mark.parametrize("m, n, k, options", [
+        *(pytest.param(2, 2, k, {}, id=f"2x2x{k}") for k in (1, 2, 3, 4)),
+        *(pytest.param(2, 3, k, {}, id=f"2x3x{k}") for k in (1, 2)),
+        pytest.param(2, 2, 4, {"stop_at_bound": True}, id="2x2x4-stop_at_bound"),
+        pytest.param(2, 2, 4, {"result_cap": 10**6}, id="2x2x4-uncapped"),
+    ])
+    def test_same_result(self, m, n, k, options):
+        summary, pairs = _eager_search(m, n, k, **options)
+        result = max_shuffle_complexity(m, n, k, **options)
+        assert result.summary() == summary
+        assert _as_dicts(result.witnesses) == _as_dicts(pairs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_counter_matches_subset_table(self, data):
+        m, n = data.draw(st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+        candidates = SearchSpace(m, n, 1).letter_candidates()
+        count = _subset_counter(cell_successors(candidates, m, n))
+        letter = st.integers(0, len(candidates) - 1)
+        multisets = data.draw(st.lists(
+            st.lists(letter, min_size=1, max_size=4).map(sorted), min_size=1, max_size=5
+        ))
+        for multiset in multisets:  # later multisets reuse the memos
+            letters = [candidates[i] for i in multiset]
+            subsets, _ = subset_table(cell_successors(letters, m, n), 1)
+            assert count(multiset) == len(subsets)
+
+
 @st.composite
 def letter_images(draw):
     size = draw(st.integers(1, 4))
@@ -144,7 +269,8 @@ class TestMinimalFinals:
                 Dfa(size, names, tuple(map(Transformation, images)), F)
             ) == size
         ]
-        assert _minimal_finals(images, size, finals) == expected
+        # every final set that gives a minimal DFA is among _final_sets
+        assert _minimal_finals(tuple(images), size) == expected
 
 
 class TestMinWitnessAlphabet:
