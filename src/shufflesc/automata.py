@@ -17,11 +17,12 @@ numpy costs microseconds per call, and on arrays `search 2 2 4` took 1.5
 to 2.3 s instead of 0.2 to 0.3 s. The tests keep the loop as the
 reference for the arrays.
 
-The arrays step subsets through _step_tables, the successors of every
-value of each fixed-width chunk of an encoding. It is the one subset-step
-kernel of the package: the letter-list BFS of reach builds its per-letter
-tables with it too, with 12-bit chunks where the complexity reads 8-bit
-ones, because each caller ran slower with the other's width.
+The arrays step subsets through _step_tables, the successors on every
+letter of every value of each fixed-width chunk of an encoding, and
+_block_step, which reads them with one row gather per chunk for all
+letters. This is the one subset-step kernel: subset_table_array and the
+letter-list BFS of reach share it, with 8- and 12-bit chunks, because
+each caller ran slower with the other's width.
 
 States are 1-based everywhere; this convention leaks into file formats and
 reports on purpose, so internal code never exposes 0-based offsets.
@@ -193,8 +194,8 @@ def subset_table(succ, start: int) -> tuple[list[int], list[tuple[int, ...]]]:
 #: The arrays hold a subset as one uint64 with a bit per NFA state, so 64
 #: states is the most they can encode.
 ARRAY_MAX_CELLS = 64
-#: (state, letter) pairs that subset_table_array steps at once; this bounds
-#: the temporaries of one step to a few hundred KB.
+#: (state, letter) pairs that one _block_step call steps, in subset_table_array
+#: and reach's letter-list BFS; this bounds its temporaries to a few hundred KB.
 ARRAY_BLOCK = 1 << 14
 
 
@@ -229,11 +230,22 @@ def _step_tables(succ, cells: int, bits: int) -> np.ndarray:
     return tables
 
 
+def _block_step(tables: np.ndarray, x: np.ndarray, bits: int) -> np.ndarray:
+    """step[i, li], the successor of subset x[i] on letter li, through
+    _step_tables(..., bits) in its own (chunk, value, letter) layout: one
+    row gather per chunk steps x[i] on every letter at once."""
+    mask = (1 << bits) - 1
+    step = tables[0][x & mask]
+    for j in range(1, len(tables)):
+        step |= tables[j][x >> bits * j & mask]
+    return step
+
+
 def subset_table_array(succ, start: int, cells: int) -> tuple[np.ndarray, np.ndarray]:
     """subset_table, one BFS generation at a time on arrays, for an NFA of
     1 to 64 states (cells); same subsets, in the same order, and same ids.
 
-    Each frontier block steps through _step_tables. A successor found among
+    Each frontier block steps through _block_step. A successor found among
     the subsets known before the generation gets its id by searchsorted on
     their sorted encodings. The others are numbered in order of first
     occurrence in the generation's (state, letter) sequence, as the loop
@@ -251,11 +263,7 @@ def subset_table_array(succ, start: int, cells: int) -> tuple[np.ndarray, np.nda
     while frontier.size:
         ids, miss_at, miss = [], [], []
         for lo in range(0, frontier.size, rows):
-            x = frontier[lo:lo + rows]
-            step = tables[0][x & 255]
-            for j in range(1, len(tables)):
-                step |= tables[j][x >> 8 * j & 255]
-            step = step.ravel()
+            step = _block_step(tables, frontier[lo:lo + rows], 8).ravel()
             at = np.searchsorted(keys, step)
             np.minimum(at, keys.size - 1, out=at)
             found = keys[at] == step

@@ -48,7 +48,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .automata import Transformation, _step_tables, int_in
+from .automata import ARRAY_BLOCK, Transformation, _block_step, _step_tables, int_in
 from .shuffle import (
     ENUM_GUARD_CELLS,
     GridSizeError,
@@ -209,48 +209,45 @@ CHUNK_BITS = 12
 
 
 def _letter_tables(alphabet: Sequence[ExtremalLetter], m: int, n: int) -> np.ndarray:
-    """tables[li, j], the step of letter li on every value of the j-th
-    12-bit chunk of an encoding: automata._step_tables over the letters'
-    cell_successors, stored contiguously per letter."""
+    """tables[li, j], the intp step of letter li on every value of the j-th
+    12-bit chunk of an encoding: the letter-major view, so that len() counts
+    the letters, of automata._step_tables over the letters' cell_successors."""
     succ = cell_successors([(a.s.images, a.t.images) for a in alphabet], m, n)
-    return np.ascontiguousarray(_step_tables(succ, m * n, CHUNK_BITS).transpose(2, 0, 1))
+    return _step_tables(succ, m * n, CHUNK_BITS).astype(np.intp).transpose(2, 0, 1)
 
 
-def _successor_bitmap(
-    frontier: np.ndarray,
-    m: int,
-    n: int,
-    alphabet,
-) -> np.ndarray:
-    """Dense bool bitmap of every one-step successor of the frontier, over
-    the full alphabet ("full") or a letter list given as its _letter_tables,
-    which the caller builds once and not once per generation. The letter
-    list and the complexity's subset construction share one table builder,
-    automata._step_tables: x steps on a letter to the OR over chunks j of
-    tables[j, x >> 12*j & 4095]."""
-    out = np.zeros(1 << (m * n), dtype=bool)
+def _successor_bitmap(frontier: np.ndarray, m: int, n: int, alphabet) -> np.ndarray:
+    """Every one-step successor of the frontier: over the full alphabet
+    ("full") a dense bool bitmap, over a letter list (its _letter_tables,
+    built once per run) the distinct successors as intp, ascending. Blocks
+    of ARRAY_BLOCK // letters rows step on all letters at once through
+    automata._block_step. One block is deduplicated in a Python set, so a
+    small generation makes no pass over 2^(m*n) entries; more blocks are
+    scattered into a bitmap and read back."""
     if isinstance(alphabet, str):  # full alphabet
+        out = np.zeros(1 << (m * n), dtype=bool)
         for x in frontier.tolist():
             R, C = _line_images(x, m, n)
             out[R[:, None] | C[None, :]] = True
         return out
-    chunks = [(frontier >> base & (1 << CHUNK_BITS) - 1).astype(np.intp)
-              for base in range(0, m * n, CHUNK_BITS)]
-    for tables in alphabet:
-        succ = tables[0][chunks[0]]
-        for table, chunk in zip(tables[1:], chunks[1:]):
-            succ |= table[chunk]
-        out[succ] = True
-    return out
+    tables = alphabet.transpose(1, 2, 0)
+    rows = max(1, ARRAY_BLOCK // max(len(alphabet), 1))
+    if frontier.size <= rows:
+        succ = _block_step(tables, frontier.astype(np.intp), CHUNK_BITS)
+        return np.array(sorted(set(succ.ravel().tolist())), dtype=np.intp)
+    out = np.zeros(1 << (m * n), dtype=bool)
+    for lo in range(0, frontier.size, rows):
+        out[_block_step(tables, frontier[lo:lo + rows].astype(np.intp), CHUNK_BITS)] = True
+    return np.flatnonzero(out)
 
 
 def _generation(frontier: np.ndarray, visited: np.ndarray, m: int, n: int, alphabet):
-    """One BFS generation: mark the frontier's successors (alphabet as in
-    _successor_bitmap) in visited, and return the new ones, ascending."""
+    """One BFS generation over a letter list given as in _successor_bitmap:
+    mark the frontier's new successors in visited, and return them, ascending."""
     succ = _successor_bitmap(frontier, m, n, alphabet)
-    np.greater(succ, visited, out=succ)  # succ & ~visited, in place
-    visited |= succ
-    return np.flatnonzero(succ).astype(np.uint64)
+    new = succ[~visited[succ]]
+    visited[new] = True
+    return new.view(np.uint64)
 
 
 # -- orbits under row and column permutations that fix 1 ----------------------
@@ -441,10 +438,10 @@ def write_checkpoint(
     frontier as FRONTIER_ENCODING bytes."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    bitmap = np.packbits(visited, bitorder="little").tobytes()
+    bitmap = np.packbits(visited, bitorder="little")  # hashed and written uncopied
     if np.any(frontier[1:] < frontier[:-1]):  # BFS frontiers are already sorted
         frontier = np.sort(frontier)
-    body = frontier.astype("<u8", copy=False).tobytes()
+    body = np.ascontiguousarray(frontier, dtype="<u8")
     header = {
         "m": m,
         "n": n,
@@ -463,7 +460,7 @@ def write_checkpoint(
     _write_atomically(directory / "LATEST", [(name + "\n").encode()])
 
 
-def _write_atomically(path: Path, parts: list[bytes]) -> None:
+def _write_atomically(path: Path, parts: list) -> None:
     """Write through a temp file in the same directory, then rename it over
     path, so a crash leaves either the old file or the new one."""
     tmp = path.with_name(path.name + ".tmp")
@@ -538,6 +535,8 @@ def read_checkpoint(directory, m: int, n: int, aid: str):
         raise CheckpointError("checkpoint header has no frontier_sha256")
     if hashlib.sha256(body).hexdigest() != header["frontier_sha256"]:
         raise CheckpointError("frontier hash mismatch; refusing to resume")
+    if np.any(frontier[1:] <= frontier[:-1]):
+        raise CheckpointError("frontier entries are not strictly ascending")
     if not visited[frontier].all():
         raise CheckpointError("frontier entry missing from the visited bitmap")
     return generation, visited, frontier

@@ -114,12 +114,34 @@ def all_valid(m, n):
 
 
 def successors(frontier, m, n, alphabet):
-    """_successor_bitmap as a set, over "full" or a letter list, whose
-    tables come from _letter_tables as in bfs_reach."""
-    if not isinstance(alphabet, str):
-        alphabet = _letter_tables(alphabet, m, n)
-    bitmap = _successor_bitmap(np.array(frontier, dtype=np.uint64), m, n, alphabet)
-    return set(np.flatnonzero(bitmap).tolist())
+    """_successor_bitmap as a set of encodings: over "full" it reads the
+    bitmap; over a letter list, whose tables come from _letter_tables as in
+    bfs_reach, the array of distinct successors, checked to be ascending."""
+    frontier = np.array(frontier, dtype=np.uint64)
+    if isinstance(alphabet, str):
+        return set(np.flatnonzero(_successor_bitmap(frontier, m, n, alphabet)).tolist())
+    succ = _successor_bitmap(frontier, m, n, _letter_tables(alphabet, m, n))
+    assert succ.dtype == np.intp and np.all(succ[1:] > succ[:-1])
+    return set(succ.tolist())
+
+
+def random_letters(rng, m, n, count):
+    return [letter([rng.randint(1, m) for _ in range(m)],
+                   [rng.randint(1, n) for _ in range(n)]) for _ in range(count)]
+
+
+def set_bfs(m, n, letters, max_generations):
+    """Letter-list BFS on Python sets through pair_loop_step: the visited
+    set, the last frontier and the size of each frontier stepped."""
+    visited, frontier, sizes = {1}, {1}, []
+    while frontier and len(sizes) < max_generations:
+        sizes.append(len(frontier))
+        frontier = {
+            pair_loop_step(enc, a.s.images, a.t.images, m, n)
+            for enc in frontier for a in letters
+        } - visited
+        visited |= frontier
+    return visited, frontier, sizes
 
 
 class TestKernelMatchesDefinition:
@@ -150,15 +172,10 @@ class TestKernelMatchesDefinition:
     # cells end in a short second chunk, and 4x6 fills two
     CHUNK_GRIDS = [(3, 3), (1, 13), (3, 5), (4, 4), (2, 7), (4, 5), (4, 6)]
 
-    @staticmethod
-    def random_letters(rng, m, n, count):
-        return [letter([rng.randint(1, m) for _ in range(m)],
-                       [rng.randint(1, n) for _ in range(n)]) for _ in range(count)]
-
     @pytest.mark.parametrize("m,n", CHUNK_GRIDS)
     def test_letter_list_across_chunks(self, m, n):
         rng = random.Random(m * 100 + n)
-        letters = self.random_letters(rng, m, n, 4)
+        letters = random_letters(rng, m, n, 4)
         frontier = [rng.randrange(1 << (m * n)) for _ in range(200)]
         union = set()
         for a in letters:
@@ -179,19 +196,46 @@ class TestKernelMatchesDefinition:
     @pytest.mark.parametrize("m,n", CHUNK_GRIDS)
     def test_bfs_letter_list_across_chunks(self, m, n, tmp_path):
         rng = random.Random(m * 100 + n + 1)
-        letters = self.random_letters(rng, m, n, 3)
-        visited, frontier = {1}, {1}
-        for _ in range(4):
-            frontier = {
-                pair_loop_step(enc, a.s.images, a.t.images, m, n)
-                for enc in frontier for a in letters
-            } - visited
-            visited |= frontier
+        letters = random_letters(rng, m, n, 3)
+        visited, frontier, _ = set_bfs(m, n, letters, 4)
         report = bfs_reach(m, n, letters, checkpoint_dir=tmp_path, max_generations=4)
         assert report.reached == len(visited)
         _, bitmap, last = read_checkpoint(tmp_path, m, n, report.alphabet_id)
         assert set(np.flatnonzero(bitmap).tolist()) == visited
         assert set(last.tolist()) == frontier
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["one-block", "two-blocks"])
+    @pytest.mark.parametrize("m,n", CHUNK_GRIDS)
+    def test_bfs_across_block_switch(self, m, n, extra, tmp_path, monkeypatch):
+        # ARRAY_BLOCK is set so that the largest frontier times the letter
+        # count is ARRAY_BLOCK (one block, deduplicated in a set) or
+        # ARRAY_BLOCK plus the letter count (two blocks, through the bitmap)
+        rng = random.Random(m * 100 + n + 2)
+        letters = random_letters(rng, m, n, rng.randint(2, 5))
+        visited, frontier, sizes = set_bfs(m, n, letters, 6)
+        peak = max(sizes)
+        assert peak > 1
+        monkeypatch.setattr(reach, "ARRAY_BLOCK", (peak - extra) * len(letters))
+        report = bfs_reach(m, n, letters, checkpoint_dir=tmp_path, max_generations=6)
+        assert report.reached == len(visited)
+        assert report.generations == len(sizes)
+        _, bitmap, last = read_checkpoint(tmp_path, m, n, report.alphabet_id)
+        assert set(np.flatnonzero(bitmap).tolist()) == visited
+        assert set(last.tolist()) == frontier
+
+    @pytest.mark.parametrize("size", [4096, 4097])
+    def test_letter_list_at_block_switch(self, size):
+        # 4 letters: 4096 rows fill ARRAY_BLOCK, and 4097 take a second block
+        m, n = 4, 6
+        assert reach.ARRAY_BLOCK == 4 * 4096
+        rng = random.Random(size)
+        letters = random_letters(rng, m, n, 4)
+        frontier = [rng.randrange(1 << (m * n)) for _ in range(size)]
+        expected = {
+            pair_loop_step(enc, a.s.images, a.t.images, m, n)
+            for enc in frontier for a in letters
+        }
+        assert successors(frontier, m, n, letters) == expected
 
     def test_extremal_step_sample(self):
         rng = random.Random(3)
@@ -527,6 +571,41 @@ class TestCheckpoints:
         target.write_bytes(raw[:start] + (1).to_bytes(8, "little") * 145)
         with pytest.raises(CheckpointError, match="frontier hash"):
             bfs_reach(3, 3, checkpoint_dir=tmp_path, resume=True)
+
+    @pytest.mark.parametrize("entries", [[5, 3, 5], [3, 5, 5]])
+    def test_frontier_not_ascending_refused(self, tmp_path, entries):
+        # length, range, hash and visited checks all pass
+        visited = np.zeros(16, dtype=bool)
+        visited[[1, 3, 5]] = True
+        write_checkpoint(tmp_path, 2, 2, "full", 0, visited, np.array(entries, dtype=np.uint64))
+        target = tmp_path / "gen-000000.ckpt"
+        raw = target.read_bytes()
+        nl = raw.index(b"\n")
+        body = np.array(entries, dtype="<u8").tobytes()
+        header = json.loads(raw[:nl])
+        header["frontier_sha256"] = hashlib.sha256(body).hexdigest()
+        target.write_bytes(
+            json.dumps(header, sort_keys=True).encode() + raw[nl:-len(body)] + body
+        )
+        with pytest.raises(CheckpointError, match="not strictly ascending"):
+            read_checkpoint(tmp_path, 2, 2, "full")
+
+    #: sha256 of every checkpoint file of two letter-list runs to the fixpoint,
+    #: as written by the per-letter BFS that the block step replaced
+    GOLDEN_RUNS = {
+        "3x3 letters_3x3": (3, 3, lambda: load_letters(FIXTURES / "letters_3x3.json")),
+        "4x5 seed 45": (4, 5, lambda: random_letters(random.Random(45), 4, 5, 8)),
+    }
+
+    @pytest.mark.parametrize("run", sorted(GOLDEN_RUNS))
+    def test_golden_checkpoint_bytes(self, tmp_path, run):
+        m, n, letters = self.GOLDEN_RUNS[run]
+        bfs_reach(m, n, letters(), checkpoint_dir=tmp_path)
+        expected = json.loads((GOLDEN / "checkpoint_sha256.json").read_text())[run]
+        assert {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(tmp_path.glob("gen-*.ckpt"))
+        } == expected
 
     def test_frontier_not_integer_refused(self, tmp_path):
         visited = np.zeros(16, dtype=bool)
