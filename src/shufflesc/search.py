@@ -128,7 +128,7 @@ def _minimal_finals(images: tuple[tuple[int, ...], ...], size: int) -> list[froz
     with `size` states: every state reachable and no two states equivalent."""
     if len(_bfs_order(images, 1)[0]) < size:
         return []
-    table = list(zip(*images))
+    table = list(zip(*images)) or [()] * size  # () if no letters
     states = range(1, size + 1)
     return [F for F in _final_sets(size)
             if max(refine(table, [q in F for q in states])) == size]

@@ -241,15 +241,34 @@ class TestArrayPath:
 
     def test_generation_over_several_blocks(self):
         # letter q adds state q to any nonempty subset: generation g holds
-        # the C(13, g) subsets of g + 1 states that contain the start state,
-        # so generation 6 steps 1,716 * 14 pairs, more than one block
-        states = 14
-        letters = [5, 0, 13, 2, 9, 11, 1, 7, 4, 12, 3, 10, 6, 8]
-        succ = [[1 << p | 1 << q for p in range(states)] for q in letters]
-        assert math.comb(states - 1, 6) * len(letters) > ARRAY_BLOCK
-        subsets, table = subset_table_array(succ, 1 << 3, states)
-        assert len(subsets) == 1 << states - 1
-        assert as_lists(subsets, table) == subset_table(succ, 1 << 3)
+        # the C(states - 1, g) subsets of g + 1 states that contain the
+        # start state, so generation 6 steps more than one block
+        for letters in ([5, 0, 13, 2, 9, 11, 1, 7, 4, 12, 3, 10, 6, 8],
+                        [10, 8, 12, 1, 2, 5, 9, 15, 0, 13, 3, 6, 4, 14, 7, 11]):
+            states = len(letters)  # 14, then DENSE_ID_CELLS
+            succ = [[1 << p | 1 << q for p in range(states)] for q in letters]
+            assert math.comb(states - 1, 6) * len(letters) > ARRAY_BLOCK
+            subsets, table = subset_table_array(succ, 1 << 3, states)
+            assert len(subsets) == 1 << states - 1
+            assert as_lists(subsets, table) == subset_table(succ, 1 << 3)
+
+    def test_id_store_boundary(self, monkeypatch):
+        # rotations of {1} and {1, 2}, and the full set, whose encoding is
+        # the last entry of the dense id array at 16 states
+        def letters(states):
+            return [[1 << (q + 1) % states for q in range(states)], [3] * states,
+                    [(1 << states) - 1] * states]
+
+        made = []
+        store = automata._SortedIds
+        monkeypatch.setattr(automata, "_SortedIds",
+                            lambda dtype: made.append(dtype) or store(dtype))
+        for states in (16, 17):  # either side of DENSE_ID_CELLS
+            subsets, table = subset_table_array(letters(states), 1, states)
+            assert len(subsets) == 2 * states + 1
+            assert table.dtype == np.int32
+            assert as_lists(subsets, table) == subset_table(letters(states), 1)
+        assert made == [np.uint32]  # only 17 states sort their keys
 
     def test_path_boundary(self, monkeypatch):
         # the letter (q -> q+1 mod states) plus a letter onto {1, 2}

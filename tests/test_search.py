@@ -155,7 +155,8 @@ class TestOneStateSide:
     # a one-state DFA is minimal with final set {} or {1}; the search once
     # tried no final set there and reported max 0
     @pytest.mark.parametrize("m, n, k, maximum", [
-        (1, 1, 1, 1), (1, 2, 1, 2), (2, 1, 2, 2), (1, 2, 2, 2), (1, 3, 2, 3),
+        (1, 1, 0, 1), (1, 1, 1, 1), (1, 2, 1, 2), (2, 1, 2, 2), (1, 2, 2, 2),
+        (1, 3, 2, 3),
     ])
     def test_matches_brute_force(self, m, n, k, maximum):
         assert _brute_maximum(m, n, k) == maximum
@@ -166,6 +167,13 @@ class TestOneStateSide:
         for K, L in result.witnesses:
             assert (state_complexity(K), state_complexity(L)) == (m, n)
             assert shuffle_state_complexity(K, L) == maximum
+
+    @pytest.mark.parametrize("m, n", [(1, 2), (2, 1)])
+    def test_no_letters_beside_two_states(self, m, n):
+        # with no letters a two-state side has no minimal DFA, so there is
+        # no pair to evaluate (and none for _brute_maximum to build)
+        result = max_shuffle_complexity(m, n, 0)
+        assert (result.maximum, result.witnesses) == (0, [])
 
 
 def _eager_search(m, n, k, result_cap=10, stop_at_bound=False):
