@@ -27,11 +27,10 @@ each caller ran slower with the other's width.
 subset_table_array finds the id of each stepped subset in one of two
 stores, in the same loop. Up to DENSE_ID_CELLS (16) states it is a dense
 int32 array indexed by encoding, at most 256 KiB, and a lookup is one
-gather: on the 3x4 witness table the construction went from about 17 to
-7 ms, where searchsorted had been half its time. Above 16 states the array
-would cost far more than the tables it serves (4 MiB at 20 states, where
-the benchmark's random 4x5 pair reaches 6,159 subsets), so the known
-subsets stay sorted and a lookup is a searchsorted.
+gather instead of a binary search. Above 16 states the array would cost
+far more than the tables it serves (4 MiB at 20 states, where the
+benchmark's random 4x5 pair reaches 6,159 subsets), so the known subsets
+stay sorted and a lookup is a searchsorted.
 
 States are 1-based everywhere; this convention leaks into file formats and
 reports on purpose, so internal code never exposes 0-based offsets.
