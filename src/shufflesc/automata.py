@@ -77,46 +77,6 @@ class Transformation:
     def degree(self) -> int:
         return len(self.images)
 
-    def apply(self, q: int) -> int:
-        if not 1 <= q <= self.degree:
-            raise ValueError(f"state {q} out of range 1..{self.degree}")
-        return self.images[q - 1]
-
-    def then(self, other: "Transformation") -> "Transformation":
-        """Composition: first self, then other."""
-        if other.degree != self.degree:
-            raise ValueError("degree mismatch")
-        return Transformation(tuple(other.images[i - 1] for i in self.images))
-
-    def is_permutation(self) -> bool:
-        return len(set(self.images)) == self.degree
-
-    def inverse(self) -> "Transformation":
-        if not self.is_permutation():
-            raise ValueError("not a permutation")
-        inv = [0] * self.degree
-        for q, img in enumerate(self.images, start=1):
-            inv[img - 1] = q
-        return Transformation(tuple(inv))
-
-    @staticmethod
-    def identity(n: int) -> "Transformation":
-        return Transformation(tuple(range(1, n + 1)))
-
-    @staticmethod
-    def point(n: int, p: int, q: int) -> "Transformation":
-        """The map (p -> q): sends p to q, fixes everything else."""
-        images = list(range(1, n + 1))
-        images[p - 1] = q
-        return Transformation(tuple(images))
-
-    @staticmethod
-    def transposition(n: int, p: int, q: int) -> "Transformation":
-        """The swap (p, q)."""
-        images = list(range(1, n + 1))
-        images[p - 1], images[q - 1] = q, p
-        return Transformation(tuple(images))
-
 
 @dataclass(frozen=True)
 class Dfa:
@@ -504,6 +464,9 @@ def dfa_to_dict(d: Dfa) -> dict:
 def dfa_from_dict(obj: dict) -> Dfa:
     if not isinstance(obj, dict):
         raise FormatError("expected a JSON object", "$")
+    for key in obj:
+        if key not in ("states", "alphabet", "initial", "finals", "transitions"):
+            raise FormatError("unknown field", str(key))
     try:
         m = obj["states"]
     except KeyError:

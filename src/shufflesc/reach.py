@@ -27,10 +27,11 @@ instance- or column-family-level rules above that.
 Subsets are integer encodings, and the line rules (empty line, containment,
 single element) run on uint64 arrays of them: a table is built from one
 array pass per batch of subsets, and only the subsets no line rule covers
-go through the permutation search one at a time. A line-rule row stores
-only its kind: the verifier runs the same array pass, requires each row to
-name the rule it finds, and replays every kind in batch, so neither side
-builds an object per subset.
+go through the permutation search one at a time. The lemmas take an
+encoding and return encodings and image tuples. A line-rule row stores only
+its kind: the verifier runs the same array pass, requires each row to name
+the rule it finds, and replays every kind in batch. Neither side builds a
+ProductSubset or a letter object; extremal_step is the step on those.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .shuffle import (
     bound_f,
     cell_successors,
     col1_mask,
-    is_valid,
     row1_mask,
     valid_encodings,
 )
@@ -636,8 +636,9 @@ def bfs_reach(
 # The line rules (INITIAL, SHRINK, CONTAINMENT, SINGLE_ELEMENT) are tried on
 # an array of encodings at once: each rule is a loop over lines or line
 # pairs with one array operation per pair, so a subset table costs the same
-# Python work as one subset. The scalar reductions below are that function
-# applied to one encoding.
+# Python work as one subset. reduce_containment and reduce_single_element
+# are that function applied to one encoding. Every lemma takes and returns
+# encodings and image tuples, and steps with _row_map | _col_map.
 
 #: the line rules, in the order _first_rule tries them; rule code k names
 #: _RULES[k - 1], and code 0 means no rule applies
@@ -703,11 +704,11 @@ def _first_rule(enc: np.ndarray, m: int, n: int, rules: Sequence[str] = _RULES):
     return rule, axis, first, second, pred
 
 
-def _first_rule_of(S: ProductSubset, rules: Sequence[str]) -> tuple:
-    """_first_rule on the one encoding of S, for any grid size: (the name of
-    the rule or None, axis, i, j, pred) as ints."""
+def _first_rule_of(enc: int, m: int, n: int, rules: Sequence[str]) -> tuple:
+    """_first_rule on one encoding, for any grid size: (the name of the rule
+    or None, axis, i, j, pred) as ints."""
     rule, *fields = (int(a[0]) for a in
-                     _first_rule(np.array([S.bits], dtype=object), S.m, S.n, rules))
+                     _first_rule(np.array([enc], dtype=object), m, n, rules))
     return (_RULES[rule - 1] if rule else None, *fields)
 
 
@@ -722,43 +723,22 @@ def _point_images(m: int, n: int, axis: np.ndarray, inner: np.ndarray,
                                              np.arange(1, n + 1)[:, None])))
 
 
-@dataclass(frozen=True)
-class ContainmentReduction:
-    axis: str  # "row" | "column"
-    inner: int  # the contained row/column index
-    outer: int  # the containing one
-    smaller: ProductSubset
-    letter: ExtremalLetter
+def _require_valid(enc: int, m: int, n: int, lemma: str) -> None:
+    """ValueError unless enc encodes a valid subset of the m x n grid: a cell
+    in row 1 and one in column 1."""
+    if not (int_in(enc, 0, (1 << m * n) - 1) and enc & row1_mask(m, n) and enc & col1_mask(m, n)):
+        raise ValueError(f"{lemma} reduction expects a valid subset of the {m}x{n} grid")
 
 
-def reduce_containment(S: ProductSubset) -> ContainmentReduction | None:
-    """Strip the duplicated entries of a containing row (or column).
-
-    Tries all ordered row pairs in row-major order, then all column pairs,
-    and returns the first candidate; its stripped set is valid (see
-    _first_rule), and the letter (inner -> outer; identity) restores S
-    exactly.
-    """
-    if not is_valid(S):
-        raise ValueError("containment reduction expects a valid subset")
-    rule, axis, inner, outer, pred = _first_rule_of(S, ("CONTAINMENT",))
-    if not rule:
-        return None
-    images = [Transformation.identity(S.m), Transformation.identity(S.n)]
-    images[axis] = Transformation.point(images[axis].degree, inner, outer)
-    letter = ExtremalLetter(*images)
-    return ContainmentReduction(
-        _AXES[axis], inner, outer, ProductSubset(S.m, S.n, pred), letter)
-
-
-@dataclass(frozen=True)
-class SingleElementReduction:
-    p: int
-    q: int
-    sub: ProductSubset        # renumbered (m-1) x (n-1) subset
-    letter: ExtremalLetter    # transposition pair a
-    prefix_power: int         # a^prefix_power from {(1,1)} gives the anchor
-    anchor: ProductSubset
+def reduce_containment(enc: int, m: int, n: int) -> tuple[str, int, int, int] | None:
+    """(axis, inner, outer, pred) for the first ordered row pair, then
+    column pair, of the valid subset enc of the m x n grid whose line inner
+    is contained in line outer, or None. pred, enc without line inner's
+    entries in line outer, is valid (see _first_rule), and the letter
+    (inner -> outer) on that axis, the identity on the other, restores enc."""
+    _require_valid(enc, m, n, "containment")
+    rule, axis, inner, outer, pred = _first_rule_of(enc, m, n, ("CONTAINMENT",))
+    return (_AXES[axis], inner, outer, pred) if rule else None
 
 
 def _drop_lines(enc, m: int, n: int, p: int, q: int):
@@ -777,62 +757,38 @@ def _drop_lines(enc, m: int, n: int, p: int, q: int):
     return out
 
 
-def _drop(S: ProductSubset, p: int, q: int) -> ProductSubset:
-    """_drop_lines on S, as a subset of the smaller grid."""
-    return ProductSubset(S.m - (p > 0), S.n - (q > 0), _drop_lines(S.bits, S.m, S.n, p, q))
-
-
-def _single_element_anchor(
-    m: int, n: int, p: int, q: int
-) -> tuple[ExtremalLetter, int, ProductSubset]:
-    """(a, k, anchor) of the single-element lemma's case for the cell (p, q),
-    m, n >= 2. a = ((1 p'), (1 q')), where p' is p, or 2 if p = 1, and q'
-    likewise. a^k sends {(1,1)} to the anchor: {(1,1), (p',q')} with k = 2
-    when p and q are both 1 or both not 1, else {(p',1), (1,q')} with k = 1.
-    The proof states a^2 for all four cases, but when exactly one of p, q
-    is 1 a single application gives the anchor and a^2 does not.
+def _single_element_anchor(m: int, n: int, p: int, q: int) -> tuple[tuple, tuple, int, int]:
+    """(s, t, k, anchor) of the single-element lemma's case for the cell
+    (p, q), m, n >= 2: the images of the letter a = ((1 p'), (1 q')), where
+    p' is p, or 2 if p = 1, and q' likewise, and the encoding that a^k sends
+    {(1,1)} to. The anchor is {(1,1), (p',q')} with k = 2 when p and q are
+    both 1 or both not 1, else {(p',1), (1,q')} with k = 1. The proof states
+    a^2 for all four cases, but when exactly one of p, q is 1 a single
+    application gives the anchor and a^2 does not.
     """
-    pp, qq = p if p != 1 else 2, q if q != 1 else 2
-    letter = ExtremalLetter(
-        Transformation.transposition(m, 1, pp), Transformation.transposition(n, 1, qq)
-    )
+    pp, qq = max(p, 2), max(q, 2)
+    s = (pp, *range(2, pp), 1, *range(pp + 1, m + 1))  # the transposition (1 p')
+    t = (qq, *range(2, qq), 1, *range(qq + 1, n + 1))
     if (p == 1) == (q == 1):
-        return letter, 2, ProductSubset.from_pairs(m, n, [(1, 1), (pp, qq)])
-    return letter, 1, ProductSubset.from_pairs(m, n, [(pp, 1), (1, qq)])
+        return s, t, 2, 1 | 1 << (pp - 1) * n + qq - 1
+    return s, t, 1, 1 << (pp - 1) * n | 1 << qq - 1
 
 
-def reduce_single_element(S: ProductSubset) -> SingleElementReduction | None:
-    """Drop a cell that is alone in both its row and its column.
-
-    Applies when S is valid, has no empty row or column, and containment
-    does not apply. The returned transposition pair re-anchors the
-    sub-instance: applied prefix_power times to {(1,1)} it yields the
-    two-element anchor set of the matching case of the inductive proof
-    (see _single_element_anchor).
-    """
-    if not is_valid(S):
-        raise ValueError("single-element reduction expects a valid subset")
-    rule, _, p, q, _ = _first_rule_of(S, _RULES[1:])
-    if rule != "SINGLE_ELEMENT":
-        return None
-    letter, power, anchor = _single_element_anchor(S.m, S.n, p, q)
-    return SingleElementReduction(p, q, _drop(S, p, q), letter, power, anchor)
+def reduce_single_element(enc: int, m: int, n: int) -> tuple[int, int] | None:
+    """(p, q) for the first row p of the valid subset enc of the m x n grid
+    whose only cell (p, q) is also alone in its column, or None when enc
+    has an empty line or containment applies. enc without row p and column
+    q (_drop_lines) lies in the (m-1) x (n-1) grid, and
+    _single_element_anchor(m, n, p, q) re-anchors it."""
+    _require_valid(enc, m, n, "single-element")
+    rule, _, p, q, _ = _first_rule_of(enc, m, n, _RULES[1:])
+    return (p, q) if rule == "SINGLE_ELEMENT" else None
 
 
-@dataclass(frozen=True)
-class PermutationReduction:
-    phi: Transformation
-    psi: Transformation
-    removed_column: int
-    smaller: ProductSubset
-    letter: ExtremalLetter
-
-
-def reduce_permutation(
-    S: ProductSubset, phi: Transformation
-) -> PermutationReduction | None:
-    """Pull S back through the letter (phi; psi) when its columns form full
-    orbit classes under the row permutation phi.
+def reduce_permutation(enc: int, m: int, n: int, phi: Sequence[int]) -> tuple[int, tuple] | None:
+    """Pull the valid subset enc of the m x n grid back through the letter
+    (phi; psi) when its columns form full orbit classes under the row
+    permutation phi, given as its images; returns (pred, psi images).
 
     Standing assumptions of the underlying lemma: columns pairwise distinct
     and nonempty, first row with at least two elements.
@@ -849,44 +805,44 @@ def reduce_permutation(
     Returns None when the class structure fails, pred is invalid, or the
     edge does not replay; never returns a non-replayable pair.
     """
-    if not is_valid(S):
-        raise ValueError("permutation reduction expects a valid subset")
-    m, n = S.m, S.n
-    if phi.degree != m or not phi.is_permutation():
+    _require_valid(enc, m, n, "permutation")
+    if sorted(phi) != list(range(1, m + 1)):
         raise ValueError("phi must be a permutation of the rows")
-    rows, cols = _lines(S.bits, m, n)
+    rows, cols = _lines(enc, m, n)
     col_of = {c: q for q, c in enumerate(cols, start=1)}
     if 0 in col_of or len(col_of) != n or rows[0].bit_count() < 2:
         return None
-    images = [_row_map(c, phi.images, m, n) for c in cols]
+    images = [_row_map(c, phi, m, n) for c in cols]
     if any(U not in col_of for U in images):
         return None
     moved = [q for q in range(2, n + 1) if images[q - 1] != cols[q - 1]]
     if not moved:
         return None  # every class is fixed (column 1 alone cannot move)
-    k, inverse = moved[0], phi.inverse().images
-    psi = Transformation(tuple(col_of[_row_map(c, inverse, m, n)] for c in cols))
-    smaller = ProductSubset(m, n, _row_map(S.bits & ~(cols[k - 1] << k - 1), inverse, m, n))
-    letter = ExtremalLetter(phi, psi)
-    if not is_valid(smaller) or extremal_step(smaller, letter) != S or len(smaller) >= len(S):
+    k = moved[0]
+    inverse = sorted(range(1, m + 1), key=lambda p: phi[p - 1])  # phi(p) -> p
+    psi = tuple(col_of[_row_map(c, inverse, m, n)] for c in cols)
+    pred = _row_map(enc & ~(cols[k - 1] << k - 1), inverse, m, n)
+    if (not pred & row1_mask(m, n) or not pred & col1_mask(m, n)
+            or _row_map(pred, phi, m, n) | _col_map(pred, psi, m, n) != enc
+            or pred.bit_count() >= enc.bit_count()):
         return None
-    return PermutationReduction(phi, psi, k, smaller, letter)
+    return pred, psi
 
 
-def _first_reductions(encs: Sequence[int], mi: int, ni: int) -> list | None:
-    """The permutation reductions of the valid subsets encs of (mi, ni)
-    under the first row permutation, in permutations order, that reduces
-    them all, or None if none does."""
-    subsets = [ProductSubset(mi, ni, enc) for enc in encs]
-    for phi_images in permutations(range(1, mi + 1)):
-        phi, found = Transformation(phi_images), []
-        for S in subsets:
-            reduction = reduce_permutation(S, phi)
+def _first_reductions(encs: Sequence[int], mi: int, ni: int) -> tuple[tuple, list] | None:
+    """The first row permutation phi, in permutations order, under which
+    reduce_permutation reduces every one of the valid subsets encs of
+    (mi, ni), with its (pred, psi) for each of them, or None if none
+    does."""
+    for phi in permutations(range(1, mi + 1)):
+        found = []
+        for enc in encs:
+            reduction = reduce_permutation(enc, mi, ni, phi)
             if reduction is None:
                 break
             found.append(reduction)
         else:
-            return found
+            return phi, found
     return None
 
 
@@ -1018,9 +974,10 @@ def _exhaustive_entry(mi: int, ni: int, gaps: list[str]) -> InstanceEntry:
         for enc, rule in zip(batch.tolist(), _first_rule(batch, mi, ni)[0].tolist()):
             if rule:  # each row gets a dict of its own
                 table[str(enc)] = {"kind": _RULES[rule - 1]}
-            elif reductions := _first_reductions([enc], mi, ni):
-                table[str(enc)] = {"kind": "PERMUTATION", "pred": reductions[0].smaller.bits,
-                                   "letter": reductions[0].letter.to_dict()}
+            elif found := _first_reductions([enc], mi, ni):
+                phi, [(pred, psi)] = found
+                table[str(enc)] = {"kind": "PERMUTATION", "pred": pred,
+                                   "letter": {"s": list(phi), "t": list(psi)}}
             else:
                 gaps.append(f"instance ({mi},{ni}): subset encoding {enc} unjustified")
     return InstanceEntry(mi, ni, STRATEGY_EXHAUSTIVE, {"justifications": table})
@@ -1089,7 +1046,7 @@ def _family_entry(mi: int, ni: int, gaps: list[str]) -> InstanceEntry:
         else:
             families.append({
                 "columns": sorted(sorted(c) for c in combo),
-                "phi": list(found[0].phi.images),
+                "phi": list(found[0]),
             })
     return InstanceEntry(
         mi, ni, STRATEGY_FAMILY,
@@ -1225,10 +1182,10 @@ def _replay_single(tables: _Tables, mi: int, ni: int, encs: np.ndarray, P: np.nd
     row p and column q is justified in the (mi-1) x (ni-1) instance."""
     anchored = np.zeros(encs.shape, bool)
     for p, q in set(zip(P.tolist(), Q.tolist())):
-        letter, power, anchor = _single_element_anchor(mi, ni, p, q)
-        probe = ProductSubset(mi, ni, 1)
+        s, t, power, anchor = _single_element_anchor(mi, ni, p, q)
+        probe = 1
         for _ in range(power):
-            probe = extremal_step(probe, letter)
+            probe = _row_map(probe, s, mi, ni) | _col_map(probe, t, mi, ni)
         anchored[(P == p) & (Q == q)] = probe == anchor
     ok = _record_first(bad, where, encs, [
         (~anchored, lambda i: "SINGLE_ELEMENT anchor does not replay")])
@@ -1310,6 +1267,7 @@ def _verify_exhaustive(tables: _Tables, entry: InstanceEntry, failures: list[str
     if table is None:
         failures.append(f"({mi},{ni}): EXHAUSTIVE entry has no justifications table")
         return
+    _exact_data(entry, {"justifications"}, failures)
     listed = tables.listed(table, mi, ni)
     where = f"({mi},{ni}) subset "
     bad: dict[int, str] = {}
@@ -1335,15 +1293,27 @@ def _verify_exhaustive(tables: _Tables, entry: InstanceEntry, failures: list[str
         failures.append(f"({mi},{ni}): table keys that are not valid subsets: {extra}")
 
 
-def _family_witnesses(entry: InstanceEntry, failures: list[str]) -> dict | None:
-    """The stored phi of each column set of a FAMILY entry, or None after
-    recording one failure if its data is not {"families": [{"columns":
-    [[rows]], "phi": [a permutation of 1..m]}, ...], ...}."""
+def _exact_data(entry: InstanceEntry, keys: set[str], failures: list[str]) -> bool:
+    """Whether the dict entry.data holds exactly keys; records a failure if not."""
+    if entry.data.keys() == keys:
+        return True
+    failures.append(f"({entry.m},{entry.n}): {entry.strategy} data has keys "
+                    f"{sorted(map(str, entry.data))}, not {sorted(keys)}")
+    return False
+
+
+def _verify_family(entry: InstanceEntry, failures: list[str]) -> None:
+    """Record one failure, and stop, unless the data reads {"families":
+    [{"columns": [[rows]], "phi": [a permutation of 1..m]}, ...], ...}.
+    Then run the scan again: representatives_checked must be the number
+    it probes, and the stored phi of each column set it finds needing one
+    must reduce every representative. A column set stored twice, or one
+    the scan does not need, is a failure."""
     mi, ni = entry.m, entry.n
     families = entry.data.get("families") if isinstance(entry.data, dict) else None
     if not isinstance(families, list):
         failures.append(f"({mi},{ni}): FAMILY entry has no families list")
-        return None
+        return
     stored = {}
     for k, fam in enumerate(families):
         shaped = isinstance(fam, dict) and fam.keys() == {"columns", "phi"}
@@ -1355,28 +1325,27 @@ def _family_witnesses(entry: InstanceEntry, failures: list[str]) -> dict | None:
                 and all(int_in(i, 1, mi) for i in phi) and len(set(phi)) == mi):
             failures.append(f"({mi},{ni}): family {k} is not {{'columns': [[rows]], "
                             f"'phi': [a permutation of 1..{mi}]}}")
-            return None
-        stored[frozenset(frozenset(c) for c in cols)] = Transformation(tuple(phi))
-    return stored
-
-
-def _verify_family(entry: InstanceEntry, failures: list[str]) -> None:
-    mi, ni = entry.m, entry.n
-    stored = _family_witnesses(entry, failures)
-    if stored is None:
-        return
-    for combo, reps in _family_scan(mi, ni)[1]:
-        phi = stored.get(frozenset(combo))
+            return
+        stored[frozenset(frozenset(c) for c in cols)] = tuple(phi)
+    if len(stored) < len(families):
+        failures.append(f"({mi},{ni}): families that repeat an earlier column set: "
+                        f"{len(families) - len(stored)}")
+    probed, needing = _family_scan(mi, ni)
+    if _exact_data(entry, {"families", "representatives_checked"}, failures):
+        checked = entry.data["representatives_checked"]
+        if type(checked) is not int or checked != probed:  # bool is refused too
+            failures.append(f"({mi},{ni}): representatives_checked is {checked!r}, "
+                            f"but the scan probes {probed}")
+    for combo, reps in needing:
+        phi = stored.pop(frozenset(combo), None)
         if phi is None:
-            failures.append(
-                f"({mi},{ni}): family {sorted(sorted(c) for c in combo)} "
-                f"needs a permutation witness but none is stored"
-            )
+            failures.append(f"({mi},{ni}): family {sorted(sorted(c) for c in combo)} "
+                            f"needs a permutation witness but none is stored")
             continue
-        for rep in reps:
-            if reduce_permutation(ProductSubset(mi, ni, rep), phi) is None:
-                failures.append(
-                    f"({mi},{ni}): stored phi does not reduce representative {rep}")
+        failures.extend(f"({mi},{ni}): stored phi does not reduce representative {rep}"
+                        for rep in reps if reduce_permutation(rep, mi, ni, phi) is None)
+    failures.extend(f"({mi},{ni}): family {sorted(sorted(c) for c in columns)} "
+                    f"needs no permutation witness but one is stored" for columns in stored)
 
 
 def verify_certificate(
@@ -1406,18 +1375,14 @@ def verify_certificate(
                             f"{ENUM_GUARD_CELLS}-cell guard")
         elif entry.strategy == STRATEGY_SPERNER:
             axis = entry.data.get("axis") if isinstance(entry.data, dict) else None
-            if axis == "column":
-                if ni <= sperner_limit(mi):
-                    failures.append(
-                        f"({mi},{ni}): Sperner rule needs n > C(m, floor(m/2))"
-                    )
-            elif axis == "row":
-                if mi <= sperner_limit(ni):
-                    failures.append(
-                        f"({mi},{ni}): Sperner rule needs m > C(n, floor(n/2))"
-                    )
-            else:
+            if axis not in _AXES:
                 failures.append(f"({mi},{ni}): Sperner rule with unknown axis")
+                continue
+            if axis == "column" and ni <= sperner_limit(mi):
+                failures.append(f"({mi},{ni}): Sperner rule needs n > C(m, floor(m/2))")
+            if axis == "row" and mi <= sperner_limit(ni):
+                failures.append(f"({mi},{ni}): Sperner rule needs m > C(n, floor(n/2))")
+            _exact_data(entry, {"axis"}, failures)
         elif entry.strategy == STRATEGY_EXHAUSTIVE:
             _verify_exhaustive(tables, entry, failures)
         elif entry.strategy == STRATEGY_FAMILY:

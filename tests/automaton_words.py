@@ -6,7 +6,7 @@ def dfa_run(d, word, start=None):
     """The state d reaches from start (its initial state by default)."""
     q = d.initial if start is None else start
     for x in word:
-        q = d.transitions[d.alphabet.index(x)].apply(q)
+        q = d.transitions[d.alphabet.index(x)].images[q - 1]
     return q
 
 

@@ -25,6 +25,7 @@ from shufflesc.disting import (
     uniquely_distinguishable,
 )
 from shufflesc.reach import (
+    ExtremalLetter,
     bfs_reach,
     certify,
     direct_smaller_check,
@@ -135,9 +136,11 @@ class TestCriterion6ReductionFixtures:
         S = ProductSubset.from_pairs(
             m, n, [(i, j) for j, col in enumerate(cols, 1) for i in col]
         )
-        red = reduce_permutation(S, Transformation(phi))
+        red = reduce_permutation(S.bits, m, n, phi)
         assert red is not None
-        assert extremal_step(red.smaller, red.letter) == S
+        pred, psi = red
+        a = ExtremalLetter(Transformation(phi), Transformation(psi))
+        assert extremal_step(ProductSubset(m, n, pred), a) == S
         assert time.monotonic() - start < 1
 
 

@@ -67,41 +67,16 @@ def nfa_strategy(draw, max_states=5, max_letters=3):
 class TestTransformation:
     def test_apply_paper_example(self):
         # a = [2,2,3] on three states
-        t = T((2, 2, 3))
-        assert t.apply(1) == 2
-
-    def test_identity_fixes_everything(self):
-        t = T.identity(5)
-        assert t.apply(4) == 4
-
-    def test_point_map_fixes_others(self):
-        t = T.point(4, 1, 3)
-        assert t.apply(2) == 2
-        assert t.apply(1) == 3
+        d = Dfa(3, ("a",), (T((2, 2, 3)),), frozenset())
+        assert [dfa_run(d, "a", q) for q in (1, 2, 3)] == [2, 2, 3]
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            T((1, 2)).apply(3)
+        with pytest.raises(ValueError, match="image of 2 is 3, not in 1..2"):
+            T((1, 3))
 
     def test_bool_image_rejected(self):
         with pytest.raises(ValueError, match="image of 1 is True"):
             T((True, 2))
-
-    def test_composition(self):
-        s = T((2, 3, 1))
-        t = T((1, 1, 2))
-        st_ = s.then(t)
-        for q in (1, 2, 3):
-            assert st_.apply(q) == t.apply(s.apply(q))
-
-    def test_inverse_of_permutation(self):
-        p = T((3, 1, 2))
-        assert p.is_permutation()
-        assert p.then(p.inverse()) == T.identity(3)
-
-    def test_transposition(self):
-        t = T.transposition(4, 2, 4)
-        assert t.images == (1, 4, 3, 2)
 
 
 class TestDeterminize:
@@ -109,7 +84,7 @@ class TestDeterminize:
         d = Dfa(2, ("a",), (T((2, 1)),), frozenset([2]))
         nfa = Nfa(
             2, ("a",),
-            tuple((frozenset([d.transitions[0].apply(q)]),) for q in (1, 2)),
+            tuple((frozenset([d.transitions[0].images[q - 1]]),) for q in (1, 2)),
             1, frozenset([2]),
         )
         det, subsets = determinize(nfa)
@@ -300,7 +275,7 @@ class TestCanonicalize:
         # non-initial states instead
         perm = {1: 1, 2: 3, 3: 2}
         transitions = tuple(
-            T(tuple(perm[t.apply(inv)] for inv in (1, 3, 2)))
+            T(tuple(perm[t.images[inv - 1]] for inv in (1, 3, 2)))
             for t in d.transitions
         )
         finals = frozenset(perm[f] for f in d.finals)
@@ -350,7 +325,7 @@ class TestFileFormat:
             "finals": [2], "transitions": {"a": [2, 1], "b": [1, 1]},
         }
         d = dfa_from_dict(obj)
-        assert d.transitions[0].apply(1) == 2
+        assert d.transitions[0].images[1 - 1] == 2
         assert dfa_to_dict(d) == obj
 
     def test_out_of_range_transition_diagnostic(self):
@@ -367,6 +342,7 @@ class TestFileFormat:
         ("initial", {"initial": True}),
         ("finals[0]", {"finals": [True]}),
         ("transitions['a'][0]", {"transitions": {"a": [True, 1]}}),
+        ("inital", {"inital": 2}),  # a misspelled key loaded as if absent
     ])
     def test_bool_is_not_a_state(self, where, patch):
         obj = {

@@ -117,6 +117,17 @@ class TestComplexity:
         assert code == EXIT_USER
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_field_is_user_error(self, tmp_path, capsys):
+        # with "inital" ignored, this loaded with initial state 1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"states": 2, "alphabet": ["a"], "inital": 2,
+                                   "finals": [2], "transitions": {"a": [2, 1]}}))
+        code = main([
+            "complexity", str(bad), str(FIXTURES / "witness_2x2_right.json")
+        ])
+        assert code == EXIT_USER
+        assert "inital: unknown field" in capsys.readouterr().err
+
     def test_missing_file_is_user_error(self, tmp_path):
         assert main([
             "complexity", str(tmp_path / "absent.json"),

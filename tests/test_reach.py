@@ -13,7 +13,7 @@ from shufflesc import reach
 from shufflesc.automata import Transformation, _step_tables
 from shufflesc.reach import (
     _checkpoint_name,
-    _drop,
+    _drop_lines,
     _first_rule_of,
     _letter_tables,
     _orbit_keys,
@@ -55,6 +55,13 @@ def letter(s_images, t_images):
     return ExtremalLetter(T(tuple(s_images)), T(tuple(t_images)))
 
 
+def transposition(k, p):
+    """Images of the swap (1 p) on {1..k}."""
+    images = list(range(1, k + 1))
+    images[0], images[p - 1] = p, 1
+    return images
+
+
 @st.composite
 def subset_strategy(draw, max_m=3, max_n=3):
     m = draw(st.integers(1, max_m))
@@ -77,7 +84,7 @@ class TestExtremalStep:
     def test_anchor_by_a_squared_generic_case(self):
         # p, q both != 1: transposition pair (1 p);(1 q), word a^2
         m, n, p, q = 3, 3, 3, 2
-        a = ExtremalLetter(T.transposition(m, 1, p), T.transposition(n, 1, q))
+        a = letter(transposition(m, p), transposition(n, q))
         S = ProductSubset.from_pairs(m, n, [(1, 1)])
         S = extremal_step(extremal_step(S, a), a)
         assert S == ProductSubset.from_pairs(m, n, [(1, 1), (p, q)])
@@ -735,13 +742,24 @@ class TestCheckpoints:
             bfs_reach(2, 2, checkpoint_dir=tmp_path, resume=True)
 
 
+def containment_edge(S, red):
+    """reduce_containment's (axis, inner, outer, pred) for S as objects: the
+    pred subset and the letter (inner -> outer) on that axis, the identity
+    on the other."""
+    axis, inner, outer, pred = red
+    images = [list(range(1, S.m + 1)), list(range(1, S.n + 1))]
+    images[("row", "column").index(axis)][inner - 1] = outer
+    return ProductSubset(S.m, S.n, pred), letter(*images)
+
+
 class TestReduceContainment:
     def test_full_2x2_grid(self):
         S = ProductSubset.from_pairs(2, 2, [(1, 1), (1, 2), (2, 1), (2, 2)])
-        red = reduce_containment(S)
+        red = reduce_containment(S.bits, S.m, S.n)
         assert red is not None
-        assert extremal_step(red.smaller, red.letter) == S
-        assert len(red.smaller) < 4 and is_valid(red.smaller)
+        smaller, a = containment_edge(S, red)
+        assert extremal_step(smaller, a) == S
+        assert len(smaller) < 4 and is_valid(smaller)
 
     def test_incomparable_columns_no_column_branch(self):
         # pairwise-incomparable antichain columns: no column containment
@@ -749,44 +767,46 @@ class TestReduceContainment:
         S = ProductSubset.from_pairs(
             4, 4, [(i, j) for j, col in enumerate(cols, start=1) for i in col]
         )
-        red = reduce_containment(S)
-        assert red is None or red.axis != "column"
+        red = reduce_containment(S.bits, S.m, S.n)
+        assert red is None or red[0] != "column"
 
     def test_singleton_nothing(self):
-        assert reduce_containment(ProductSubset.from_pairs(2, 2, [(1, 1)])) is None
+        assert reduce_containment(ProductSubset.from_pairs(2, 2, [(1, 1)]).bits, 2, 2) is None
 
     @settings(max_examples=100, deadline=None)
     @given(subset_strategy())
     def test_replay_property(self, S):
         if not is_valid(S):
             return
-        red = reduce_containment(S)
+        red = reduce_containment(S.bits, S.m, S.n)
         if red is not None:
-            assert extremal_step(red.smaller, red.letter) == S
-            assert len(red.smaller) < len(S)
-            assert is_valid(red.smaller)
+            smaller, a = containment_edge(S, red)
+            assert extremal_step(smaller, a) == S
+            assert len(smaller) < len(S)
+            assert is_valid(smaller)
 
 
 class TestReduceSingleElement:
     def test_diagonal_2x2(self):
         S = ProductSubset.from_pairs(2, 2, [(1, 1), (2, 2)])
-        red = reduce_single_element(S)
+        red = reduce_single_element(S.bits, S.m, S.n)
         assert red is not None
-        # case p != 1, q != 1 at (2,2): anchor {(1,1),(2,2)} via a^2
-        assert red.prefix_power == 2
-        assert red.anchor == S
+        # case p == q == 1 at (1,1): anchor {(1,1),(2,2)} via a^2
+        _, _, power, anchor = _single_element_anchor(2, 2, *red)
+        assert power == 2
+        assert anchor == S.bits
 
     def test_empty_row_is_out_of_scope(self):
         # a lone cell at (3,2) with row 2 empty belongs to the shrink rule,
         # not this one: the stated precondition excludes empty rows/columns
         S = ProductSubset.from_pairs(3, 2, [(1, 1), (3, 2)])
-        assert reduce_single_element(S) is None
+        assert reduce_single_element(S.bits, S.m, S.n) is None
 
     def test_mixed_case_anchor_needs_single_application(self):
         # exactly one of p, q is 1: the stated transposition pair reaches
         # the anchor after one application, not two (a^2 lands elsewhere)
         m, n, q = 3, 3, 3
-        a = ExtremalLetter(T.transposition(m, 1, 2), T.transposition(n, 1, q))
+        a = letter(transposition(m, 2), transposition(n, q))
         probe = ProductSubset.from_pairs(m, n, [(1, 1)])
         once = extremal_step(probe, a)
         twice = extremal_step(once, a)
@@ -797,12 +817,14 @@ class TestReduceSingleElement:
         # (1,2) sits alone in its row and column; no row/column is empty
         # and no containment branch fires, so the reduction must apply
         S = ProductSubset.from_pairs(3, 3, [(1, 2), (2, 1), (3, 3)])
-        red = reduce_single_element(S)
-        assert red is not None and (red.p, red.q) == (1, 2)
-        assert red.prefix_power == 1
+        red = reduce_single_element(S.bits, S.m, S.n)
+        assert red == (1, 2)
+        s, t, power, anchor = _single_element_anchor(3, 3, *red)
+        assert power == 1
         probe = ProductSubset.from_pairs(3, 3, [(1, 1)])
-        assert extremal_step(probe, red.letter) == red.anchor
-        assert red.sub.m == 2 and red.sub.n == 2 and len(red.sub) == 2
+        assert extremal_step(probe, letter(s, t)) == ProductSubset(3, 3, anchor)
+        sub = _drop(S, *red)
+        assert sub.m == 2 and sub.n == 2 and len(sub) == 2
 
     @pytest.mark.parametrize("m,n", [(m, n) for m in (2, 3, 4) for n in (2, 3, 4)])
     def test_anchor_is_the_lemma_set(self, m, n):
@@ -816,27 +838,30 @@ class TestReduceSingleElement:
                     want = [(p, 1), (1, 2)]
                 else:
                     want = [(1, 1), (2, 2)]
-                a, power, anchor = _single_element_anchor(m, n, p, q)
-                assert anchor == ProductSubset.from_pairs(m, n, want)
+                s, t, power, anchor = _single_element_anchor(m, n, p, q)
+                assert list(s) == transposition(m, max(p, 2))
+                assert list(t) == transposition(n, max(q, 2))
+                assert ProductSubset(m, n, anchor) == ProductSubset.from_pairs(m, n, want)
                 probe = ProductSubset.from_pairs(m, n, [(1, 1)])
                 for _ in range(power):
-                    probe = extremal_step(probe, a)
-                assert probe == anchor
+                    probe = extremal_step(probe, letter(s, t))
+                assert probe.bits == anchor
 
     def test_two_element_column_nothing(self):
         S = ProductSubset.from_pairs(2, 2, [(1, 2), (2, 2), (2, 1)])
-        assert reduce_single_element(S) is None
+        assert reduce_single_element(S.bits, S.m, S.n) is None
 
     @settings(max_examples=100, deadline=None)
     @given(subset_strategy())
     def test_sub_instance_valid(self, S):
         if not is_valid(S):
             return
-        red = reduce_single_element(S)
+        red = reduce_single_element(S.bits, S.m, S.n)
         if red is not None:
-            assert is_valid(red.sub)
-            assert red.sub.m == S.m - 1 and red.sub.n == S.n - 1
-            assert len(red.sub) == len(S) - 1
+            sub = _drop(S, *red)
+            assert is_valid(sub)
+            assert sub.m == S.m - 1 and sub.n == S.n - 1
+            assert len(sub) == len(S) - 1
 
 
 def _shrink_reference(S, axis, index):
@@ -846,6 +871,11 @@ def _shrink_reference(S, axis, index):
         return ProductSubset.from_pairs(S.m, S.n - 1, pairs)
     pairs = [(i - 1 if i > index else i, j) for i, j in S.pairs()]
     return ProductSubset.from_pairs(S.m - 1, S.n, pairs)
+
+
+def _drop(S, p, q):
+    """_drop_lines on S, as a subset of the smaller grid."""
+    return ProductSubset(S.m - (p > 0), S.n - (q > 0), _drop_lines(S.bits, S.m, S.n, p, q))
 
 
 def _renumber_drop_reference(S, p, q):
@@ -863,7 +893,7 @@ class TestDropMatchesPairs:
         empty_rows = [p for p in range(1, S.m + 1) if not S.row(p)]
         expected = (("column", empty_cols[0]) if empty_cols
                     else ("row", empty_rows[0]) if empty_rows else None)
-        rule, axis, index, _, _ = _first_rule_of(S, ("SHRINK",))
+        rule, axis, index, _, _ = _first_rule_of(S.bits, S.m, S.n, ("SHRINK",))
         assert ((("row", "column")[axis], index) if rule else None) == expected
         if empty_cols and S.n > 1:
             q = data.draw(st.sampled_from(empty_cols))
@@ -916,8 +946,9 @@ def _single_reference(S):
 
 
 def _permutation_reference(S, phi):
-    """reduce_permutation on sets of rows, one column at a time: the
-    implementation before it worked on encodings, kept as its reference."""
+    """reduce_permutation on sets of rows, one column at a time, for phi
+    given as its images: the implementation before it worked on encodings,
+    kept as its reference. Returns (pred, psi images) or None."""
     m, n = S.m, S.n
     cols = [S.column(q) for q in range(1, n + 1)]
     if any(not c for c in cols) or len(set(cols)) != n or len(S.row(1)) < 2:
@@ -925,22 +956,23 @@ def _permutation_reference(S, phi):
     col_of = {c: q for q, c in enumerate(cols, start=1)}
 
     def image(U, f):
-        return frozenset(f.apply(i) for i in U)
+        return frozenset(f[i - 1] for i in U)
 
     if any(image(U, phi) not in col_of for U in cols):
         return None
     moved = [q for q in range(2, n + 1) if image(cols[q - 1], phi) != cols[q - 1]]
     if not moved:
         return None
-    k, phi_inv = moved[0], phi.inverse()
-    psi = T(tuple(col_of[image(U, phi_inv)] for U in cols))
+    k, phi_inv = moved[0], [0] * m
+    for p, img in enumerate(phi, start=1):
+        phi_inv[img - 1] = p
+    psi = tuple(col_of[image(U, phi_inv)] for U in cols)
     smaller = ProductSubset.from_pairs(m, n, [
         (i, j) for j in range(1, n + 1) if j != k for i in image(cols[j - 1], phi_inv)])
     if not is_valid(smaller):
         return None
-    red = reach.PermutationReduction(phi, psi, k, smaller, ExtremalLetter(phi, psi))
-    assert extremal_step(smaller, red.letter) == S and len(smaller) < len(S)
-    return red
+    assert extremal_step(smaller, letter(phi, psi)) == S and len(smaller) < len(S)
+    return smaller.bits, psi
 
 
 def _first_rule_reference(S):
@@ -971,11 +1003,11 @@ def _justify_subset(S, kind):
     line-rule row holds only that."""
     if kind is not None:
         return {"kind": kind}
-    for phi_images in permutations(range(1, S.m + 1)):
-        perm = _permutation_reference(S, T(phi_images))
+    for phi in permutations(range(1, S.m + 1)):
+        perm = _permutation_reference(S, phi)
         if perm is not None:
-            return {"kind": "PERMUTATION", "pred": perm.smaller.bits,
-                    "letter": perm.letter.to_dict()}
+            pred, psi = perm
+            return {"kind": "PERMUTATION", "pred": pred, "letter": letter(phi, psi).to_dict()}
     return None
 
 
@@ -1028,13 +1060,12 @@ class TestBatchedRulesMatchReference:
     def test_scalar_reductions(self, S):
         if not is_valid(S):
             return
-        red = reduce_containment(S)
         contained = _containment_reference(S)
-        assert (red and (red.axis, red.inner, red.outer, red.smaller.bits)) == contained
-        single = reduce_single_element(S)
+        assert reduce_containment(S.bits, S.m, S.n) == contained
         rows, cols = _lines_reference(S)
         applies = min(S.m, S.n) >= 2 and 0 not in rows + cols and contained is None
-        assert (single and (single.p, single.q)) == (_single_reference(S) if applies else None)
+        assert reduce_single_element(S.bits, S.m, S.n) == (
+            _single_reference(S) if applies else None)
 
 
 def orbit_table_subset(m, cols):
@@ -1054,43 +1085,57 @@ class TestReducePermutation:
     @pytest.mark.parametrize("cols,phi", [TABLE_A, TABLE_B, TABLE_C])
     def test_reference_tables_reduce(self, cols, phi):
         S = orbit_table_subset(5, cols)
-        red = reduce_permutation(S, T(phi))
+        red = reduce_permutation(S.bits, S.m, S.n, phi)
         assert red is not None
-        assert extremal_step(red.smaller, red.letter) == S
-        assert len(red.smaller) < len(S)
-        assert is_valid(red.smaller)
-        assert red.removed_column != 1
+        pred, psi = red
+        smaller = ProductSubset(S.m, S.n, pred)
+        assert extremal_step(smaller, letter(phi, psi)) == S
+        assert len(smaller) < len(S)
+        assert is_valid(smaller)
+        # the removed column is not column 1: the row part phi(pred) keeps it
+        row_part = ProductSubset(S.m, S.n, reach._row_map(pred, phi, S.m, S.n))
+        assert S.column(1) <= row_part.column(1)
 
     def test_table_c_no_column_containment(self):
         S = orbit_table_subset(5, self.TABLE_C[0])
-        red = reduce_containment(S)
-        assert red is None or red.axis != "column"
+        red = reduce_containment(S.bits, S.m, S.n)
+        assert red is None or red[0] != "column"
 
     def test_ten_two_subsets_of_q5_with_cycle(self):
         # all C(5,2)=10 two-element columns form full orbit classes under
         # the 5-cycle
         cols = [set(c) for c in combinations(range(1, 6), 2)]
         S = orbit_table_subset(5, cols)
-        red = reduce_permutation(S, T((2, 3, 4, 5, 1)))
+        phi = (2, 3, 4, 5, 1)
+        red = reduce_permutation(S.bits, S.m, S.n, phi)
         assert red is not None
-        assert extremal_step(red.smaller, red.letter) == S
+        pred, psi = red
+        assert extremal_step(ProductSubset(S.m, S.n, pred), letter(phi, psi)) == S
 
     def test_orbit_not_closed_nothing(self):
         S = orbit_table_subset(3, [{1, 2}, {1, 3}])
         # phi = (2 3) maps {1,2} to {1,3} and back: closed, applicable
-        assert reduce_permutation(S, T((1, 3, 2))) is not None
+        assert reduce_permutation(S.bits, S.m, S.n, (1, 3, 2)) is not None
         # phi = (1 2) maps {1,3} to {2,3}, absent: not applicable
-        assert reduce_permutation(S, T((2, 1, 3))) is None
+        assert reduce_permutation(S.bits, S.m, S.n, (2, 1, 3)) is None
+
+    def test_edge_that_does_not_replay_is_refused(self, monkeypatch):
+        # by the lemma's proof the edge always replays, so only a faulty step
+        # reaches this check; _col_map serves only that check here
+        S = orbit_table_subset(3, [{1, 2}, {1, 3}])
+        assert reduce_permutation(S.bits, S.m, S.n, (1, 3, 2)) is not None
+        monkeypatch.setattr(reach, "_col_map", lambda enc, images, m, n: enc & 0)
+        assert reduce_permutation(S.bits, S.m, S.n, (1, 3, 2)) is None
 
     def test_non_permutation_rejected(self):
         S = orbit_table_subset(3, [{1, 2}, {1, 3}])
         with pytest.raises(ValueError):
-            reduce_permutation(S, T((1, 1, 2)))
+            reduce_permutation(S.bits, S.m, S.n, (1, 1, 2))
 
     @staticmethod
     def _assert_matches_reference(S):
         for phi in permutations(range(1, S.m + 1)):
-            assert reduce_permutation(S, T(phi)) == _permutation_reference(S, T(phi))
+            assert reduce_permutation(S.bits, S.m, S.n, phi) == _permutation_reference(S, phi)
 
     @settings(max_examples=300, deadline=None)
     @given(subset_strategy(max_m=4, max_n=4))
@@ -1345,6 +1390,50 @@ class TestCertify:
         assert verify_certificate(Certificate(1, 1, [entry]), failures) is False
         assert failures == [message]
 
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda d: d.update(representatives_checked=-7),
+         "representatives_checked is -7, but the scan probes 96"),
+        (lambda d: d.update(representatives_checked=95),
+         "representatives_checked is 95, but the scan probes 96"),
+        (lambda d: d.update(representatives_checked=True),
+         "representatives_checked is True, but the scan probes 96"),
+        (lambda d: d.pop("representatives_checked"),
+         "FAMILY data has keys ['families'], not ['families', 'representatives_checked']"),
+        (lambda d: d.update(extra=1), "FAMILY data has keys ['extra', 'families', "
+         "'representatives_checked'], not ['families', 'representatives_checked']"),
+        (lambda d: d["families"].append(dict(d["families"][0])),
+         "families that repeat an earlier column set: 1"),
+        (lambda d: d["families"].append({"columns": [[2, 3], [1, 2], [1, 3]], "phi": [1, 3, 2]}),
+         "families that repeat an earlier column set: 1"),
+        (lambda d: d["families"].append({"columns": [[1], [2], [3]], "phi": [1, 2, 3]}),
+         "family [[1], [2], [3]] needs no permutation witness but one is stored"),
+        (lambda d: d["families"].append({"columns": [[1, 2], [1, 2], [3]], "phi": [1, 2, 3]}),
+         "family [[1, 2], [3]] needs no permutation witness but one is stored"),
+    ], ids=["count_negative", "count_off_by_one", "count_bool", "count_missing", "extra_key",
+            "family_copied", "family_reordered", "family_unneeded", "column_twice"])
+    def test_family_data_beyond_the_scan_refused(self, corrupt, message):
+        # the verifier ran the scan but ignored these: each verified
+        cert = self._family_certificate()
+        corrupt(cert.entries[-1].data)
+        failures = []
+        assert verify_certificate(cert, failures) is False
+        assert failures == [f"(3,3): {message}"]
+
+    @pytest.mark.parametrize("m,n,data,message", [
+        (3, 6, {"axis": "column", "junk": 1},
+         "(3,6): SPERNER data has keys ['axis', 'junk'], not ['axis']"),
+        (6, 3, {"axis": "row", "junk": 1},
+         "(6,3): SPERNER data has keys ['axis', 'junk'], not ['axis']"),
+        (2, 2, {"extra": 1}, "(2,2): EXHAUSTIVE data has keys ['extra', 'justifications'], "
+         "not ['justifications']"),
+    ], ids=["sperner_column", "sperner_row", "exhaustive"])
+    def test_instance_data_with_other_keys_refused(self, m, n, data, message):
+        cert = certify(m, n)
+        cert.entry(m, n).data.update(data)
+        failures = []
+        assert verify_certificate(cert, failures) is False
+        assert failures == [message]
+
     @pytest.mark.parametrize("m,n,entry,message", [
         (2, 2, InstanceEntry(0, 2, "EXHAUSTIVE", {"justifications": {}}),
          "(0,2): entry outside the 2x2 grid"),
@@ -1453,7 +1542,7 @@ class TestCertify:
         cert = certify(2, 2)
 
         def stalled(m, n, p, q):
-            return letter([1] * m, [1] * n), 0, _single_element_anchor(m, n, p, q)[2]
+            return [1] * m, [1] * n, 0, _single_element_anchor(m, n, p, q)[3]
 
         monkeypatch.setattr(reach, "_single_element_anchor", stalled)
         failures = []
