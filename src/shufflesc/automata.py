@@ -5,16 +5,19 @@ transformation per letter, NFAs, and the standard constructions: subset
 construction, Moore refinement and minimization, canonical forms.
 
 The subset construction and Moore refinement come in two forms that give
-the same subsets, ids and blocks. subset_table and refine loop over one
-(state, letter) pair at a time in Python; subset_table_array steps a
+the same automaton and partition, numbered in different orders.
+subset_table and refine loop over one (state, letter) pair at a time in
+Python and number states and blocks in order of first occurrence, the
+numbering determinize and minimize return; subset_table_array steps a
 whole BFS generation, and refine_array a whole refinement round, through
-numpy arrays. subset_complexity, which the shuffle complexity of one pair
-(the `complexity` and `okhotin` commands) goes through, takes the arrays
-for every NFA of up to 64 states, the most a uint64 subset holds, and the
-loop above that. The loop also serves determinize and the exhaustive
-search, which builds thousands of tables of a few dozen subsets each:
-numpy costs microseconds per call, and on arrays `search 2 2 4` took 1.5
-to 2.3 s instead of 0.2 to 0.3 s. The tests keep the loop as the
+numpy arrays and number in sort order, of which subset_complexity reads
+only the class count. subset_complexity, which the shuffle complexity of
+one pair (the `complexity` and `okhotin` commands) goes through, takes the
+arrays for every NFA of up to 64 states, the most a uint64 subset holds,
+and the loop above that. The loop also serves determinize and the
+exhaustive search, which builds thousands of tables of a few dozen subsets
+each: numpy costs microseconds per call, and on arrays `search 2 2 4` took
+1.5 to 2.3 s instead of 0.2 to 0.3 s. The tests keep the loop as the
 reference for the arrays.
 
 The arrays step subsets through _step_tables, the successors on every
@@ -175,7 +178,8 @@ class _SortedIds:
     """Ids of known subsets by searchsorted on their sorted encodings, read
     and written like subset_table_array's dense id array: self[x] is the id
     of each subset in x, or 0 for an unknown one, and self[x] = ids records
-    unknown subsets x in ascending order."""
+    unknown subsets x, which must be ascending, as a generation's new
+    subsets from np.unique are."""
 
     def __init__(self, dtype):
         self.keys = np.empty(0, dtype=dtype)
@@ -189,19 +193,6 @@ class _SortedIds:
     def __setitem__(self, x: np.ndarray, ids: np.ndarray) -> None:
         at = np.searchsorted(self.keys, x)
         self.keys, self.ids = np.insert(self.keys, at, x), np.insert(self.ids, at, ids)
-
-
-def _first_occurrence_ids(order: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Group numbers 1, 2, ... in order of first occurrence: order is a
-    stable sort of N items and starts[i] marks where a group of equal items
-    begins in sorted position i. Returns the group number of each item."""
-    first = order[starts]  # the stable sort puts each group's least index first
-    mark = np.zeros(order.size, dtype=bool)
-    mark[first] = True
-    rank = np.cumsum(mark, dtype=np.int32)[first]
-    ids = np.empty(order.size, dtype=np.int32)
-    ids[order] = rank[np.cumsum(starts, dtype=np.int32) - 1]
-    return ids
 
 
 def _step_tables(succ, cells: int, bits: int) -> np.ndarray:
@@ -235,17 +226,17 @@ def _block_step(tables: np.ndarray, x: np.ndarray, bits: int) -> np.ndarray:
 
 def subset_table_array(succ, start: int, cells: int) -> tuple[np.ndarray, np.ndarray]:
     """subset_table, one BFS generation at a time on arrays, for an NFA of
-    1 to 64 states (cells); same subsets, in the same order, and same ids.
+    1 to 64 states (cells): the same subsets and successors, numbered
+    differently.
 
     Each frontier block steps through _block_step, and its successors look
     up their ids among the subsets known before the generation, 0 marking a
     new one: in a dense array indexed by encoding up to DENSE_ID_CELLS
-    states, by searchsorted in a _SortedIds above. The new ones are numbered
-    in order of first occurrence in the generation's (state, letter)
-    sequence, as the loop would number them, which a stable argsort finds,
-    and then recorded in the store. Returns subsets (uint32 up to 32
-    states, uint64 above) and the int32 table, table[i, li] the id of the
-    successor of state i+1 on letter li.
+    states, by searchsorted in a _SortedIds above. The generation's new
+    subsets, deduplicated by np.unique, become the next frontier in
+    ascending order and take the next ids in that order. Returns subsets
+    (uint32 up to 32 states, uint64 above) and the int32 table, table[i, li]
+    the id of the successor of state i+1 on letter li; state 1 is start.
     """
     k = len(succ)
     tables = _step_tables(succ, cells, 8)
@@ -266,20 +257,13 @@ def subset_table_array(succ, start: int, cells: int) -> tuple[np.ndarray, np.nda
             lost = np.flatnonzero(ids[-1] == 0)
             miss_at.append(lost + lo * k)
             miss.append(step[lost])
-        ids, miss = np.concatenate(ids), np.concatenate(miss)
-        order = np.argsort(miss, kind="stable")
-        ordered = miss[order]
-        starts = np.ones(miss.size, dtype=bool)
-        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-        new_ids = _first_occurrence_ids(order, starts) + size
-        ids[np.concatenate(miss_at)] = new_ids
-        table.append(ids.reshape(frontier.size, k))
-        fresh, fresh_ids = ordered[starts], new_ids[order][starts]
-        frontier = np.empty_like(fresh)
-        frontier[fresh_ids - size - 1] = fresh
+        ids = np.concatenate(ids).reshape(frontier.size, k)
+        frontier, new = np.unique(np.concatenate(miss), return_inverse=True)
+        ids.ravel()[np.concatenate(miss_at)] = new + size + 1
+        table.append(ids)
         subsets.append(frontier)
-        known[fresh] = fresh_ids
-        size += fresh.size
+        known[frontier] = np.arange(size + 1, size + 1 + frontier.size, dtype=np.int32)
+        size += frontier.size
     return np.concatenate(subsets), np.concatenate(table)
 
 
@@ -364,13 +348,13 @@ def refine(table: Sequence[Sequence[int]], accepting: Iterable) -> list[int]:
 
 def refine_array(table: np.ndarray, accepting: np.ndarray) -> np.ndarray:
     """refine on arrays, for a table as subset_table_array gives it and a
-    bool array of finality; the same block numbering, as an int32 array.
+    bool array of finality: the same partition, as an int32 array of block
+    numbers 1, 2, ..., numbered in the sort order of their signatures.
 
     Each round writes the signature (block, successor blocks) of every
-    state as one row, sorts the rows stably as raw bytes, and numbers the
-    distinct ones in order of first occurrence. (One sort of byte rows
-    took 0.9 ms per round at 3,392 states and 40 letters, where a lexsort
-    over the 41 columns took 9.7 ms.)"""
+    state as one row, sorts the rows as raw bytes, and numbers the distinct
+    ones. (One sort of byte rows took 0.9 ms per round at 3,392 states and
+    40 letters, where a lexsort over the 41 columns took 9.7 ms.)"""
     states, k = table.shape
     block = accepting.astype(np.int32)
     count = 2 if 0 < np.count_nonzero(block) < states else 1
@@ -381,10 +365,11 @@ def refine_array(table: np.ndarray, accepting: np.ndarray) -> np.ndarray:
     while True:
         signature[:, 0] = lookup[1:] = block
         signature[:, 1:] = lookup[table]
-        order = np.argsort(rows, kind="stable")
+        order = np.argsort(rows)
         ordered = rows[order]
         starts[1:] = ordered[1:] != ordered[:-1]
-        new_block = _first_occurrence_ids(order, starts)
+        new_block = np.empty(states, dtype=np.int32)
+        new_block[order] = np.cumsum(starts, dtype=np.int32)
         groups = np.count_nonzero(starts)
         if groups == count:
             return new_block

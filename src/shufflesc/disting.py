@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Dfa, Nfa, Transformation, refine
+from .automata import Dfa, Nfa, Transformation, _step_tables, refine
 
 
 @dataclass(frozen=True)
@@ -73,24 +73,19 @@ def brute_subsets_pairwise_distinct(a: Nfa) -> bool:
     """Oracle: partition refinement over all 2^state_count subsets.
 
     The step table of the whole powerset automaton (reachable subsets or
-    not) is built here from the NFA's transitions and passed to
-    automata.refine; True iff every subset lands in its own block.
+    not) is automata._step_tables with one chunk of all n bits, which is
+    passed to automata.refine; True iff every subset lands in its own block.
     """
     n = a.state_count
     if n > 12:
         raise ValueError(f"oracle enumerates 2^{n} subsets; limit is 12 states")
     total = 1 << n
     final_mask = sum(1 << (f - 1) for f in a.finals)
-    succ = [[sum(1 << (s - 1) for s in targets) for targets in row]
-            for row in a.transitions]
-    # steps[enc][i]: subset enc on letter i, which is enc minus its lowest
-    # state on letter i, joined with that state's successors
-    steps = [[0] * len(a.alphabet)]
-    for enc in range(1, total):
-        low = (enc & -enc).bit_length() - 1
-        steps.append([x | y for x, y in zip(steps[enc & (enc - 1)], succ[low])])
-    # state enc + 1 of the powerset automaton carries subset enc
-    table = [[x + 1 for x in row] for row in steps]
+    succ = [[sum(1 << (s - 1) for s in targets) for targets in letter]
+            for letter in zip(*a.transitions)]
+    # row enc steps subset enc on every letter; state enc + 1 of the
+    # powerset automaton carries subset enc
+    table = (_step_tables(succ, n, n)[0] + 1).tolist()
     return max(refine(table, [enc & final_mask for enc in range(total)])) == total
 
 

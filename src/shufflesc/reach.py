@@ -398,6 +398,8 @@ class ReachReport:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ReachReport":
+        """ValueError names a missing or unknown field."""
+        _fields(obj, "reach report", **dict.fromkeys(cls.__dataclass_fields__, object))
         alphabet = obj["alphabet"]
         if not isinstance(alphabet, str):
             alphabet = tuple(
@@ -878,12 +880,15 @@ ROW_FIELDS = {
 def _fields(obj, where: str, **kinds: type) -> list:
     """The values of the named fields of obj, each of its given type (an
     int field refuses a bool); ValueError names the first field that is
-    missing or mistyped."""
+    missing or mistyped, then the first that is not named."""
     for key, kind in kinds.items():
         if not isinstance(obj, dict) or key not in obj:
             raise ValueError(f"{where}: missing field {key!r}")
         if not isinstance(obj[key], kind) or kind is int and isinstance(obj[key], bool):
             raise ValueError(f"{where}: field {key!r} is not a {kind.__name__}")
+    for key in obj:
+        if key not in kinds:
+            raise ValueError(f"{where}: unknown field {key!r}")
     return [obj[key] for key in kinds]
 
 
@@ -899,8 +904,8 @@ class InstanceEntry:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "InstanceEntry":
-        """ValueError names a missing or mistyped field; the verifier checks
-        `data`, recording a malformed one as a failure."""
+        """ValueError names a missing, mistyped or unknown field; the
+        verifier checks `data`, recording a malformed one as a failure."""
         return cls(*_fields(obj, "certificate entry", m=int, n=int, strategy=str, data=object))
 
 
@@ -946,7 +951,7 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Certificate":
-        """ValueError names a missing or mistyped field."""
+        """ValueError names a missing, mistyped or unknown field."""
         m, n, entries = _fields(obj, "certificate", m=int, n=int, entries=list)
         return cls(m, n, [InstanceEntry.from_dict(e) for e in entries])
 

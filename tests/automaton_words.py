@@ -1,5 +1,7 @@
 """Running words through a Dfa or an Nfa: the reference semantics that the
-tests check determinize, minimize and the shuffle NFA against."""
+tests check determinize, minimize and the shuffle NFA against. Reading a
+subset table and its refinement blocks apart from how they number states,
+which the array subset construction and the loop do differently."""
 
 
 def dfa_run(d, word, start=None):
@@ -28,3 +30,19 @@ def nfa_accepts(a, word):
     for x in word:
         current = nfa_step(a, current, x)
     return bool(current & a.finals)
+
+
+def subset_steps(subsets, table):
+    """{subset: its successor subset on each letter} of a subset table,
+    table[i][li] being the 1-based id of the successor of subsets[i]."""
+    steps = {s: tuple(subsets[j - 1] for j in row) for s, row in zip(subsets, table)}
+    assert len(steps) == len(subsets), "a subset has two ids"
+    return steps
+
+
+def blocks(items, block):
+    """The partition of items by their block numbers, as a set of frozensets."""
+    classes = {}
+    for x, b in zip(items, block):
+        classes.setdefault(b, set()).add(x)
+    return {frozenset(c) for c in classes.values()}

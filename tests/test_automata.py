@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from automaton_words import dfa_accepts, dfa_run, nfa_accepts
+from automaton_words import blocks, dfa_accepts, dfa_run, nfa_accepts, subset_steps
 from shufflesc import automata
 from shufflesc.automata import (
     ARRAY_BLOCK,
@@ -167,8 +167,23 @@ def succ_strategy(draw, min_states=1, max_states=20, max_letters=40):
     return succ, 1 << draw(st.integers(0, states - 1)), states
 
 
-def as_lists(subsets, table):
-    return subsets.tolist(), [tuple(row) for row in table.tolist()]
+def assert_matches_loop(succ, start, states, final):
+    """subset_table_array and refine_array against the loop, which numbers
+    states in another order: the same subsets, each with the same successor
+    subset on each letter, and the same refinement partition, its blocks
+    numbered 1 to the class count. final is the mask of final NFA states.
+    Returns the array subsets and table."""
+    subsets, table = subset_table_array(succ, start, states)
+    loop_subsets, loop_table = subset_table(succ, start)
+    assert table.dtype == np.int32 and subsets[0] == start
+    assert subset_steps(subsets.tolist(), table.tolist()) == subset_steps(
+        loop_subsets, loop_table)
+    block = refine_array(table, subsets & final != 0)
+    loop_block = refine(loop_table, [s & final for s in loop_subsets])
+    assert block.dtype == np.int32
+    assert blocks(subsets.tolist(), block.tolist()) == blocks(loop_subsets, loop_block)
+    assert sorted(set(block.tolist())) == list(range(1, max(loop_block) + 1))
+    return subsets, table
 
 
 class TestArrayPath:
@@ -176,20 +191,18 @@ class TestArrayPath:
     the reference."""
 
     @settings(max_examples=80, deadline=None)
-    @given(succ_strategy())
-    def test_subset_table_matches_loop(self, nfa):
+    @given(succ_strategy(), st.integers(0, 2**ARRAY_MAX_CELLS - 1))
+    def test_subset_table_matches_loop(self, nfa, final):
         succ, start, states = nfa
-        subsets, table = subset_table_array(succ, start, states)
-        assert table.dtype == np.int32
-        assert as_lists(subsets, table) == subset_table(succ, start)
+        assert_matches_loop(succ, start, states, final & (1 << states) - 1)
 
     @settings(max_examples=20, deadline=None)
-    @given(succ_strategy(min_states=33, max_states=ARRAY_MAX_CELLS, max_letters=6))
-    def test_subset_table_matches_loop_on_uint64(self, nfa):
+    @given(succ_strategy(min_states=33, max_states=ARRAY_MAX_CELLS, max_letters=6),
+           st.integers(0, 2**ARRAY_MAX_CELLS - 1))
+    def test_subset_table_matches_loop_on_uint64(self, nfa, final):
         succ, start, states = nfa
-        subsets, table = subset_table_array(succ, start, states)
+        subsets, _ = assert_matches_loop(succ, start, states, final & (1 << states) - 1)
         assert subsets.dtype == np.uint64
-        assert as_lists(subsets, table) == subset_table(succ, start)
 
     @st.composite
     def tables(draw):
@@ -211,8 +224,11 @@ class TestArrayPath:
     def test_refine_matches_loop(self, args):
         table, accepting = args
         block = refine_array(np.array(table, dtype=np.int32), np.array(accepting))
+        loop_block = refine(table, accepting)
+        states = range(len(table))
         assert block.dtype == np.int32
-        assert block.tolist() == refine(table, accepting)
+        assert blocks(states, block.tolist()) == blocks(states, loop_block)
+        assert sorted(set(block.tolist())) == list(range(1, max(loop_block) + 1))
 
     def test_generation_over_several_blocks(self):
         # letter q adds state q to any nonempty subset: generation g holds
@@ -223,9 +239,8 @@ class TestArrayPath:
             states = len(letters)  # 14, then DENSE_ID_CELLS
             succ = [[1 << p | 1 << q for p in range(states)] for q in letters]
             assert math.comb(states - 1, 6) * len(letters) > ARRAY_BLOCK
-            subsets, table = subset_table_array(succ, 1 << 3, states)
+            subsets, _ = assert_matches_loop(succ, 1 << 3, states, 1 << 5 | 1 << 9)
             assert len(subsets) == 1 << states - 1
-            assert as_lists(subsets, table) == subset_table(succ, 1 << 3)
 
     def test_id_store_boundary(self, monkeypatch):
         # rotations of {1} and {1, 2}, and the full set, whose encoding is
@@ -239,10 +254,8 @@ class TestArrayPath:
         monkeypatch.setattr(automata, "_SortedIds",
                             lambda dtype: made.append(dtype) or store(dtype))
         for states in (16, 17):  # either side of DENSE_ID_CELLS
-            subsets, table = subset_table_array(letters(states), 1, states)
+            subsets, _ = assert_matches_loop(letters(states), 1, states, 1 << 4)
             assert len(subsets) == 2 * states + 1
-            assert table.dtype == np.int32
-            assert as_lists(subsets, table) == subset_table(letters(states), 1)
         assert made == [np.uint32]  # only 17 states sort their keys
 
     def test_path_boundary(self, monkeypatch):
@@ -264,9 +277,9 @@ class TestArrayPath:
         assert cells == [3, ARRAY_MAX_CELLS]  # 65 states take the loop
 
     def test_no_letters(self):
-        subsets, table = subset_table_array([], 1 << 2, 5)
-        assert as_lists(subsets, table) == subset_table([], 1 << 2) == ([4], [()])
-        assert refine_array(table, subsets != 0).tolist() == [1]
+        subsets, table = assert_matches_loop([], 1 << 2, 5, 1 << 2)
+        assert table.shape == (1, 0)
+        assert subset_table([], 1 << 2) == ([4], [()])
 
 
 class TestCanonicalize:
@@ -351,6 +364,27 @@ class TestFileFormat:
         }
         with pytest.raises(FormatError) as exc:
             dfa_from_dict(obj)
+        assert exc.value.where == where
+
+    DOC = {"states": 2, "alphabet": ["a"], "initial": 1, "finals": [2],
+           "transitions": {"a": [2, 1]}}
+
+    @pytest.mark.parametrize("where, doc", [
+        ("$", [DOC]),
+        ("alphabet", {**DOC, "alphabet": []}),
+        ("alphabet", {**DOC, "alphabet": "a"}),
+        ("alphabet", {**DOC, "alphabet": ["a", 1]}),
+        ("alphabet", {**DOC, "alphabet": ["a", "a"]}),
+        ("finals", {**DOC, "finals": 2}),
+        ("transitions", {**DOC, "transitions": [[2, 1]]}),
+        ("transitions", {**DOC, "transitions": {"b": [2, 1]}}),
+        ("transitions['a']", {**DOC, "transitions": {"a": [2]}}),
+    ], ids=["not_an_object", "alphabet_empty", "alphabet_str", "letter_not_str",
+            "duplicate_letters", "finals_not_list", "transitions_not_object",
+            "letters_mismatch", "row_length"])
+    def test_refusal_names_the_field(self, where, doc):
+        with pytest.raises(FormatError) as exc:
+            dfa_from_dict(doc)
         assert exc.value.where == where
 
     def test_missing_field_diagnostic(self):

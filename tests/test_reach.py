@@ -379,6 +379,12 @@ class TestBfsReach:
         again = ReachReport.from_dict(json.loads(json.dumps(report.to_dict())))
         assert again == report
 
+    def test_report_with_unknown_field_refused(self):
+        # the schema allows no other key, but this report loaded
+        obj = {**bfs_reach(2, 2).to_dict(), "junk": 1}
+        with pytest.raises(ValueError, match="reach report: unknown field 'junk'"):
+            ReachReport.from_dict(obj)
+
     def test_report_matches_schema(self):
         jsonschema = pytest.importorskip("jsonschema")
         import importlib.resources as res
@@ -731,6 +737,33 @@ class TestCheckpoints:
         target.write_bytes(b"[1, 2]" + raw[raw.index(b"\n"):])
         with pytest.raises(CheckpointError, match="not a JSON object"):
             bfs_reach(2, 2, checkpoint_dir=tmp_path, resume=True)
+
+    @staticmethod
+    def _bumped(key):
+        """An edit of checkpoint bytes that adds 1 to a header field."""
+        def edit(raw):
+            nl = raw.index(b"\n")
+            header = json.loads(raw[:nl])
+            header[key] += 1
+            return json.dumps(header, sort_keys=True).encode() + raw[nl:]
+        return edit
+
+    @pytest.mark.parametrize("edit, message", [
+        (None, "missing checkpoint file"),
+        (lambda raw: raw[:raw.index(b"\n")], "truncated checkpoint header"),
+        (lambda raw: b"{" + raw[raw.index(b"\n"):], "bad checkpoint header"),
+        (_bumped("frontier_len"), "frontier length does not match header"),
+        (_bumped("visited_count"), "visited count does not match header"),
+    ], ids=["file_gone", "no_newline", "header_not_json", "frontier_len", "visited_count"])
+    def test_corrupt_checkpoint_refused(self, tmp_path, edit, message):
+        bfs_reach(2, 2, checkpoint_dir=tmp_path, max_generations=1)
+        target = tmp_path / "gen-000001.ckpt"
+        if edit is None:
+            target.unlink()
+        else:
+            target.write_bytes(edit(target.read_bytes()))
+        with pytest.raises(CheckpointError, match=message):
+            read_checkpoint(tmp_path, 2, 2, "full")
 
     def test_mismatched_grid_refused(self, tmp_path):
         bfs_reach(2, 2, checkpoint_dir=tmp_path, max_generations=1)
@@ -1234,6 +1267,20 @@ class TestCertify:
             Certificate.from_json(json.dumps(obj))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("patch, message", [
+        (lambda obj: obj.update(base_facts=[1]), "certificate: unknown field 'base_facts'"),
+        (lambda obj: obj["entries"][0].update(note="x"),
+         "certificate entry: unknown field 'note'"),
+    ], ids=["top_level", "entry"])
+    def test_unknown_field_refused(self, patch, message):
+        # the schema allows no other key at either level, but these read
+        # back and verified
+        obj = json.loads(certify(1, 2).to_json())
+        patch(obj)
+        with pytest.raises(ValueError) as info:
+            Certificate.from_json(json.dumps(obj))
+        assert str(info.value) == message
+
     def test_matches_schema(self):
         jsonschema = pytest.importorskip("jsonschema")
         import importlib.resources as res
@@ -1390,6 +1437,35 @@ class TestCertify:
         assert verify_certificate(Certificate(1, 1, [entry]), failures) is False
         assert failures == [message]
 
+    @pytest.mark.parametrize("size, corrupt, message", [
+        ((3, 6), lambda c: c.entries.remove(c.entry(3, 6)), "missing instance entry (3,6)"),
+        ((3, 6), lambda c: vars(c.entry(3, 3)).update(strategy="SPERNER",
+                                                      data={"axis": "column"}),
+         "(3,3): Sperner rule needs n > C(m, floor(m/2))"),
+        ((3, 6), lambda c: c.entry(3, 6).data.update(axis="row"),
+         "(3,6): Sperner rule needs m > C(n, floor(n/2))"),
+        ((4, 5), lambda c: c.entry(4, 5).data["families"].pop(0),
+         "(4,5): family [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4]] "
+         "needs a permutation witness but none is stored"),
+    ], ids=["entry_missing", "sperner_column_too_few", "sperner_row_too_few",
+            "family_witness_missing"])
+    def test_corrupted_instance_refused(self, size, corrupt, message):
+        cert = certify(*size)
+        corrupt(cert)
+        failures = []
+        assert verify_certificate(cert, failures) is False
+        assert failures == [message]
+
+    def test_reference_to_missing_instance_refused(self):
+        # SHRINK rows of (2,6) and (3,5) drop a line into (2,5)
+        cert = certify(3, 6)
+        cert.entries.remove(cert.entry(2, 5))
+        failures = []
+        assert verify_certificate(cert, failures) is False
+        assert failures[0] == "missing instance entry (2,5)"
+        assert {f.split(" subset ")[0] for f in failures[1:]} == {"(2,6)", "(3,5)"}
+        assert all(f.endswith(": refers to missing instance (2,5)") for f in failures[1:])
+
     @pytest.mark.parametrize("corrupt,message", [
         (lambda d: d.update(representatives_checked=-7),
          "representatives_checked is -7, but the scan probes 96"),
@@ -1510,10 +1586,14 @@ class TestCertify:
 
     def test_old_row_layout_refused(self):
         # `certify 3 3 --out` from before rows stored only their claim: a
-        # base_facts key, trusted BASE instances, and rows with derived fields
-        text = (GOLDEN / "certificate_3x3_old_layout.json").read_text()
+        # base_facts key, which the loader refuses, trusted BASE instances,
+        # and rows with derived fields, which the verifier refuses
+        obj = json.loads((GOLDEN / "certificate_3x3_old_layout.json").read_text())
+        with pytest.raises(ValueError, match="certificate: unknown field 'base_facts'"):
+            Certificate.from_dict(obj)
+        del obj["base_facts"]
         failures = []
-        assert not verify_certificate(Certificate.from_json(text), failures)
+        assert not verify_certificate(Certificate.from_dict(obj), failures)
         base = [f"({m},{n}): unknown strategy 'BASE'" for m, n in
                 [(2, 2), (2, 3), (3, 2), (3, 3)]]
         assert [f for f in failures if "BASE" in f] == base
