@@ -460,9 +460,9 @@ def dfa_from_dict(obj: dict) -> Dfa:
         raise FormatError(f"expected a positive integer, got {m!r}", "states")
     alphabet = obj.get("alphabet")
     if not isinstance(alphabet, list) or not alphabet or not all(
-        isinstance(x, str) for x in alphabet
+        isinstance(x, str) and x for x in alphabet
     ):
-        raise FormatError("expected a nonempty list of strings", "alphabet")
+        raise FormatError("expected a nonempty list of nonempty strings", "alphabet")
     if len(set(alphabet)) != len(alphabet):
         raise FormatError("duplicate letters", "alphabet")
     initial = obj.get("initial", 1)
@@ -474,6 +474,8 @@ def dfa_from_dict(obj: dict) -> Dfa:
     for i, f in enumerate(finals):
         if not int_in(f, 1, m):
             raise FormatError(f"state {f!r} out of range 1..{m}", f"finals[{i}]")
+    if len(set(finals)) != len(finals):
+        raise FormatError("repeated states", "finals")
     trans = obj.get("transitions")
     if not isinstance(trans, dict):
         raise FormatError("expected an object keyed by letter", "transitions")

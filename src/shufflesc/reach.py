@@ -91,8 +91,17 @@ class ExtremalLetter:
         return {"s": list(self.s.images), "t": list(self.t.images)}
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "ExtremalLetter":
-        return cls(Transformation(tuple(obj["s"])), Transformation(tuple(obj["t"])))
+    def from_dict(cls, obj: dict, where: str = "letter") -> "ExtremalLetter":
+        """The one reader of a JSON letter: exactly the keys s and t, each a
+        list of images that makes a Transformation; ValueError, prefixed by
+        where, names the first field that is not."""
+        maps = []
+        for key, images in zip("st", _fields(obj, where, s=list, t=list)):
+            try:
+                maps.append(Transformation(tuple(images)))
+            except ValueError as e:
+                raise ValueError(f"{where}: field {key!r}: {e}") from None
+        return cls(*maps)
 
 
 def iter_full_alphabet(m: int, n: int) -> Iterator[ExtremalLetter]:
@@ -105,8 +114,8 @@ def iter_full_alphabet(m: int, n: int) -> Iterator[ExtremalLetter]:
 
 
 def load_letters(path) -> list[ExtremalLetter]:
-    """Letter list from a JSON file of {"s": [...], "t": [...]} objects;
-    ValueError names the first malformed entry."""
+    """Letter list from a JSON list of letters, each read by
+    ExtremalLetter.from_dict; ValueError names the first malformed entry."""
     with open(path, encoding="utf-8") as fh:
         arr = json.load(fh)
     if not isinstance(arr, list):
@@ -114,7 +123,7 @@ def load_letters(path) -> list[ExtremalLetter]:
     for i, obj in enumerate(arr):
         try:
             arr[i] = ExtremalLetter.from_dict(obj)
-        except (KeyError, TypeError, ValueError) as e:
+        except ValueError as e:
             raise ValueError(f'{path}: letter {i} is not {{"s": [...], "t": [...]}}'
                              f" ({e!r})") from None
     return arr
@@ -359,64 +368,74 @@ def _orbit_generation(reps: np.ndarray, visited: np.ndarray, m: int, n: int):
 
 @dataclass(frozen=True)
 class ReachReport:
-    """Outcome of a reachability exploration.
-
-    Equality ignores elapsed_seconds so that an interrupted-and-resumed run
-    compares equal to an uninterrupted one.
-    """
+    """Outcome of a reachability exploration: what BFS measured, from which
+    bound, complete, alphabet_id and lineage follow. Equality ignores
+    elapsed_seconds, so a resumed run compares equal to an uninterrupted one."""
 
     m: int
     n: int
-    alphabet: object  # "full" or tuple of ((s images), (t images)) pairs
-    alphabet_id: str
-    bound: int
+    alphabet: object  # "full" or a tuple of ExtremalLetter
     reached: int
-    complete: bool
     unreached_sample: tuple[int, ...]
-    lineage: str
     generations: int
     elapsed_seconds: float = field(compare=False)
 
+    #: the fields of a report document in the order to_dict writes them, and their types
+    FIELDS = {"m": int, "n": int, "alphabet": object, "alphabet_id": str, "bound": int,
+              "reached": int, "complete": bool, "unreached_sample": list, "lineage": str,
+              "generations": int, "elapsed_seconds": object}
+
+    @property
+    def bound(self) -> int:
+        return bound_f(self.m, self.n)
+
+    @property
+    def complete(self) -> bool:
+        return self.reached == self.bound
+
+    @property
+    def alphabet_id(self) -> str:
+        return alphabet_id(self.alphabet)
+
+    @property
+    def lineage(self) -> str:
+        return hashlib.sha256(f"{self.m}:{self.n}:{self.alphabet_id}".encode()).hexdigest()[:16]
+
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "alphabet": (
-                self.alphabet
-                if isinstance(self.alphabet, str)
-                else [{"s": list(s), "t": list(t)} for s, t in self.alphabet]
-            ),
-            "alphabet_id": self.alphabet_id,
-            "bound": self.bound,
-            "reached": self.reached,
-            "complete": self.complete,
-            "unreached_sample": list(self.unreached_sample),
-            "lineage": self.lineage,
-            "generations": self.generations,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
+        obj = {key: getattr(self, key) for key in self.FIELDS}
+        if not isinstance(self.alphabet, str):
+            obj["alphabet"] = [a.to_dict() for a in self.alphabet]
+        obj["unreached_sample"] = list(self.unreached_sample)
+        return obj
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ReachReport":
-        """ValueError names a missing or unknown field."""
-        _fields(obj, "reach report", **dict.fromkeys(cls.__dataclass_fields__, object))
-        alphabet = obj["alphabet"]
-        if not isinstance(alphabet, str):
-            alphabet = tuple(
-                (tuple(a["s"]), tuple(a["t"])) for a in alphabet
-            )
-        return cls(
-            m=obj["m"], n=obj["n"], alphabet=alphabet,
-            alphabet_id=obj["alphabet_id"],
-            bound=obj["bound"], reached=obj["reached"], complete=obj["complete"],
-            unreached_sample=tuple(obj["unreached_sample"]),
-            lineage=obj["lineage"], generations=obj["generations"],
-            elapsed_seconds=obj["elapsed_seconds"],
-        )
-
-
-def _lineage(m: int, n: int, aid: str) -> str:
-    return hashlib.sha256(f"{m}:{n}:{aid}".encode()).hexdigest()[:16]
+        """ValueError names the first field that is missing, unknown,
+        mistyped or out of range, or does not follow from the others."""
+        m, n, alphabet, _, _, reached, _, sample, _, generations, elapsed = _fields(
+            obj, "reach report", **cls.FIELDS)
+        if not (m >= 1 and n >= 1 and m * n <= ENUM_GUARD_CELLS):
+            raise ValueError(f"reach report: fields 'm', 'n' give {m}x{n}, not a grid "
+                             f"of 1 to {ENUM_GUARD_CELLS} cells")
+        for key in ("reached", "generations", "elapsed_seconds"):
+            if type(obj[key]) not in (int, float) or obj[key] < 0:
+                raise ValueError(f"reach report: field {key!r} is {obj[key]!r}, not a number >= 0")
+        if len(sample) > 32 or not all(int_in(x, 0, (1 << m * n) - 1) for x in sample):
+            raise ValueError("reach report: field 'unreached_sample' is not at most 32 subsets")
+        if isinstance(alphabet, list):
+            alphabet = tuple(ExtremalLetter.from_dict(a, f"reach report: alphabet[{i}]")
+                             for i, a in enumerate(alphabet))
+            if any((a.s.degree, a.t.degree) != (m, n) for a in alphabet):
+                raise ValueError(f"reach report: field 'alphabet' holds a letter not of "
+                                 f"degrees ({m}, {n})")
+        elif alphabet != "full":
+            raise ValueError("reach report: field 'alphabet' is neither 'full' nor a list")
+        report = cls(m, n, alphabet, reached, tuple(sample), generations, elapsed)
+        for key, value in report.to_dict().items():  # only derived values can differ
+            if obj[key] != value:
+                raise ValueError(f"reach report: field {key!r} is {obj[key]!r}, but the "
+                                 f"other fields give {value!r}")
+        return report
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -607,30 +626,14 @@ def bfs_reach(
         if checkpoint_dir is not None:
             write_checkpoint(checkpoint_dir, m, n, aid, generation, visited, frontier)
 
-    bound = bound_f(m, n)
-    reached = int(np.count_nonzero(visited))
     unreached: list[int] = []
     for chunk in valid_encodings(m, n):
         unreached += chunk[~visited[chunk]][:32 - len(unreached)].tolist()
         if len(unreached) == 32:
             break
-    return ReachReport(
-        m=m,
-        n=n,
-        alphabet=(
-            alphabet
-            if isinstance(alphabet, str)
-            else tuple((a.s.images, a.t.images) for a in alphabet)
-        ),
-        alphabet_id=aid,
-        bound=bound,
-        reached=reached,
-        complete=reached == bound,
-        unreached_sample=tuple(unreached),
-        lineage=_lineage(m, n, aid),
-        generations=generation,
-        elapsed_seconds=time.monotonic() - start_time,
-    )
+    return ReachReport(m, n, alphabet if full else tuple(alphabet),
+                       int(np.count_nonzero(visited)), tuple(unreached), generation,
+                       time.monotonic() - start_time)
 
 
 # -- reductions --------------------------------------------------------------
@@ -1088,17 +1091,14 @@ def certify(m: int, n: int) -> Certificate:
 # -- certificate verification ------------------------------------------------
 
 
-def _letter_images(obj, rows: frozenset, cols: frozenset) -> tuple[list, list] | None:
-    """(s, t) of a row's letter, or None unless obj is {"s": [...], "t": [...]}
-    with len(rows) int images in rows = {1..m} and len(cols) in cols."""
-    if not isinstance(obj, dict) or obj.keys() != {"s", "t"}:
+def _letter_images(obj, m: int, n: int) -> tuple[tuple, tuple] | None:
+    """(s, t) of a row's letter, or None unless ExtremalLetter.from_dict
+    reads obj as a letter of degrees (m, n)."""
+    try:
+        a = ExtremalLetter.from_dict(obj)
+    except ValueError:
         return None
-    s, t = obj["s"], obj["t"]
-    if (isinstance(s, list) and isinstance(t, list) and len(s) == len(rows)
-            and len(t) == len(cols) and set(map(type, s + t)) == {int}
-            and rows.issuperset(s) and cols.issuperset(t)):
-        return s, t
-    return None
+    return (a.s.images, a.t.images) if (a.s.degree, a.t.degree) == (m, n) else None
 
 
 #: stands for a valid subset that a table does not list
@@ -1227,7 +1227,6 @@ def _check_rows(mi: int, ni: int, table: dict, encs: list[int], rule: np.ndarray
     in bad; returns the mask of the line-rule rows that pass, and the
     PERMUTATION edges (enc, pred, s, t) left to replay."""
     where = f"({mi},{ni}) subset "
-    rows, cols = frozenset(range(1, mi + 1)), frozenset(range(1, ni + 1))
     derived = [None] + [{"kind": kind} for kind in _RULES]
     passed = np.zeros(len(encs), bool)
     edges = []
@@ -1251,7 +1250,7 @@ def _check_rows(mi: int, ni: int, table: dict, encs: list[int], rule: np.ndarray
         elif kind != "PERMUTATION":
             bad[enc] = f"{where}{enc}: {kind} row, but no line rule applies"
         else:  # one edge, pred . letter = S
-            pred, images = j["pred"], _letter_images(j["letter"], rows, cols)
+            pred, images = j["pred"], _letter_images(j["letter"], mi, ni)
             if not int_in(pred, 0, (1 << mi * ni) - 1):
                 bad[enc] = f"{where}{enc}: {kind} predecessor {pred!r} is outside the grid"
             elif images is None:
@@ -1442,36 +1441,47 @@ def direct_smaller_check(m: int, n: int) -> DirectSmallerReport:
 def greedy_alphabet(m: int, n: int) -> list[ExtremalLetter]:
     """Grow a letter list, each step adding the letter that discovers the
     most new subsets from the current closure (ties to the first letter in
-    lexicographic order). No minimality claim."""
+    lexicographic order of the image tuples of (s, t)). No minimality claim.
+
+    A letter's successors are its row part under s OR its column part under
+    t. Each round maps the closure once through every map of the factor
+    with fewer maps and keeps these parts, min(m^m, n^n) arrays of the
+    closure's size (27 at 3x4, about 0.7 MB), then once through each map of
+    the other factor, and scores every letter by the OR of its two parts."""
     if m * n > ENUM_GUARD_CELLS:
         raise GridSizeError("greedy_alphabet exceeds the enumeration guard")
     bound = bound_f(m, n)
     total = 1 << (m * n)
+    factors = [(list(product(range(1, k + 1), repeat=k)), step)
+               for k, step in ((m, _row_map), (n, _col_map))]
+    rows_kept = len(factors[0][0]) <= len(factors[1][0])
+    (kept_maps, kept_step), (other_maps, other_step) = factors[::1 if rows_kept else -1]
     letters: list[ExtremalLetter] = []
     in_closure = np.zeros(total, dtype=bool)
     in_closure[1] = True
     fresh = np.zeros(total, dtype=bool)  # cleared after each letter
     while np.count_nonzero(in_closure) < bound:
-        closure_states = np.flatnonzero(in_closure).astype(np.uint64)
-        best_gain = 0
-        best_letter = None
-        for a in iter_full_alphabet(m, n):
-            succ = (_row_map(closure_states, a.s.images, m, n)
-                    | _col_map(closure_states, a.t.images, m, n))
-            new = succ[~in_closure[succ]]
-            fresh[new] = True  # distinct new subsets, counted without a sort
-            gain = np.count_nonzero(fresh)
-            fresh[new] = False
-            if gain > best_gain:
-                best_gain = gain
-                best_letter = a
-        if best_letter is None:
+        closure = np.flatnonzero(in_closure)
+        kept_parts = [kept_step(closure, x, m, n) for x in kept_maps]
+        best_gain, best = 0, None
+        for y in other_maps:
+            other_part = other_step(closure, y, m, n)
+            for x, kept_part in zip(kept_maps, kept_parts):
+                succ = other_part | kept_part
+                new = succ[~in_closure[succ]]
+                fresh[new] = True  # distinct new subsets, counted without a sort
+                gain = np.count_nonzero(fresh)
+                fresh[new] = False
+                letter = (x, y) if rows_kept else (y, x)
+                if gain > best_gain or gain and gain == best_gain and letter < best:
+                    best_gain, best = gain, letter
+        if best is None:
             raise RuntimeError(
                 f"greedy alphabet stalled at {np.count_nonzero(in_closure)} of {bound}"
             )
-        letters.append(best_letter)
+        letters.append(ExtremalLetter(Transformation(best[0]), Transformation(best[1])))
         tables = _letter_tables(letters, m, n)
-        frontier = closure_states
+        frontier = closure
         while frontier.size:
             frontier = _generation(frontier, in_closure, m, n, tables)
     return letters

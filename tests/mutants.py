@@ -1,0 +1,114 @@
+"""Source mutants that the tier-1 tests must catch.
+
+Each mutant replaces one exact piece of text, found once, in one file of
+src/shufflesc. For each mutant the script copies src/ to a temporary
+directory, applies the mutant there, and runs the tests named for it
+against the copy; every named test must fail. The named tests must first
+pass on the unmutated copy. Exits 1 and names the mutant if not.
+
+    python tests/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CERTIFY = "tests/test_reach.py::TestCertify::"
+BFS = "tests/test_reach.py::TestBfsReach::"
+DFA_FIELDS = "tests/test_automata.py::TestFileFormat::test_refusal_names_the_field"
+
+#: (name, file under src/shufflesc, text, replacement, tests that must fail)
+MUTANTS = [
+    ("verifier without the missing-entry check", "reach.py",
+     'failures.append(f"missing instance entry ({mi},{ni})")', "pass",
+     [f"{CERTIFY}test_corrupted_instance_refused[entry_missing]"]),
+    ("verifier without the unstored-family check", "reach.py",
+     '''            failures.append(f"({mi},{ni}): family {sorted(sorted(c) for c in combo)} "
+                            f"needs a permutation witness but none is stored")
+''', "",
+     [f"{CERTIFY}test_corrupted_instance_refused[family_witness_missing]"]),
+    ("verifier without the column Sperner limit", "reach.py",
+     'if axis == "column" and ni <= sperner_limit(mi):', "if False:",
+     [f"{CERTIFY}test_corrupted_instance_refused[sperner_column_too_few]"]),
+    ("ExtremalLetter.from_dict without its unknown-key check", "reach.py",
+     '_fields(obj, where, s=list, t=list)',
+     '_fields({k: obj[k] for k in "st" if k in obj} if isinstance(obj, dict) else obj, '
+     'where, s=list, t=list)',
+     ["tests/test_reach.py::TestFullAlphabet::test_malformed_letter_file_refused[entry7]",
+      f"{BFS}test_inconsistent_report_refused[letter_key]"]),
+    ("ReachReport.from_dict without its derived-value check", "reach.py",
+     "            if obj[key] != value:\n", "            if False:\n",
+     [f"{BFS}test_inconsistent_report_refused[{case}]"
+      for case in ("complete", "lineage", "alphabet_id", "bound")]),
+    ("greedy_alphabet without its tie-break to the first letter", "reach.py",
+     "if gain > best_gain or gain and gain == best_gain and letter < best:",
+     "if gain > best_gain:",
+     [f"tests/test_reach.py::TestAlphabets::test_greedy_matches_letter_loop[{size}]"
+      for size in ("2-3", "2-4")]),
+    ("dfa_from_dict accepting an empty letter name", "automata.py",
+     "isinstance(x, str) and x for x in alphabet", "isinstance(x, str) for x in alphabet",
+     [f"{DFA_FIELDS}[empty_letter_name]"]),
+    ("dfa_from_dict accepting repeated finals", "automata.py",
+     "if len(set(finals)) != len(finals):", "if False:",
+     [f"{DFA_FIELDS}[repeated_finals]"]),
+]
+
+
+def outcomes(src: Path, tests: list[str]) -> dict[str, str]:
+    """PASSED, FAILED or ERROR for each of tests, run against the package in src."""
+    # no bytecode cache: a mutant of the same size, written within the same
+    # second, would otherwise run from the unmutated copy's cache
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    probe = subprocess.run([sys.executable, "-c", "import shufflesc; print(shufflesc.__file__)"],
+                           env=env, cwd=ROOT, capture_output=True, text=True, check=True)
+    if not probe.stdout.startswith(str(src)):
+        raise SystemExit(f"tests would import {probe.stdout.strip()}, not the copy in {src}")
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
+                          *tests], env=env, cwd=ROOT, capture_output=True, text=True)
+    found = {}
+    for line in run.stdout.splitlines():
+        word, _, rest = line.partition(" ")
+        if word in ("PASSED", "FAILED", "ERROR"):
+            found[rest.split(" - ")[0]] = word
+    return {test: found.get(test, "NOT RUN") for test in tests}
+
+
+def main() -> int:
+    failed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        every_test = [test for *_, tests in MUTANTS for test in tests]
+        unmutated = outcomes(src, every_test)
+        bad = {test: word for test, word in unmutated.items() if word != "PASSED"}
+        if bad:
+            print(f"named tests that do not pass unmutated: {bad}")
+            return 1
+        for name, file, text, replacement, tests in MUTANTS:
+            path = src / "shufflesc" / file
+            original = path.read_text()
+            if original.count(text) != 1:
+                failed.append(f"{name}: its text occurs {original.count(text)} times in {file}")
+                continue
+            path.write_text(original.replace(text, replacement))
+            try:
+                survived = [test for test, word in outcomes(src, tests).items()
+                            if word not in ("FAILED", "ERROR")]
+            finally:
+                path.write_text(original)
+            print(f"{'SURVIVED' if survived else 'caught'}: {name}")
+            if survived:
+                failed.append(f"{name}: these tests did not fail: {survived}")
+    for line in failed:
+        print(f"FAILED {line}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -325,6 +325,29 @@ class TestCanonicalize:
                                                                finals=False)
 
 
+class TestConstructorChecks:
+    @pytest.mark.parametrize("args, match", [
+        ((0, (), (), frozenset()), "state_count must be positive"),
+        ((2, ("a", "a"), (T((1, 2)), T((1, 2))), frozenset()), "duplicate letters"),
+        ((2, ("a", "b"), (T((1, 2)),), frozenset()), "one transformation per letter"),
+        ((2, ("a",), (T((1, 2, 3)),), frozenset()), "transformation for 'a' has wrong degree"),
+        ((2, ("a",), (T((1, 2)),), frozenset([3])), "final state 3 out of range"),
+        ((2, ("a",), (T((1, 2)),), frozenset(), 3), "initial state out of range"),
+    ], ids=["states", "duplicate_letters", "one_per_letter", "degree", "final", "initial"])
+    def test_dfa_refused(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            Dfa(*args)
+
+    @pytest.mark.parametrize("transitions, match", [
+        (((frozenset([1]),),), "one transition row per state"),
+        (((frozenset([1]),), ()), "one successor set per letter"),
+        (((frozenset([1]),), (frozenset([3]),)), "successor 3 out of range"),
+    ], ids=["rows", "letters", "successor"])
+    def test_nfa_refused(self, transitions, match):
+        with pytest.raises(ValueError, match=match):
+            Nfa(2, ("a",), transitions, 1, frozenset([2]))
+
+
 class TestFileFormat:
     def test_round_trip(self, tmp_path):
         d = Dfa(2, ("a", "b"), (T((2, 1)), T((1, 1))), frozenset([2]))
@@ -379,13 +402,22 @@ class TestFileFormat:
         ("transitions", {**DOC, "transitions": [[2, 1]]}),
         ("transitions", {**DOC, "transitions": {"b": [2, 1]}}),
         ("transitions['a']", {**DOC, "transitions": {"a": [2]}}),
+        ("states", {key: value for key, value in DOC.items() if key != "states"}),
+        ("alphabet", {**DOC, "alphabet": [""], "transitions": {"": [2, 1]}}),
+        ("finals", {**DOC, "finals": [2, 2]}),
     ], ids=["not_an_object", "alphabet_empty", "alphabet_str", "letter_not_str",
             "duplicate_letters", "finals_not_list", "transitions_not_object",
-            "letters_mismatch", "row_length"])
+            "letters_mismatch", "row_length", "states_missing", "empty_letter_name",
+            "repeated_finals"])
     def test_refusal_names_the_field(self, where, doc):
         with pytest.raises(FormatError) as exc:
             dfa_from_dict(doc)
         assert exc.value.where == where
+
+    def test_initial_may_be_left_out(self):
+        # README documents the default, and the schema no longer requires it
+        doc = {key: value for key, value in self.DOC.items() if key != "initial"}
+        assert dfa_from_dict(doc).initial == 1
 
     def test_missing_field_diagnostic(self):
         with pytest.raises(FormatError) as exc:

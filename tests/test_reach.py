@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -271,6 +272,7 @@ class TestFullAlphabet:
     @pytest.mark.parametrize("entry", [
         {"s": [1, 2]}, {"t": [1, 2]}, [1, 2], 3, {"s": "12", "t": [1, 2]},
         {"s": [1, 3], "t": [1, 2]}, {"s": [], "t": [1]},
+        {"s": [2, 1], "t": [1, 2], "note": "x"}, {"s": ["a", True, 9], "t": [1, 2]},
     ])
     def test_malformed_letter_file_refused(self, tmp_path, entry):
         path = tmp_path / "letters.json"
@@ -385,6 +387,57 @@ class TestBfsReach:
         with pytest.raises(ValueError, match="reach report: unknown field 'junk'"):
             ReachReport.from_dict(obj)
 
+    def test_report_stores_what_bfs_measured(self):
+        assert list(ReachReport.__dataclass_fields__) == [
+            "m", "n", "alphabet", "reached", "unreached_sample", "generations",
+            "elapsed_seconds"]
+
+    @pytest.mark.parametrize("m, n, alphabet, max_generations, aid, lineage", [
+        (2, 2, None, None, "full", "f07c7c908dd42f77"),
+        (3, 3, "letters_3x3", None, "a24829b1c6f13f25", "4d7f26064cef8dd1"),
+        (4, 4, None, 3, "full", None),
+    ])
+    def test_derived_values(self, m, n, alphabet, max_generations, aid, lineage):
+        # alphabet_id and lineage as bfs_reach stored them before they were derived
+        letters = "full" if alphabet is None else load_letters(FIXTURES / f"{alphabet}.json")
+        report = bfs_reach(m, n, letters, max_generations=max_generations)
+        assert report.bound == bound_f(m, n)
+        assert report.complete == (report.reached == report.bound) == (max_generations is None)
+        assert report.alphabet_id == aid
+        if lineage is not None:
+            assert report.lineage == lineage
+
+    # an incomplete report over a letter list: 2 generations of letters_3x3
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda d: d.update(m="three"), "field 'm' is not a int"),
+        (lambda d: d.update(complete=True),
+         "field 'complete' is True, but the other fields give False"),
+        (lambda d: d.update(lineage="0" * 16), "field 'lineage' is '0000000000000000'"),
+        (lambda d: d.update(alphabet_id="0" * 16), "field 'alphabet_id' is '0000000000000000'"),
+        (lambda d: d.update(bound=401), "field 'bound' is 401, but the other fields give 400"),
+        (lambda d: d["alphabet"][0].update(s=["a", True, 9]),
+         "alphabet[0]: field 's': image of 1 is 'a', not in 1..3"),
+        (lambda d: d["alphabet"].insert(1, 5), "alphabet[1]: missing field 's'"),
+        (lambda d: d["alphabet"][2].update(note="x"), "alphabet[2]: unknown field 'note'"),
+        (lambda d: d["alphabet"][0].update(s=[1, 2]),
+         "field 'alphabet' holds a letter not of degrees (3, 3)"),
+        (lambda d: d.update(alphabet="all"), "field 'alphabet' is neither 'full' nor a list"),
+        (lambda d: d.update(m=0), "fields 'm', 'n' give 0x3"),
+        (lambda d: d.update(reached=-1), "field 'reached' is -1, not a number >= 0"),
+        (lambda d: d.update(elapsed_seconds=True), "field 'elapsed_seconds' is True"),
+        (lambda d: d.update(unreached_sample=[True]), "field 'unreached_sample'"),
+    ], ids=["m_str", "complete", "lineage", "alphabet_id", "bound", "images", "entry_int",
+            "letter_key", "letter_degree", "alphabet_str", "m_zero", "reached_negative",
+            "elapsed_bool", "sample_bool"])
+    def test_inconsistent_report_refused(self, corrupt, message):
+        letters = load_letters(FIXTURES / "letters_3x3.json")
+        obj = json.loads(json.dumps(bfs_reach(3, 3, letters, max_generations=2).to_dict()))
+        assert not obj["complete"]
+        ReachReport.from_dict(obj)
+        corrupt(obj)
+        with pytest.raises(ValueError, match="^reach report: .*" + re.escape(message)):
+            ReachReport.from_dict(obj)
+
     def test_report_matches_schema(self):
         jsonschema = pytest.importorskip("jsonschema")
         import importlib.resources as res
@@ -418,12 +471,9 @@ def plain_bfs_reach(m, n, checkpoint_dir=None, max_generations=None):
         if checkpoint_dir is not None:
             write_checkpoint(checkpoint_dir, m, n, "full", generation, visited, frontier)
     unreached = [enc for enc in all_valid(m, n) if not visited[enc]][:32]
-    reached = int(np.count_nonzero(visited))
     return ReachReport(
-        m=m, n=n, alphabet="full", alphabet_id="full", bound=bound_f(m, n),
-        reached=reached, complete=reached == bound_f(m, n),
-        unreached_sample=tuple(unreached), lineage=reach._lineage(m, n, "full"),
-        generations=generation, elapsed_seconds=0.0,
+        m=m, n=n, alphabet="full", reached=int(np.count_nonzero(visited)),
+        unreached_sample=tuple(unreached), generations=generation, elapsed_seconds=0.0,
     )
 
 
@@ -1751,6 +1801,28 @@ class TestAlphabets:
     def test_greedy_completes_2x3(self):
         letters = greedy_alphabet(2, 3)
         assert bfs_reach(2, 3, letters).complete
+
+    @pytest.mark.parametrize("m, n", [(2, 3), (3, 2), (2, 4), (4, 2)])
+    def test_greedy_matches_letter_loop(self, m, n):
+        # greedy_alphabet keeps the parts of the factor with fewer maps, so
+        # where m^m <= n^n it visits the letters out of lexicographic order;
+        # the reference scores one letter at a time, in that order
+        def step(closure, a):
+            return (reach._row_map(closure, a.s.images, m, n)
+                    | reach._col_map(closure, a.t.images, m, n))
+
+        letters, closure = [], np.array([1], np.int64)
+        while closure.size < bound_f(m, n):
+            best_gain = 0
+            for a in iter_full_alphabet(m, n):
+                gain = np.setdiff1d(step(closure, a), closure).size
+                if gain > best_gain:
+                    best_gain, best = gain, a
+            letters.append(best)
+            while (new := np.setdiff1d(np.concatenate([step(closure, a) for a in letters]),
+                                       closure)).size:
+                closure = np.union1d(closure, new)
+        assert greedy_alphabet(m, n) == letters
 
     def test_greedy_2x3_letters_pinned(self):
         assert [(a.s.images, a.t.images) for a in greedy_alphabet(2, 3)] == [
