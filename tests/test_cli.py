@@ -187,6 +187,15 @@ class TestReach:
         assert captured.out == ""
         assert re.match("error: .*" + message, captured.err)
 
+    def test_truncated_letter_file_is_user_error(self, tmp_path, capsys):
+        path = tmp_path / "letters.json"
+        path.write_text('[{"s": [1, 1], "t": [2, 1]},\n')
+        code = main(["reach", "2", "2", "--alphabet", str(path)])
+        assert code == EXIT_USER == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: invalid JSON at line 2: ")
+
     def test_negative_max_generations_is_user_error(self, capsys):
         assert main(["reach", "2", "2", "--max-generations", "-2"]) == EXIT_USER
         captured = capsys.readouterr()

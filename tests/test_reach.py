@@ -3,7 +3,7 @@ import json
 import math
 import random
 import re
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +121,26 @@ def all_valid(m, n):
     return [enc for chunk in valid_encodings(m, n) for enc in chunk.tolist()]
 
 
+def occupied_line_maps(k, lines):
+    """Images of every map of {1..k} restricted to lines, the others sent to 1."""
+    for images in product(range(1, k + 1), repeat=len(lines)):
+        full = [1] * k
+        for line, image in zip(lines, images):
+            full[line - 1] = image
+        yield tuple(full)
+
+
+def full_alphabet_successors(enc, m, n):
+    """pair_loop_step of enc over every letter of T_m x T_n. It reads s only
+    on the rows enc occupies and t only on its columns, so s and t range
+    over the maps of those lines alone: at most m^j * n^l letters for j
+    occupied rows and l occupied columns, not m^m * n^n."""
+    pairs = ProductSubset(m, n, enc).pairs()
+    cols = list(occupied_line_maps(n, sorted({q for _, q in pairs})))
+    return {pair_loop_step(enc, s, t, m, n)
+            for s in occupied_line_maps(m, sorted({p for p, _ in pairs})) for t in cols}
+
+
 def successors(frontier, m, n, alphabet):
     """_successor_bitmap as a set of encodings: over "full" it reads the
     bitmap; over a letter list, whose tables come from _letter_tables as in
@@ -160,9 +180,54 @@ class TestKernelMatchesDefinition:
         union = set()
         for enc in frontier:
             expected = {pair_loop_step(enc, s, t, m, n) for s, t in letters}
+            assert full_alphabet_successors(enc, m, n) == expected, enc
             assert successors([enc], m, n, "full") == expected, enc
             union |= expected
         assert successors(frontier, m, n, "full") == union
+
+    # m < n and m > n, one cell, one row or column, and grids where k^k
+    # exceeds 2^(m*n), which _line_parts bounds by 2^(m*n): at 2x8 it takes
+    # one subset per chunk. The reference steps at most m^j * n^l letters
+    # per subset, so at 2x8 it draws subsets on at most 4 columns.
+    @pytest.mark.parametrize("m,n,count,max_cols", [
+        (1, 1, 1, 1), (1, 4, 8, 4), (4, 1, 8, 1), (2, 4, 40, 4), (4, 2, 40, 2),
+        (3, 4, 8, 4), (4, 3, 8, 3), (1, 6, 12, 6), (6, 1, 12, 1), (2, 8, 8, 4),
+    ])
+    def test_full_alphabet_sample(self, m, n, count, max_cols):
+        rng = random.Random(m * 100 + n)
+        valid = [enc for enc in all_valid(m, n)
+                 if len({q for _, q in ProductSubset(m, n, enc).pairs()}) <= max_cols]
+        frontier = sorted(rng.sample(valid, min(count, len(valid))))
+        union = set()
+        for enc in frontier:
+            expected = full_alphabet_successors(enc, m, n)
+            assert successors([enc], m, n, "full") == expected, enc
+            union |= expected
+        assert successors(frontier, m, n, "full") == union
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["one-chunk", "two-chunks"])
+    @pytest.mark.parametrize("m,n", [(3, 3), (2, 5), (4, 3), (1, 6)])
+    def test_bfs_across_chunk_switch(self, m, n, extra, tmp_path, monkeypatch):
+        # LINE_KEYS is set so that the largest generation's representatives
+        # fill one _line_parts chunk at the worst case per subset, or
+        # overflow it by one into a second chunk
+        sizes = []
+        kernel = reach._successor_bitmap
+
+        def recording(frontier, *args):
+            sizes.append(frontier.size)
+            return kernel(frontier, *args)
+
+        monkeypatch.setattr(reach, "_successor_bitmap", recording)
+        bfs_reach(m, n)
+        peak = max(sizes)
+        assert peak > 1
+        k = max(m, n)
+        monkeypatch.setattr(reach, "LINE_KEYS", (peak - extra) * min(k ** k, 1 << m * n) * k)
+        expected = plain_bfs_reach(m, n, tmp_path / "plain")
+        assert bfs_reach(m, n, checkpoint_dir=tmp_path / "orbit") == expected
+        assert expected.reached == bound_f(m, n)
+        TestOrbitBfs.assert_same_files(tmp_path / "plain", tmp_path / "orbit")
 
     def test_letter_list(self):
         letters = load_letters(FIXTURES / "letters_3x3.json")
@@ -314,6 +379,11 @@ class TestBfsReach:
         report = bfs_reach(2, 7)
         assert report.complete
         assert report.reached == bound_f(2, 7) == 12_224
+
+    def test_complete_2x8(self):
+        report = bfs_reach(2, 8)
+        assert report.complete
+        assert report.reached == bound_f(2, 8) == 49_024
 
     @pytest.mark.slow
     def test_complete_3x6(self):
