@@ -4,15 +4,15 @@ The extremal automaton over the m x n grid carries one input letter for
 every pair of transformations (s, t) from T_m x T_n; a subset S steps to
 {(s(p), q)} union {(p, t(q))} over its members. This module explores that
 automaton exhaustively (BFS in one thread over a dense visited bitmap, with
-checkpoints). Over the full alphabet every BFS generation is a union of
-orbits under the permutations of rows 2..m and columns 2..n, so BFS steps
-one subset per orbit and marks the whole orbit visited (_orbit_generation),
-which brings 4x5 and 3x6 within reach. A subset's successors over the full
+checkpoints). Over a letter list each block of frontier subsets steps on
+every letter at once and is filtered against that bitmap. Over the full
+alphabet every generation is a union of orbits under the permutations of
+rows 2..m and columns 2..n, so BFS steps one subset per orbit and marks the
+whole orbit visited (_orbit_generation). A subset's successors over the full
 alphabet are its row parts OR its column parts, and _line_parts finds the
-distinct parts of a chunk of subsets with one sort of integer keys per
-line, so no letter is enumerated. The module also replays the
-inductive reduction arguments that substitute for BFS where exhaustive
-search is out of reach:
+distinct parts of a chunk of subsets with one sort of integer keys per line,
+so no letter is enumerated. The module also replays the inductive reduction
+arguments that substitute for BFS where exhaustive search is out of reach:
 
   * containment reduction: a row/column containing another strips the
     duplicated entries and restores them with a one-point map;
@@ -243,46 +243,46 @@ def _lines(x, m: int, n: int) -> tuple[list, list]:
 CHUNK_BITS = 12
 
 
-def _letter_tables(alphabet: Sequence[ExtremalLetter], m: int, n: int) -> np.ndarray:
-    """tables[li, j], the intp step of letter li on every value of the j-th
-    12-bit chunk of an encoding: the letter-major view, so that len() counts
-    the letters, of automata._step_tables over the letters' cell_successors."""
-    succ = cell_successors([(a.s.images, a.t.images) for a in alphabet], m, n)
-    return _step_tables(succ, m * n, CHUNK_BITS).astype(np.intp).transpose(2, 0, 1)
+class _LetterStep:
+    """A letter list as _successor_bitmap steps it: the intp chunk tables of
+    automata._step_tables over its cell_successors, and the visited bitmap
+    to filter against and mark. len() counts the letters."""
+
+    def __init__(self, alphabet: Sequence[ExtremalLetter], m: int, n: int, visited: np.ndarray):
+        succ = cell_successors([(a.s.images, a.t.images) for a in alphabet], m, n)
+        self.tables = _step_tables(succ, m * n, CHUNK_BITS).astype(np.intp)
+        self.visited = visited
+
+    def __len__(self) -> int:
+        return self.tables.shape[-1]
 
 
 def _successor_bitmap(frontier: np.ndarray, m: int, n: int, alphabet) -> np.ndarray:
-    """Every one-step successor of the frontier: over the full alphabet
-    ("full") a dense bool bitmap, into which each state's R | C products
-    from _line_parts are scattered; over a letter list (its _letter_tables,
-    built once per run) the distinct successors as intp, ascending. Blocks
-    of ARRAY_BLOCK // letters rows step on all letters at once through
-    automata._block_step. One block is deduplicated in a Python set, so a
-    small generation makes no pass over 2^(m*n) entries; more blocks are
-    scattered into a bitmap and read back."""
+    """One BFS step of the frontier. Over the full alphabet ("full"): a
+    dense bool bitmap of all successors, into which each state's R | C
+    products from _line_parts are scattered. Over a letter list (a
+    _LetterStep): the new generation, intp and ascending, marked in the
+    step's visited bitmap. Blocks of ARRAY_BLOCK // letters rows step on all
+    letters at once through automata._block_step, and each block's
+    survivors of the visited filter are marked at once, so repeats stay
+    within a block and one sort with an adjacent-difference mask drops them."""
     if isinstance(alphabet, str):  # full alphabet
         out = np.zeros(1 << (m * n), dtype=bool)
         for R, C in _line_parts(frontier.astype(np.intp), m, n):
             out[R[:, None] | C[None, :]] = True
         return out
-    tables = alphabet.transpose(1, 2, 0)
     rows = max(1, ARRAY_BLOCK // max(len(alphabet), 1))
-    if frontier.size <= rows:
-        succ = _block_step(tables, frontier.astype(np.intp), CHUNK_BITS)
-        return np.array(sorted(set(succ.ravel().tolist())), dtype=np.intp)
-    out = np.zeros(1 << (m * n), dtype=bool)
+    new = [np.empty(0, dtype=np.uint32)]  # half of intp's bytes; visited has < 2^32 entries
     for lo in range(0, frontier.size, rows):
-        out[_block_step(tables, frontier[lo:lo + rows].astype(np.intp), CHUNK_BITS)] = True
-    return np.flatnonzero(out)
-
-
-def _generation(frontier: np.ndarray, visited: np.ndarray, m: int, n: int, alphabet):
-    """One BFS generation over a letter list given as in _successor_bitmap:
-    mark the frontier's new successors in visited, and return them, ascending."""
-    succ = _successor_bitmap(frontier, m, n, alphabet)
-    new = succ[~visited[succ]]
-    visited[new] = True
-    return new.view(np.uint64)
+        succ = _block_step(alphabet.tables, frontier[lo:lo + rows].astype(np.intp), CHUNK_BITS)
+        succ = succ[~alphabet.visited[succ]]
+        alphabet.visited[succ] = True
+        new.append(succ.astype(np.uint32))
+    new = np.concatenate(new)  # frees the blocks before the sort
+    new.sort()
+    keep = np.ones(new.size, dtype=bool)
+    np.not_equal(new[1:], new[:-1], out=keep[1:])
+    return new[keep].astype(np.intp)
 
 
 # -- orbits under row and column permutations that fix 1 ----------------------
@@ -483,13 +483,20 @@ def write_checkpoint(
 ) -> None:
     """Write gen-<generation>.ckpt and point LATEST at it: a JSON header
     line, the visited bitmap packed little-endian, a newline, then the
-    frontier as FRONTIER_ENCODING bytes."""
+    frontier as FRONTIER_ENCODING bytes. A frontier that read_checkpoint
+    would refuse raises ValueError before anything is written."""
+    if np.any(frontier[1:] <= frontier[:-1]):  # BFS frontiers are already strictly ascending
+        frontier = np.sort(frontier)
+        if np.any(frontier[1:] == frontier[:-1]):
+            raise ValueError("frontier repeats an entry; no checkpoint written")
+    if frontier.size and frontier[-1] >= (1 << m * n):
+        raise ValueError(f"frontier entry outside 0..2^{m * n}-1; no checkpoint written")
+    if not visited[frontier].all():
+        raise ValueError("frontier entry missing from the visited bitmap; no checkpoint written")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     bitmap = np.packbits(visited, bitorder="little")  # hashed and written uncopied
     words = bitmap.view(np.uint64) if bitmap.size % 8 == 0 else bitmap
-    if np.any(frontier[1:] < frontier[:-1]):  # BFS frontiers are already sorted
-        frontier = np.sort(frontier)
     body = np.ascontiguousarray(frontier, dtype="<u8")
     header = {
         "m": m,
@@ -642,13 +649,13 @@ def bfs_reach(
     if full:
         reps = _orbit_representatives(frontier, np.zeros(total, dtype=bool), m, n)
     else:
-        letters = _letter_tables(alphabet, m, n)
+        letters = _LetterStep(alphabet, m, n, visited)
     steps = 0
     while frontier.size and (max_generations is None or steps < max_generations):
         if full:
             reps, frontier = _orbit_generation(reps, visited, m, n)
         else:
-            frontier = _generation(frontier, visited, m, n, letters)
+            frontier = _successor_bitmap(frontier, m, n, letters).view(np.uint64)
         generation += 1
         steps += 1
         if checkpoint_dir is not None:
@@ -1501,8 +1508,8 @@ def greedy_alphabet(m: int, n: int) -> list[ExtremalLetter]:
                 f"greedy alphabet stalled at {np.count_nonzero(in_closure)} of {bound}"
             )
         letters.append(ExtremalLetter(Transformation(best[0]), Transformation(best[1])))
-        tables = _letter_tables(letters, m, n)
+        step = _LetterStep(letters, m, n, in_closure)
         frontier = closure
         while frontier.size:
-            frontier = _generation(frontier, in_closure, m, n, tables)
+            frontier = _successor_bitmap(frontier, m, n, step)
     return letters

@@ -21,6 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CERTIFY = "tests/test_reach.py::TestCertify::"
 BFS = "tests/test_reach.py::TestBfsReach::"
+CHECKPOINTS = "tests/test_reach.py::TestCheckpoints::"
 DFA_FIELDS = "tests/test_automata.py::TestFileFormat::test_refusal_names_the_field"
 
 #: (name, file under src/shufflesc, text, replacement, tests that must fail)
@@ -51,6 +52,24 @@ MUTANTS = [
      "if gain > best_gain:",
      [f"tests/test_reach.py::TestAlphabets::test_greedy_matches_letter_loop[{size}]"
       for size in ("2-3", "2-4")]),
+    ("letter-list BFS kernel without its adjacent-duplicate drop", "reach.py",
+     "    np.not_equal(new[1:], new[:-1], out=keep[1:])\n", "",
+     [f"{CHECKPOINTS}test_golden_checkpoint_bytes[{run}]"
+      for run in ("3x3 letters_3x3", "4x5 seed 45")]),
+    ("write_checkpoint without its refusal of unreadable frontiers", "reach.py",
+     """    if np.any(frontier[1:] <= frontier[:-1]):  # BFS frontiers are already strictly ascending
+        frontier = np.sort(frontier)
+        if np.any(frontier[1:] == frontier[:-1]):
+            raise ValueError("frontier repeats an entry; no checkpoint written")
+    if frontier.size and frontier[-1] >= (1 << m * n):
+        raise ValueError(f"frontier entry outside 0..2^{m * n}-1; no checkpoint written")
+    if not visited[frontier].all():
+        raise ValueError("frontier entry missing from the visited bitmap; no checkpoint written")
+""", """    if np.any(frontier[1:] < frontier[:-1]):
+        frontier = np.sort(frontier)
+""",
+     [f"{CHECKPOINTS}test_unreadable_frontier_not_written[{case}]"
+      for case in ("repeated", "unvisited", "outside-grid")]),
     ("dfa_from_dict accepting an empty letter name", "automata.py",
      "isinstance(x, str) and x for x in alphabet", "isinstance(x, str) for x in alphabet",
      [f"{DFA_FIELDS}[empty_letter_name]"]),

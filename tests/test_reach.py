@@ -16,7 +16,7 @@ from shufflesc.reach import (
     _checkpoint_name,
     _drop_lines,
     _first_rule_of,
-    _letter_tables,
+    _LetterStep,
     _orbit_keys,
     _single_element_anchor,
     _successor_bitmap,
@@ -143,13 +143,16 @@ def full_alphabet_successors(enc, m, n):
 
 def successors(frontier, m, n, alphabet):
     """_successor_bitmap as a set of encodings: over "full" it reads the
-    bitmap; over a letter list, whose tables come from _letter_tables as in
-    bfs_reach, the array of distinct successors, checked to be ascending."""
+    bitmap; over a letter list, stepped as a _LetterStep over an empty
+    visited bitmap as in bfs_reach, the array of new successors, checked to
+    be ascending and to be exactly what the step marked in the bitmap."""
     frontier = np.array(frontier, dtype=np.uint64)
     if isinstance(alphabet, str):
         return set(np.flatnonzero(_successor_bitmap(frontier, m, n, alphabet)).tolist())
-    succ = _successor_bitmap(frontier, m, n, _letter_tables(alphabet, m, n))
+    visited = np.zeros(1 << m * n, dtype=bool)
+    succ = _successor_bitmap(frontier, m, n, _LetterStep(alphabet, m, n, visited))
     assert succ.dtype == np.intp and np.all(succ[1:] > succ[:-1])
+    assert np.array_equal(np.flatnonzero(visited), succ)
     return set(succ.tolist())
 
 
@@ -281,8 +284,9 @@ class TestKernelMatchesDefinition:
     @pytest.mark.parametrize("m,n", CHUNK_GRIDS)
     def test_bfs_across_block_switch(self, m, n, extra, tmp_path, monkeypatch):
         # ARRAY_BLOCK is set so that the largest frontier times the letter
-        # count is ARRAY_BLOCK (one block, deduplicated in a set) or
-        # ARRAY_BLOCK plus the letter count (two blocks, through the bitmap)
+        # count is ARRAY_BLOCK (one block) or ARRAY_BLOCK plus the letter
+        # count (two blocks, the second of one row, whose successors the
+        # first block's marks in the visited bitmap filter)
         rng = random.Random(m * 100 + n + 2)
         letters = random_letters(rng, m, n, rng.randint(2, 5))
         visited, frontier, sizes = set_bfs(m, n, letters, 6)
@@ -686,11 +690,26 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="outside"):
             bfs_reach(2, 2, checkpoint_dir=tmp_path, resume=True)
 
+    @staticmethod
+    def rewrite_frontier(directory, entries):
+        """Replace the frontier of directory's gen-000000.ckpt by entries,
+        with the header's length and hash to match: write_checkpoint
+        refuses to write such a frontier itself."""
+        target = directory / "gen-000000.ckpt"
+        raw = target.read_bytes()
+        nl = raw.index(b"\n")
+        header = json.loads(raw[:nl])
+        start = nl + 1 + ((1 << header["m"] * header["n"]) + 7) // 8 + 1
+        body = np.array(entries, dtype="<u8").tobytes()
+        header["frontier_len"] = len(entries)
+        header["frontier_sha256"] = hashlib.sha256(body).hexdigest()
+        target.write_bytes(json.dumps(header, sort_keys=True).encode() + raw[nl:start] + body)
+
     def test_frontier_outside_visited_refused(self, tmp_path):
         visited = np.zeros(16, dtype=bool)
         visited[1] = True
-        frontier = np.array([3], dtype=np.uint64)
-        write_checkpoint(tmp_path, 2, 2, "full", 0, visited, frontier)
+        write_checkpoint(tmp_path, 2, 2, "full", 0, visited, np.array([1], dtype=np.uint64))
+        self.rewrite_frontier(tmp_path, [3])
         with pytest.raises(CheckpointError, match="visited"):
             bfs_reach(2, 2, checkpoint_dir=tmp_path, resume=True)
 
@@ -710,18 +729,25 @@ class TestCheckpoints:
         # length, range, hash and visited checks all pass
         visited = np.zeros(16, dtype=bool)
         visited[[1, 3, 5]] = True
-        write_checkpoint(tmp_path, 2, 2, "full", 0, visited, np.array(entries, dtype=np.uint64))
-        target = tmp_path / "gen-000000.ckpt"
-        raw = target.read_bytes()
-        nl = raw.index(b"\n")
-        body = np.array(entries, dtype="<u8").tobytes()
-        header = json.loads(raw[:nl])
-        header["frontier_sha256"] = hashlib.sha256(body).hexdigest()
-        target.write_bytes(
-            json.dumps(header, sort_keys=True).encode() + raw[nl:-len(body)] + body
-        )
+        write_checkpoint(tmp_path, 2, 2, "full", 0, visited, np.array([1, 3, 5], dtype=np.uint64))
+        self.rewrite_frontier(tmp_path, entries)
         with pytest.raises(CheckpointError, match="not strictly ascending"):
             read_checkpoint(tmp_path, 2, 2, "full")
+
+    @pytest.mark.parametrize("entries, problem", [
+        ([3, 3], "repeats"), ([3, 5], "missing from the visited"), ([1 << 20], "outside"),
+    ], ids=["repeated", "unvisited", "outside-grid"])
+    def test_unreadable_frontier_not_written(self, tmp_path, entries, problem):
+        # each frontier is one that read_checkpoint refuses, so writing it is
+        # refused, and the last good checkpoint stays what LATEST names
+        visited = np.zeros(16, dtype=bool)
+        visited[[1, 3]] = True
+        write_checkpoint(tmp_path, 2, 2, "full", 0, visited, np.array([1, 3], dtype=np.uint64))
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError, match=problem):
+            write_checkpoint(tmp_path, 2, 2, "full", 1, visited, np.array(entries, dtype=np.uint64))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+        assert read_checkpoint(tmp_path, 2, 2, "full")[0] == 0
 
     #: sha256 of every checkpoint file of two letter-list runs to the fixpoint,
     #: as written by the per-letter BFS that the block step replaced
@@ -732,6 +758,20 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("run", sorted(GOLDEN_RUNS))
     def test_golden_checkpoint_bytes(self, tmp_path, run):
+        self.assert_golden(tmp_path, run)
+
+    @pytest.mark.parametrize("block", ["one-row", "one-block"])
+    @pytest.mark.parametrize("run", sorted(GOLDEN_RUNS))
+    def test_golden_checkpoint_bytes_at_block_sizes(self, tmp_path, monkeypatch, run, block):
+        # one frontier row per block, so that a successor of two rows is
+        # filtered by the first row's marks in visited, or the largest
+        # generation in one block, so that every repeat is dropped by the sort
+        letters = self.GOLDEN_RUNS[run][2]()
+        size = len(letters) if block == "one-row" else 1 << 24
+        monkeypatch.setattr(reach, "ARRAY_BLOCK", size)
+        self.assert_golden(tmp_path, run)
+
+    def assert_golden(self, tmp_path, run):
         m, n, letters = self.GOLDEN_RUNS[run]
         bfs_reach(m, n, letters(), checkpoint_dir=tmp_path)
         expected = json.loads((GOLDEN / "checkpoint_sha256.json").read_text())[run]
