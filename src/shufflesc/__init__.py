@@ -49,7 +49,6 @@ from .reach import (
     dump_letters,
     extremal_step,
     greedy_alphabet,
-    iter_full_alphabet,
     load_letters,
     reduce_containment,
     reduce_permutation,

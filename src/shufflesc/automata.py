@@ -8,10 +8,12 @@ The subset construction and Moore refinement come in two forms that give
 the same automaton and partition, numbered in different orders.
 subset_table and refine loop over one (state, letter) pair at a time in
 Python and number states and blocks in order of first occurrence, the
-numbering determinize and minimize return; subset_table_array steps a
-whole BFS generation, and refine_array a whole refinement round, through
-numpy arrays and number in sort order, of which subset_complexity reads
-only the class count. subset_complexity, which the shuffle complexity of
+numbering determinize and minimize return. The one Python subset BFS is
+subset_order, which memoizes each letter's steps: subset_table runs it on
+fresh memos, the exhaustive search on memos shared across multisets.
+subset_table_array steps a whole BFS generation, and refine_array a whole
+refinement round, through numpy arrays and number in sort order, of which
+subset_complexity reads only the class count. subset_complexity, which the shuffle complexity of
 one pair (the `complexity` and `okhotin` commands) goes through, takes the
 arrays for every NFA of up to 64 states, the most a uint64 subset holds,
 and the loop above that. The loop also serves determinize and the
@@ -137,29 +139,49 @@ class Nfa:
                 raise ValueError(f"final state {f} out of range")
 
 
-def subset_table(succ, start: int) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Accessible subset automaton as a table, in BFS discovery order.
+def subset_order(steps, start: int) -> list[int]:
+    """The subsets reachable from start, in BFS discovery order. Subsets
+    are bitmasks with bit q-1 for NFA state q; steps holds one (memo,
+    images) pair per letter, images[q-1] the successors of q on it and memo
+    its step of each subset stepped so far, which calls over the same
+    letters may share. After a call memo[s] holds every returned s."""
+    seen = {start}
+    order = [start]
+    for current in order:  # order grows while it is scanned
+        members = None
+        for memo, images in steps:
+            nxt = memo.get(current)
+            if nxt is None:
+                if members is None:
+                    members = [q for q in range(current.bit_length()) if current >> q & 1]
+                nxt = 0
+                for q in members:
+                    nxt |= images[q]
+                memo[current] = nxt
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+    return order
 
-    Subsets are bitmasks with bit q-1 for NFA state q: succ[li][q-1] holds
-    the successors of q on letter li, start the initial subset. subsets[i]
-    is the subset of state i+1 and table[i][li] the id of its successor.
-    """
-    ids = {start: 1}
-    subsets = [start]
-    table = []
-    for current in subsets:  # subsets grows while it is scanned
-        members = [q for q in range(current.bit_length()) if current >> q & 1]
-        row = []
-        for images in succ:
-            nxt = 0
-            for q in members:
-                nxt |= images[q]
-            if nxt not in ids:
-                ids[nxt] = len(subsets) + 1
-                subsets.append(nxt)
-            row.append(ids[nxt])
-        table.append(tuple(row))
-    return subsets, table
+
+def _memo_table(steps, subsets: list[int]) -> list[tuple[int, ...]]:
+    """table[i][li], the id of the successor of subsets[i] on letter li,
+    read from the memos of the subset_order(steps, ...) call that returned
+    subsets; the subset subsets[i] has id i+1."""
+    ids = {s: i for i, s in enumerate(subsets, 1)}
+    columns = [list(map(ids.__getitem__, map(memo.__getitem__, subsets))) for memo, _ in steps]
+    return list(zip(*columns)) or [()] * len(subsets)  # () if no letters
+
+
+def subset_table(succ, start: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Accessible subset automaton as a table, in BFS discovery order:
+    subset_order on a fresh memo per letter, then _memo_table. succ[li][q-1]
+    holds the successors of NFA state q on letter li, start the initial
+    subset; subsets[i] is the subset of state i+1 and table[i][li] the id
+    of its successor."""
+    steps = [({}, images) for images in succ]
+    subsets = subset_order(steps, start)
+    return subsets, _memo_table(steps, subsets)
 
 
 #: The arrays hold a subset as one uint64 with a bit per NFA state, so 64

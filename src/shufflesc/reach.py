@@ -107,15 +107,6 @@ class ExtremalLetter:
         return cls(*maps)
 
 
-def iter_full_alphabet(m: int, n: int) -> Iterator[ExtremalLetter]:
-    """All m^m * n^n letters, lazily, in lexicographic order of the image
-    tuples of (s, t). This order is canonical; no table is materialized."""
-    for s in product(range(1, m + 1), repeat=m):
-        st = Transformation(s)
-        for t in product(range(1, n + 1), repeat=n):
-            yield ExtremalLetter(st, Transformation(t))
-
-
 def load_letters(path) -> list[ExtremalLetter]:
     """Letter list from a JSON list of letters, each read by
     ExtremalLetter.from_dict; ValueError names the file, and the line of a
@@ -528,7 +519,9 @@ def _write_atomically(path: Path, parts: list) -> None:
 def read_checkpoint(directory, m: int, n: int, aid: str):
     """Load the checkpoint LATEST names; refuse on any header/hash
     inconsistency, and a LATEST that is not gen-<g>.ckpt in directory or
-    names a file whose header generation is not g."""
+    names a file whose header generation is not g. The header is read by
+    _fields: exactly write_checkpoint's keys, each of its type, an int
+    field refusing a bool."""
     directory = Path(directory)
     pointer = directory / "LATEST"
     if not pointer.exists():
@@ -550,27 +543,33 @@ def read_checkpoint(directory, m: int, n: int, aid: str):
         raise CheckpointError(f"bad checkpoint header: {e}") from None
     if not isinstance(header, dict):
         raise CheckpointError("checkpoint header is not a JSON object")
-    generation = header.get("generation")
-    if type(generation) is not int or generation < 0:  # bool is refused too
-        raise CheckpointError(f"checkpoint generation {generation!r}: not an int >= 0")
-    if generation != int(digits[1]):
-        raise CheckpointError(f"{name} holds checkpoint generation {generation}")
-    for key, val in (("m", m), ("n", n), ("alphabet_id", aid)):
-        if header.get(key) != val:
-            raise CheckpointError(
-                f"checkpoint {key}={header.get(key)!r} does not match run {key}={val!r}"
-            )
     if header.get("frontier_encoding") != FRONTIER_ENCODING:
         raise CheckpointError(
             f"checkpoint frontier_encoding={header.get('frontier_encoding')!r}, "
             f"not {FRONTIER_ENCODING!r}: written by an older shufflesc; start a new run"
         )
+    try:
+        _, _, _, generation, visited_count, frontier_len, _, bitmap_sha256, frontier_sha256 = (
+            _fields(header, "checkpoint header", m=int, n=int, alphabet_id=str,
+                    generation=int, visited_count=int, frontier_len=int,
+                    frontier_encoding=str, bitmap_sha256=str, frontier_sha256=str))
+    except ValueError as e:
+        raise CheckpointError(str(e)) from None
+    if generation < 0:
+        raise CheckpointError(f"checkpoint generation {generation!r}: not an int >= 0")
+    if generation != int(digits[1]):
+        raise CheckpointError(f"{name} holds checkpoint generation {generation}")
+    for key, val in (("m", m), ("n", n), ("alphabet_id", aid)):
+        if header[key] != val:
+            raise CheckpointError(
+                f"checkpoint {key}={header[key]!r} does not match run {key}={val!r}"
+            )
     total = 1 << (m * n)
     nbytes = (total + 7) // 8
     bitmap = raw[nl + 1:nl + 1 + nbytes]
     if len(bitmap) != nbytes or raw[nl + 1 + nbytes:nl + 2 + nbytes] != b"\n":
         raise CheckpointError("truncated visited bitmap")
-    if hashlib.sha256(bitmap).hexdigest() != header.get("bitmap_sha256"):
+    if hashlib.sha256(bitmap).hexdigest() != bitmap_sha256:
         raise CheckpointError("visited bitmap hash mismatch; refusing to resume")
     visited = np.unpackbits(
         np.frombuffer(bitmap, dtype=np.uint8), bitorder="little"
@@ -581,15 +580,13 @@ def read_checkpoint(directory, m: int, n: int, aid: str):
             f"frontier body of {len(body)} bytes is not a whole number of 8-byte entries"
         )
     frontier = np.frombuffer(body, dtype="<u8").astype(np.uint64, copy=False)
-    if frontier.size != header.get("frontier_len"):
+    if frontier.size != frontier_len:
         raise CheckpointError("frontier length does not match header")
-    if np.count_nonzero(visited) != header.get("visited_count"):
+    if np.count_nonzero(visited) != visited_count:
         raise CheckpointError("visited count does not match header")
     if frontier.size and frontier.max() >= total:
         raise CheckpointError(f"frontier entry outside 0..2^{m * n}-1")
-    if "frontier_sha256" not in header:
-        raise CheckpointError("checkpoint header has no frontier_sha256")
-    if hashlib.sha256(body).hexdigest() != header["frontier_sha256"]:
+    if hashlib.sha256(body).hexdigest() != frontier_sha256:
         raise CheckpointError("frontier hash mismatch; refusing to resume")
     if np.any(frontier[1:] <= frontier[:-1]):
         raise CheckpointError("frontier entries are not strictly ascending")

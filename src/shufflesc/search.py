@@ -7,12 +7,13 @@ multisets are generated in nondecreasing canonical order, killing letter
 permutations at the source; remaining symmetry (per-DFA state relabeling
 and joint letter renaming) is removed by keying reported witnesses with
 automata.canonical_key. The search works on image tuples: each multiset's
-subsets are first counted through memoized steps of its letters'
-shuffle.cell_successors masks, and only a multiset whose count reaches the
-best kappa so far gets a table (automata.subset_table), which each
-final-set choice marks and refines (automata.refine). The search runs
-serially in one thread. The guard formula deliberately overcounts — it
-prices the raw space before the minimality and reachability filters bite.
+subsets are first listed by automata.subset_order on its distinct letters'
+shuffle.cell_successors masks, through per-letter memos shared by every
+multiset, and only a multiset with at least the best kappa so far of
+subsets gets a table, read from those memos, which each final-set choice
+marks and refines (automata.refine). The search runs serially in one
+thread. The guard formula deliberately overcounts — it prices the raw
+space before the minimality and reachability filters bite.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from .automata import (
     Dfa,
     Transformation,
     _bfs_order,
+    _memo_table,
     canonical_key,
     refine,
-    subset_table,
+    subset_order,
 )
 from .shuffle import bound_f, cell_successors, min_alphabet_lower_bound
 
@@ -134,34 +136,6 @@ def _minimal_finals(images: tuple[tuple[int, ...], ...], size: int) -> list[froz
             if max(refine(table, [q in F for q in states])) == size]
 
 
-def _subset_counter(succ):
-    """count(multiset), the number of subsets that subset_table reaches from
-    subset 1 on the letters succ[i] for i in the nondecreasing multiset,
-    without building the table. Each letter's step of a subset is memoized
-    on first use, and the memos are shared by every call of one counter."""
-    memos = [{} for _ in succ]
-
-    def count(multiset) -> int:
-        steps = [(memos[i], succ[i]) for i in dict.fromkeys(multiset)]
-        seen = {1}
-        order = [1]
-        for current in order:  # order grows while it is scanned
-            for memo, images in steps:
-                nxt = memo.get(current)
-                if nxt is None:
-                    nxt = 0
-                    for q in range(current.bit_length()):
-                        if current >> q & 1:
-                            nxt |= images[q]
-                    memo[current] = nxt
-                if nxt not in seen:
-                    seen.add(nxt)
-                    order.append(nxt)
-        return len(order)
-
-    return count
-
-
 def max_shuffle_complexity(
     m: int,
     n: int,
@@ -174,10 +148,12 @@ def max_shuffle_complexity(
     """Exact maximum of the shuffle complexity over the deduplicated space.
 
     The subset count of a letter multiset bounds kappa for every choice of
-    final sets, so a multiset whose _subset_counter count is below the best
-    kappa so far is skipped. The others get a subset table, and each pair
-    (F_K, F_L) giving minimal K and L marks the subsets meeting F_K x F_L
-    final and refines the table; kappa is the number of blocks.
+    final sets, so a multiset whose subset_order is shorter than the best
+    kappa so far is skipped. The others get a subset table from the same
+    memos, one column per distinct letter (a repeated letter would add an
+    identical column, which splits no Moore class), and each pair (F_K,
+    F_L) giving minimal K and L marks the subsets meeting F_K x F_L final
+    and refines the table; kappa is the number of blocks.
     candidates_evaluated counts these pairs. The pairs at the best kappa so
     far are kept as image tuples and final sets; Dfas are built and keyed
     only for those at the final maximum, in scan order. The scan is serial
@@ -199,7 +175,7 @@ def max_shuffle_complexity(
     bound = bound_f(m, n)
     candidates = space.letter_candidates()
     succ = cell_successors(candidates, m, n)
-    count = _subset_counter(succ)
+    memos = [{} for _ in succ]  # one per letter, shared by every multiset
     minimal_finals = cache(_minimal_finals)  # one entry per side's images
 
     def scan() -> tuple[int, list[tuple], int]:
@@ -207,9 +183,11 @@ def max_shuffle_complexity(
         ties: list[tuple] = []  # (K images, L images, F_K, F_L) at kappa == best
         evaluated = 0
         for multiset in combinations_with_replacement(range(len(candidates)), k):
-            if count(multiset) < best:
+            steps = [(memos[i], succ[i]) for i in dict.fromkeys(multiset)]
+            subsets = subset_order(steps, 1)
+            if len(subsets) < best:
                 continue  # cannot attain the current maximum
-            subsets, table = subset_table([succ[i] for i in multiset], 1)
+            table = _memo_table(steps, subsets)
             k_images = tuple(candidates[i][0] for i in multiset)
             l_images = tuple(candidates[i][1] for i in multiset)
             for FK in minimal_finals(k_images, m):

@@ -119,8 +119,9 @@ def bound_f(m: int, n: int) -> int:
     )
 
 
-#: encodings tested per chunk of the valid-subset scan
-VALID_SCAN_CHUNK = 1 << 20
+#: encodings tested per chunk of the valid-subset scan; a chunk's arange and
+#: masked copies take 512 KiB apiece, and up to 16 cells the scan is one chunk
+VALID_SCAN_CHUNK = 1 << 16
 
 
 def valid_encodings(m: int, n: int) -> Iterator[np.ndarray]:

@@ -23,6 +23,7 @@ CERTIFY = "tests/test_reach.py::TestCertify::"
 BFS = "tests/test_reach.py::TestBfsReach::"
 CHECKPOINTS = "tests/test_reach.py::TestCheckpoints::"
 DFA_FIELDS = "tests/test_automata.py::TestFileFormat::test_refusal_names_the_field"
+EAGER = "tests/test_search.py::TestAgainstEagerScan::test_same_result"
 
 #: (name, file under src/shufflesc, text, replacement, tests that must fail)
 MUTANTS = [
@@ -70,6 +71,21 @@ MUTANTS = [
 """,
      [f"{CHECKPOINTS}test_unreadable_frontier_not_written[{case}]"
       for case in ("repeated", "unvisited", "outside-grid")]),
+    ("read_checkpoint without its unknown-key and bool refusal", "reach.py",
+     """            _fields(header, "checkpoint header", m=int, n=int, alphabet_id=str,
+                    generation=int, visited_count=int, frontier_len=int,
+                    frontier_encoding=str, bitmap_sha256=str, frontier_sha256=str))
+""", """            [header.get(key) for key in ("m", "n", "alphabet_id", "generation",
+             "visited_count", "frontier_len", "frontier_encoding", "bitmap_sha256",
+             "frontier_sha256")])
+""",
+     [f"{CHECKPOINTS}test_header_field_refused[{case}]"
+      for case in ("m", "n", "visited_count", "frontier_len", "unknown_key")]),
+    ("search stepping every letter through the first letter's memo", "search.py",
+     "steps = [(memos[i], succ[i]) for i in dict.fromkeys(multiset)]",
+     "steps = [(memos[multiset[0]], succ[i]) for i in dict.fromkeys(multiset)]",
+     [f"{EAGER}[{case}]" for case in ("2x2x2", "2x2x3", "2x2x4", "2x3x2",
+                                      "2x2x4-stop_at_bound", "2x2x4-uncapped")]),
     ("dfa_from_dict accepting an empty letter name", "automata.py",
      "isinstance(x, str) and x for x in alphabet", "isinstance(x, str) for x in alphabet",
      [f"{DFA_FIELDS}[empty_letter_name]"]),

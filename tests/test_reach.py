@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from shufflesc import reach
+from shufflesc import reach, shuffle
 from shufflesc.automata import Transformation, _step_tables
 from shufflesc.reach import (
     _checkpoint_name,
@@ -33,7 +33,6 @@ from shufflesc.reach import (
     dump_letters,
     extremal_step,
     greedy_alphabet,
-    iter_full_alphabet,
     load_letters,
     read_checkpoint,
     reduce_containment,
@@ -43,8 +42,10 @@ from shufflesc.reach import (
     verify_certificate,
     write_checkpoint,
 )
+from shufflesc.search import SearchSpace
 from shufflesc.shuffle import (
-    GridSizeError, ProductSubset, bound_f, col1_mask, is_valid, valid_encodings,
+    GridSizeError, ProductSubset, bound_f, col1_mask, count_valid_subsets, is_valid,
+    valid_encodings,
 )
 
 T = Transformation
@@ -178,7 +179,7 @@ def set_bfs(m, n, letters, max_generations):
 class TestKernelMatchesDefinition:
     @pytest.mark.parametrize("m,n,stride", [(2, 2, 1), (2, 3, 1), (3, 2, 1), (3, 3, 3)])
     def test_full_alphabet(self, m, n, stride):
-        letters = [(a.s.images, a.t.images) for a in iter_full_alphabet(m, n)]
+        letters = SearchSpace(m, n, 1).letter_candidates()
         frontier = all_valid(m, n)[::stride]
         union = set()
         for enc in frontier:
@@ -326,12 +327,6 @@ class TestKernelMatchesDefinition:
 
 
 class TestFullAlphabet:
-    def test_size_and_order(self):
-        letters = list(iter_full_alphabet(2, 2))
-        assert len(letters) == 2**2 * 2**2
-        images = [(a.s.images, a.t.images) for a in letters]
-        assert images == sorted(images)
-
     def test_letter_file_round_trip(self, tmp_path):
         letters = [letter([2, 1], [1, 1]), letter([1, 2], [2, 2])]
         path = tmp_path / "letters.json"
@@ -378,6 +373,17 @@ class TestBfsReach:
 
     def test_complete_4x4(self):
         assert bfs_reach(4, 4).complete
+
+    def test_unreached_sample_across_scan_chunks(self, monkeypatch):
+        # four letters reach 18 of the 400 valid 3x3 subsets; with 16-encoding
+        # chunks the 32-entry sample (10 to 70) is gathered from five of them
+        letters = load_letters(FIXTURES / "letters_3x3.json")[:4]
+        whole = bfs_reach(3, 3, letters)
+        monkeypatch.setattr(shuffle, "VALID_SCAN_CHUNK", 1 << 4)
+        chunked = bfs_reach(3, 3, letters)
+        assert len({x >> 4 for x in chunked.unreached_sample}) == 5
+        assert chunked == whole
+        assert count_valid_subsets(3, 3) == 400
 
     def test_complete_2x7(self):
         report = bfs_reach(2, 7)
@@ -897,6 +903,26 @@ class TestCheckpoints:
         target.write_bytes(b"[1, 2]" + raw[raw.index(b"\n"):])
         with pytest.raises(CheckpointError, match="not a JSON object"):
             bfs_reach(2, 2, checkpoint_dir=tmp_path, resume=True)
+
+    @pytest.mark.parametrize("key, value, message", [
+        *((key, True, f"field '{key}' is not a int")
+          for key in ("m", "n", "visited_count", "frontier_len")),
+        ("junk", 5, "unknown field 'junk'"),
+    ], ids=["m", "n", "visited_count", "frontier_len", "unknown_key"])
+    def test_header_field_refused(self, tmp_path, key, value, message):
+        # on the 1x1 grid every int field is 1, which JSON true equals in
+        # Python, and every other check passes (generation true is refused
+        # in test_bad_generation_refused)
+        visited = np.array([False, True])
+        write_checkpoint(tmp_path, 1, 1, "full", 0, visited, np.array([1], dtype=np.uint64))
+        target = tmp_path / "gen-000000.ckpt"
+        raw = target.read_bytes()
+        nl = raw.index(b"\n")
+        header = json.loads(raw[:nl])
+        header[key] = value
+        target.write_bytes(json.dumps(header, sort_keys=True).encode() + raw[nl:])
+        with pytest.raises(CheckpointError, match=f"checkpoint header: {message}"):
+            read_checkpoint(tmp_path, 1, 1, "full")
 
     @staticmethod
     def _bumped(key):
@@ -1891,7 +1917,7 @@ class TestAlphabets:
     def test_minimum_extremal_alphabet_2x2_is_three(self):
         # Sharp on both sides: no pair of extremal letters reaches all 10
         # valid subsets, while exactly two of the 560 triples do
-        letters = list(iter_full_alphabet(2, 2))
+        letters = [letter(s, t) for s, t in SearchSpace(2, 2, 1).letter_candidates()]
         best_pair = max(
             bfs_reach(2, 2, list(combo)).reached
             for combo in combinations(letters, 2)
@@ -1924,7 +1950,7 @@ class TestAlphabets:
         letters, closure = [], np.array([1], np.int64)
         while closure.size < bound_f(m, n):
             best_gain = 0
-            for a in iter_full_alphabet(m, n):
+            for a in (letter(s, t) for s, t in SearchSpace(m, n, 1).letter_candidates()):
                 gain = np.setdiff1d(step(closure, a), closure).size
                 if gain > best_gain:
                     best_gain, best = gain, a

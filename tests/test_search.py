@@ -9,18 +9,20 @@ from hypothesis import example, given, settings, strategies as st
 from shufflesc.automata import (
     Dfa,
     Transformation,
+    _memo_table,
     dfa_to_dict,
     load_dfa,
     refine,
     state_complexity,
+    subset_order,
     subset_table,
+    subset_table_array,
 )
 from shufflesc.cli import main
 from shufflesc.search import (
     _final_sets,
     _letter_names,
     _minimal_finals,
-    _subset_counter,
     SearchSpace,
     SearchVolumeError,
     count_nonisomorphic_witness_right_dfas,
@@ -40,6 +42,7 @@ class TestSearchSpace:
         cands = space.letter_candidates()
         assert len(cands) == 16
         assert len(set(cands)) == 16
+        assert cands == sorted(cands)
 
     def test_volume_estimate_2_3_6_exceeds_guard(self):
         space = SearchSpace(2, 3, 6)
@@ -237,18 +240,27 @@ class TestAgainstEagerScan:
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_counter_matches_subset_table(self, data):
+    def test_shared_memos_match_subset_table(self, data):
+        # the search's steps: one memo per candidate letter, shared by every
+        # multiset, over the multiset's distinct letters
         m, n = data.draw(st.sampled_from([(2, 2), (2, 3), (3, 3)]))
         candidates = SearchSpace(m, n, 1).letter_candidates()
-        count = _subset_counter(cell_successors(candidates, m, n))
+        succ = cell_successors(candidates, m, n)
+        memos = [{} for _ in succ]
         letter = st.integers(0, len(candidates) - 1)
         multisets = data.draw(st.lists(
             st.lists(letter, min_size=1, max_size=4).map(sorted), min_size=1, max_size=5
         ))
         for multiset in multisets:  # later multisets reuse the memos
-            letters = [candidates[i] for i in multiset]
-            subsets, _ = subset_table(cell_successors(letters, m, n), 1)
-            assert count(multiset) == len(subsets)
+            steps = [(memos[i], succ[i]) for i in dict.fromkeys(multiset)]
+            subsets = subset_order(steps, 1)
+            letters = cell_successors([candidates[i] for i in multiset], m, n)
+            loop_subsets, loop_table = subset_table(letters, 1)
+            assert subsets == loop_subsets
+            assert set(subsets) == set(subset_table_array(letters, 1, m * n)[0].tolist())
+            final_mask = data.draw(st.integers(0, (1 << m * n) - 1))
+            kappa = max(refine(_memo_table(steps, subsets), [s & final_mask for s in subsets]))
+            assert kappa == max(refine(loop_table, [s & final_mask for s in loop_subsets]))
 
 
 @st.composite

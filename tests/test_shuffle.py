@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from shufflesc.shuffle import (
     projections,
     shuffle_state_complexity,
     sigma_star_dfa,
+    valid_encodings,
 )
 
 T = Transformation
@@ -144,6 +146,17 @@ class TestBound:
     def test_count_guard(self):
         with pytest.raises(GridSizeError):
             count_valid_subsets(5, 6)
+
+    def test_scan_chunk_memory(self):
+        # a chunk's arange and masked copies set the scan's memory; at the
+        # 24-cell grid one chunk must stay under 2 MiB
+        tracemalloc.start()
+        try:
+            next(valid_encodings(4, 6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
 
 class TestShuffleNfa:
