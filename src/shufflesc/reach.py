@@ -3,9 +3,11 @@
 The extremal automaton over the m x n grid carries one input letter for
 every pair of transformations (s, t) from T_m x T_n; a subset S steps to
 {(s(p), q)} union {(p, t(q))} over its members. This module explores that
-automaton exhaustively (BFS in one thread over a dense visited bitmap, with
-checkpoints). Over a letter list each block of frontier subsets steps on
-every letter at once and is filtered against that bitmap. Over the full
+automaton exhaustively (BFS over a dense visited bitmap, with checkpoints).
+Over a letter list each block of frontier subsets steps on every letter at
+once and is filtered against that bitmap, and a generation's blocks are
+shared among one thread per available CPU; the new generation comes back
+as ascending uint32, the same for any thread count. Over the full
 alphabet every generation is a union of orbits under the permutations of
 rows 2..m and columns 2..n, so BFS steps one subset per orbit and marks the
 whole orbit visited (_orbit_generation). A subset's successors over the full
@@ -44,6 +46,7 @@ import json
 import math
 import os
 import re
+import threading
 import time
 from dataclasses import dataclass, field
 from itertools import combinations, islice, permutations, product
@@ -237,7 +240,8 @@ CHUNK_BITS = 12
 class _LetterStep:
     """A letter list as _successor_bitmap steps it: the intp chunk tables of
     automata._step_tables over its cell_successors, and the visited bitmap
-    to filter against and mark. len() counts the letters."""
+    to filter against and mark. len() counts the letters. The threads of one
+    generation read the tables and filter against and mark the one bitmap."""
 
     def __init__(self, alphabet: Sequence[ExtremalLetter], m: int, n: int, visited: np.ndarray):
         succ = cell_successors([(a.s.images, a.t.images) for a in alphabet], m, n)
@@ -247,33 +251,83 @@ class _LetterStep:
     def __len__(self) -> int:
         return self.tables.shape[-1]
 
+    def share(self, frontier: np.ndarray, rows: int) -> list[np.ndarray]:
+        """The new successors of one share of a frontier, as uint32 arrays
+        (half of intp's bytes; visited has < 2^32 entries): each block of
+        rows steps on all letters through automata._block_step, and its
+        successors not yet visited are marked at once."""
+        new = []
+        for lo in range(0, frontier.size, rows):
+            succ = _block_step(self.tables, frontier[lo:lo + rows].astype(np.intp), CHUNK_BITS)
+            succ = succ[~self.visited[succ]]
+            self.visited[succ] = True
+            new.append(succ.astype(np.uint32))
+        return new
+
+
+def _available_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
 
 def _successor_bitmap(frontier: np.ndarray, m: int, n: int, alphabet) -> np.ndarray:
     """One BFS step of the frontier. Over the full alphabet ("full"): a
     dense bool bitmap of all successors, into which each state's R | C
     products from _line_parts are scattered. Over a letter list (a
-    _LetterStep): the new generation, intp and ascending, marked in the
-    step's visited bitmap. Blocks of ARRAY_BLOCK // letters rows step on all
-    letters at once through automata._block_step, and each block's
-    survivors of the visited filter are marked at once, so repeats stay
-    within a block and one sort with an adjacent-difference mask drops them."""
+    _LetterStep): the new generation, uint32 and ascending, marked in the
+    step's visited bitmap.
+
+    The frontier is cut into k contiguous shares of whole blocks of
+    ARRAY_BLOCK // letters rows, k the smaller of the available CPUs and the
+    block count, and each share runs _LetterStep.share on its own thread
+    (the first on the calling thread, so one CPU starts none); numpy's
+    gathers and masks release the GIL. The race between the threads is
+    benign: two of them may both find a successor unvisited and keep it,
+    as may two rows of one block, but a thread marks only what it keeps, so
+    every successor new to the generation is kept at least once. So one
+    sort of all survivors with an adjacent-difference mask gives the same
+    array for any k. A worker's
+    exception is raised here, after every thread has ended. On 2 CPUs the
+    second thread added about 0.5 MB to the peak RSS of a whole 32-letter
+    4x6 run (only 2 CPUs were measured)."""
     if isinstance(alphabet, str):  # full alphabet
         out = np.zeros(1 << (m * n), dtype=bool)
         for R, C in _line_parts(frontier.astype(np.intp), m, n):
             out[R[:, None] | C[None, :]] = True
         return out
     rows = max(1, ARRAY_BLOCK // max(len(alphabet), 1))
-    new = [np.empty(0, dtype=np.uint32)]  # half of intp's bytes; visited has < 2^32 entries
-    for lo in range(0, frontier.size, rows):
-        succ = _block_step(alphabet.tables, frontier[lo:lo + rows].astype(np.intp), CHUNK_BITS)
-        succ = succ[~alphabet.visited[succ]]
-        alphabet.visited[succ] = True
-        new.append(succ.astype(np.uint32))
-    new = np.concatenate(new)  # frees the blocks before the sort
+    blocks = -(-frontier.size // rows)
+    k = min(_available_cpus(), blocks)
+    cuts = [i * blocks // k * rows for i in range(k)] + [frontier.size]
+    parts: list = [None] * k
+
+    def run(i: int) -> None:
+        try:
+            parts[i] = alphabet.share(frontier[cuts[i]:cuts[i + 1]], rows)
+        except BaseException as e:  # raised in the caller
+            parts[i] = e
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, k)]
+    for thread in threads:
+        thread.start()
+    try:
+        if k:
+            run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for part in parts:
+        if isinstance(part, BaseException):
+            raise part
+    new = np.concatenate([np.empty(0, dtype=np.uint32)] + [a for part in parts for a in part])
+    parts.clear()  # frees the blocks before the sort
     new.sort()
     keep = np.ones(new.size, dtype=bool)
     np.not_equal(new[1:], new[:-1], out=keep[1:])
-    return new[keep].astype(np.intp)
+    return new[keep]
 
 
 # -- orbits under row and column permutations that fix 1 ----------------------
@@ -609,9 +663,13 @@ def bfs_reach(
 ) -> ReachReport:
     """Fixpoint of extremal_step from {(1,1)}; counts reached subsets.
 
-    Checkpoints are written once per completed generation when
-    checkpoint_dir is given. A letter list whose s or t does not have
-    degree m or n, or a negative max_generations, raises ValueError.
+    Each generation is one _successor_bitmap call on this thread; over a
+    letter list that call steps the frontier's shares on one thread per
+    available CPU and returns the new generation as ascending uint32, which
+    is the next frontier as it is. Checkpoints are written once per
+    completed generation when checkpoint_dir is given. A letter list whose
+    s or t does not have degree m or n, or a negative max_generations,
+    raises ValueError.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
@@ -652,7 +710,7 @@ def bfs_reach(
         if full:
             reps, frontier = _orbit_generation(reps, visited, m, n)
         else:
-            frontier = _successor_bitmap(frontier, m, n, letters).view(np.uint64)
+            frontier = _successor_bitmap(frontier, m, n, letters)
         generation += 1
         steps += 1
         if checkpoint_dir is not None:
@@ -1146,7 +1204,7 @@ def _table(entry: InstanceEntry) -> dict | None:
 class _Tables:
     """What each instance justifies, by its first entry: every valid subset
     for an instance-level rule, else what its table lists, as a bitmap built
-    once per table."""
+    from one lookup of each valid subset in the table."""
 
     def __init__(self, entries: Sequence[InstanceEntry]):
         #: instance -> table of its first entry, or None if that entry
@@ -1158,14 +1216,22 @@ class _Tables:
                     (_table(entry) or {}) if entry.strategy == STRATEGY_EXHAUSTIVE else None)
         self._listed: dict[tuple[int, int, int], np.ndarray] = {}
 
+    def rows(self, table: dict, mi: int, ni: int) -> list[list]:
+        """table's row of each valid subset of (mi, ni), _ABSENT where it
+        lists none, one list per batch of _valid_batches; the listed bitmap
+        is kept from the same lookups."""
+        rows, listed = [], np.zeros(1 << mi * ni, bool)
+        for batch in _valid_batches(mi, ni):
+            rows.append([table.get(key, _ABSENT) for key in map(str, batch.tolist())])
+            listed[batch] = [row is not _ABSENT for row in rows[-1]]
+        self._listed[(id(table), mi, ni)] = listed
+        return rows
+
     def listed(self, table: dict, mi: int, ni: int) -> np.ndarray:
         """The bool bitmap of the valid subsets of (mi, ni) that table lists."""
         key = (id(table), mi, ni)
         if key not in self._listed:
-            listed = np.zeros(1 << mi * ni, bool)
-            for batch in _valid_batches(mi, ni):
-                listed[batch] = [str(enc) in table for enc in batch.tolist()]
-            self._listed[key] = listed
+            self.rows(table, mi, ni)
         return self._listed[key]
 
 
@@ -1250,9 +1316,10 @@ def _replay_edges(tables: _Tables, mi: int, ni: int, kind: str, encs: np.ndarray
     _require_justified(tables, mi, ni, preds[ok], where, encs[ok], bad)
 
 
-def _check_rows(mi: int, ni: int, table: dict, encs: list[int], rule: np.ndarray,
+def _check_rows(mi: int, ni: int, rows: list, encs: list[int], rule: np.ndarray,
                 bad: dict[int, str]) -> tuple[np.ndarray, list]:
-    """The checks of each row of the valid subsets encs on its own: listed,
+    """The checks of each row of the valid subsets encs on its own, rows[k]
+    the table's row of encs[k] (from _Tables.rows): listed,
     a known kind with exactly its fields, the kind of the first line rule
     (rule, from _first_rule) or PERMUTATION where none applies, and a
     PERMUTATION row's pred in range and letter shape. Records a failing row
@@ -1262,8 +1329,7 @@ def _check_rows(mi: int, ni: int, table: dict, encs: list[int], rule: np.ndarray
     derived = [None] + [{"kind": kind} for kind in _RULES]
     passed = np.zeros(len(encs), bool)
     edges = []
-    for k, (enc, code) in enumerate(zip(encs, rule.tolist())):
-        j = table.get(str(enc), _ABSENT)
+    for k, (enc, j, code) in enumerate(zip(encs, rows, rule.tolist())):
         if code and j == derived[code]:
             passed[k] = True
             continue
@@ -1304,12 +1370,12 @@ def _verify_exhaustive(tables: _Tables, entry: InstanceEntry, failures: list[str
         failures.append(f"({mi},{ni}): EXHAUSTIVE entry has no justifications table")
         return
     _exact_data(entry, {"justifications"}, failures)
-    listed = tables.listed(table, mi, ni)
+    rows = tables.rows(table, mi, ni)
     where = f"({mi},{ni}) subset "
     bad: dict[int, str] = {}
-    for batch in _valid_batches(mi, ni):
+    for batch, looked_up in zip(_valid_batches(mi, ni), rows):
         rule, axis, i, j, pred = _first_rule(batch, mi, ni)
-        passed, edges = _check_rows(mi, ni, table, batch.tolist(), rule, bad)
+        passed, edges = _check_rows(mi, ni, looked_up, batch.tolist(), rule, bad)
         shrink, contained, single = (passed & (rule == _RULES.index(kind) + 1)
                                      for kind in ("SHRINK", "CONTAINMENT", "SINGLE_ELEMENT"))
         on_column = axis[shrink] == 1
@@ -1324,7 +1390,7 @@ def _verify_exhaustive(tables: _Tables, entry: InstanceEntry, failures: list[str
                       np.array(preds, np.uint64), np.array(s, np.uint64).reshape(-1, mi).T,
                       np.array(t, np.uint64).reshape(-1, ni).T, where, bad)
     failures.extend(bad[enc] for enc in sorted(bad))
-    extra = len(table) - int(np.count_nonzero(listed))
+    extra = len(table) - int(np.count_nonzero(tables.listed(table, mi, ni)))
     if extra:
         failures.append(f"({mi},{ni}): table keys that are not valid subsets: {extra}")
 

@@ -22,6 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CERTIFY = "tests/test_reach.py::TestCertify::"
 BFS = "tests/test_reach.py::TestBfsReach::"
 CHECKPOINTS = "tests/test_reach.py::TestCheckpoints::"
+THREADED = "tests/test_reach.py::TestThreadedKernel::test_same_generation"
 DFA_FIELDS = "tests/test_automata.py::TestFileFormat::test_refusal_names_the_field"
 EAGER = "tests/test_search.py::TestAgainstEagerScan::test_same_result"
 
@@ -57,6 +58,12 @@ MUTANTS = [
      "    np.not_equal(new[1:], new[:-1], out=keep[1:])\n", "",
      [f"{CHECKPOINTS}test_golden_checkpoint_bytes[{run}]"
       for run in ("3x3 letters_3x3", "4x5 seed 45")]),
+    ("letter-list BFS kernel dropping the last row of its first share", "reach.py",
+     "parts[i] = alphabet.share(frontier[cuts[i]:cuts[i + 1]], rows)",
+     "parts[i] = alphabet.share(frontier[cuts[i]:cuts[i + 1] - (i == 0)], rows)",
+     [f"{THREADED}[{case}]" for case in (
+         "4x6-list-1-row-1", "4x6-list-block-and-row-2", "4x6-list-3-blocks-and-row-3",
+         "empty-list-block-and-row-2")]),
     ("write_checkpoint without its refusal of unreadable frontiers", "reach.py",
      """    if np.any(frontier[1:] <= frontier[:-1]):  # BFS frontiers are already strictly ascending
         frontier = np.sort(frontier)

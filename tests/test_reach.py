@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import threading
 from itertools import combinations, permutations, product
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shufflesc import reach, shuffle
-from shufflesc.automata import Transformation, _step_tables
+from shufflesc.automata import Transformation, _block_step, _step_tables
 from shufflesc.reach import (
     _checkpoint_name,
     _drop_lines,
@@ -152,7 +153,7 @@ def successors(frontier, m, n, alphabet):
         return set(np.flatnonzero(_successor_bitmap(frontier, m, n, alphabet)).tolist())
     visited = np.zeros(1 << m * n, dtype=bool)
     succ = _successor_bitmap(frontier, m, n, _LetterStep(alphabet, m, n, visited))
-    assert succ.dtype == np.intp and np.all(succ[1:] > succ[:-1])
+    assert succ.dtype == np.uint32 and np.all(succ[1:] > succ[:-1])
     assert np.array_equal(np.flatnonzero(visited), succ)
     return set(succ.tolist())
 
@@ -324,6 +325,80 @@ class TestKernelMatchesDefinition:
             t = tuple(rng.randint(1, n) for _ in range(n))
             stepped = extremal_step(ProductSubset(m, n, bits), letter(s, t))
             assert stepped.bits == pair_loop_step(bits, s, t, m, n)
+
+
+class TestThreadedKernel:
+    """The letter-list kernel with its CPU count set to 1, 2 and 3: the
+    frontier is cut into that many shares of whole blocks (fewer if there
+    are fewer blocks), and every split gives the one new generation."""
+
+    M, N = 4, 6
+
+    @staticmethod
+    def few_cell_frontier(size, seed):
+        """size distinct 4x6 encodings of 1 to 5 cells, ascending: their
+        successors have few cells too, so rows of different shares share
+        many successors."""
+        cells = [sum(1 << c for c in combo) for k in range(1, 6)
+                 for combo in combinations(range(24), k)]
+        return np.array(sorted(random.Random(seed).sample(cells, size)), dtype=np.uint64)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("blocks,extra", [(0, 0), (0, 1), (1, 0), (1, 1), (3, 1)],
+                             ids=["0-rows", "1-row", "one-block", "block-and-row",
+                                  "3-blocks-and-row"])
+    @pytest.mark.parametrize("count", [8, 0], ids=["4x6-list", "empty-list"])
+    def test_same_generation(self, monkeypatch, threads, blocks, extra, count):
+        m, n = self.M, self.N
+        letters = random_letters(random.Random(count), m, n, count)
+        rows = reach.ARRAY_BLOCK // max(count, 1)
+        frontier = self.few_cell_frontier(blocks * rows + extra, count + blocks)
+        step = _LetterStep(letters, m, n, np.zeros(1 << m * n, dtype=bool))
+        all_succ = _block_step(step.tables, frontier.astype(np.intp), CHUNK_BITS)
+        step.visited[frontier] = True  # as in BFS, and a third of the successors
+        step.visited[all_succ.ravel()[::3]] = True
+        before = step.visited.copy()
+        expected = np.setdiff1d(all_succ, np.flatnonzero(before)).astype(np.uint32)
+
+        shares = []
+        share = _LetterStep.share
+
+        def recording(self, part, rows):
+            shares.append((int(part[0]), part.size))
+            return share(self, part, rows)
+
+        monkeypatch.setattr(reach, "_available_cpus", lambda: threads)
+        monkeypatch.setattr(_LetterStep, "share", recording)
+        alive = threading.active_count()
+        succ = _successor_bitmap(frontier, m, n, step)
+        assert threading.active_count() == alive
+        assert succ.dtype == np.uint32 and np.array_equal(succ, expected)
+        assert np.array_equal(np.flatnonzero(step.visited & ~before), succ)
+        total = blocks + (extra > 0)
+        sizes = [size for _, size in sorted(shares)]  # in frontier order
+        assert len(sizes) == min(threads, total) and sum(sizes) == frontier.size
+        assert all(size % rows == 0 for size in sizes[:-1])
+
+    def test_worker_exception_raised(self, monkeypatch):
+        # the second share raises in its thread; the caller raises it once
+        # every thread has ended
+        m, n = self.M, self.N
+        letters = random_letters(random.Random(1), m, n, 8)
+        frontier = self.few_cell_frontier(2 * reach.ARRAY_BLOCK // 8, 1)
+        step = _LetterStep(letters, m, n, np.zeros(1 << m * n, dtype=bool))
+        share = _LetterStep.share
+
+        def failing(self, part, rows):
+            if part[0] != frontier[0]:
+                raise ZeroDivisionError("share failed")
+            return share(self, part, rows)
+
+        monkeypatch.setattr(reach, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(_LetterStep, "share", failing)
+        alive = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match="share failed"):
+            _successor_bitmap(frontier, m, n, step)
+        assert threading.active_count() == alive
 
 
 class TestFullAlphabet:
@@ -771,11 +846,15 @@ class TestCheckpoints:
     def test_golden_checkpoint_bytes_at_block_sizes(self, tmp_path, monkeypatch, run, block):
         # one frontier row per block, so that a successor of two rows is
         # filtered by the first row's marks in visited, or the largest
-        # generation in one block, so that every repeat is dropped by the sort
+        # generation in one block, so that every repeat is dropped by the sort;
+        # each on one thread and on two, where one-row blocks split every
+        # frontier of two or more rows between the threads
         letters = self.GOLDEN_RUNS[run][2]()
         size = len(letters) if block == "one-row" else 1 << 24
         monkeypatch.setattr(reach, "ARRAY_BLOCK", size)
-        self.assert_golden(tmp_path, run)
+        for threads in (1, 2):
+            monkeypatch.setattr(reach, "_available_cpus", lambda: threads)
+            self.assert_golden(tmp_path / f"{threads}-threads", run)
 
     def assert_golden(self, tmp_path, run):
         m, n, letters = self.GOLDEN_RUNS[run]
@@ -785,6 +864,18 @@ class TestCheckpoints:
             p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(tmp_path.glob("gen-*.ckpt"))
         } == expected
+
+    def test_uint32_frontier_same_file(self, tmp_path):
+        # the letter-list kernel returns uint32 generations; a checkpoint
+        # stores them as the same little-endian uint64 entries
+        rng = np.random.default_rng(32)
+        visited = rng.random(1 << 12) < 0.5
+        frontier = np.flatnonzero(visited)[::3].astype(np.uint32)
+        for name, entries in (("u32", frontier), ("u64", frontier.astype(np.uint64))):
+            write_checkpoint(tmp_path / name, 3, 4, "full", 5, visited, entries)
+        assert ((tmp_path / "u32" / "gen-000005.ckpt").read_bytes()
+                == (tmp_path / "u64" / "gen-000005.ckpt").read_bytes())
+        assert np.array_equal(read_checkpoint(tmp_path / "u32", 3, 4, "full")[2], frontier)
 
     def test_frontier_not_integer_refused(self, tmp_path):
         visited = np.zeros(16, dtype=bool)
