@@ -20,7 +20,6 @@ from .automata import (
     dump_dfa,
     minimize,
     state_complexity,
-    trim,
 )
 from .shuffle import (
     GridSizeError,

@@ -94,7 +94,7 @@ class Dfa:
     initial: int = 1
 
     def __post_init__(self):
-        if self.state_count < 1:
+        if not int_in(self.state_count, 1, float("inf")):
             raise ValueError("state_count must be positive")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("duplicate letters in alphabet")
@@ -104,9 +104,9 @@ class Dfa:
             if t.degree != self.state_count:
                 raise ValueError(f"transformation for {x!r} has wrong degree")
         for f in self.finals:
-            if not 1 <= f <= self.state_count:
+            if not int_in(f, 1, self.state_count):
                 raise ValueError(f"final state {f} out of range")
-        if not 1 <= self.initial <= self.state_count:
+        if not int_in(self.initial, 1, self.state_count):
             raise ValueError("initial state out of range")
 
 
@@ -121,7 +121,7 @@ class Nfa:
     finals: frozenset[int]
 
     def __post_init__(self):
-        if self.state_count < 1:
+        if not int_in(self.state_count, 1, float("inf")):
             raise ValueError("state_count must be positive")
         if len(self.transitions) != self.state_count:
             raise ValueError("one transition row per state required")
@@ -130,12 +130,12 @@ class Nfa:
                 raise ValueError("one successor set per letter required")
             for succs in row:
                 for s in succs:
-                    if not 1 <= s <= self.state_count:
+                    if not int_in(s, 1, self.state_count):
                         raise ValueError(f"successor {s} out of range")
-        if not 1 <= self.initial <= self.state_count:
+        if not int_in(self.initial, 1, self.state_count):
             raise ValueError("initial state out of range")
         for f in self.finals:
-            if not 1 <= f <= self.state_count:
+            if not int_in(f, 1, self.state_count):
                 raise ValueError(f"final state {f} out of range")
 
 
@@ -332,18 +332,6 @@ def _bfs_order(images, initial: int) -> tuple[list[int], dict[int, int]]:
     return order, pos
 
 
-def trim(d: Dfa) -> Dfa:
-    """Restrict to states reachable from the initial state, relabeled in
-    BFS discovery order (initial becomes 1). Completeness is preserved."""
-    images = [t.images for t in d.transitions]
-    order, pos = _bfs_order(images, d.initial)
-    transitions = tuple(
-        Transformation(tuple(pos[img[q - 1]] for q in order)) for img in images
-    )
-    finals = frozenset(pos[f] for f in d.finals if f in pos)
-    return Dfa(len(order), d.alphabet, transitions, finals)
-
-
 def refine(table: Sequence[Sequence[int]], accepting: Iterable) -> list[int]:
     """Moore partition refinement: the Nerode classes of a complete DFA.
 
@@ -399,20 +387,20 @@ def refine_array(table: np.ndarray, accepting: np.ndarray) -> np.ndarray:
 
 
 def minimize(d: Dfa) -> Dfa:
-    """Minimal complete DFA of the same language: trim, then refine; each
-    block becomes the state of its number, with the initial state in 1."""
-    d = trim(d)
-    images = [t.images for t in d.transitions]
-    states = range(1, d.state_count + 1)
-    table = list(zip(*images)) or [()] * d.state_count  # () if no letters
-    block = refine(table, [q in d.finals for q in states])
+    """Minimal complete DFA of the same language: refine the rows of
+    bfs_key in the alphabet's order, which leave out the unreachable
+    states; each block becomes the state of its number, with the initial
+    state in 1."""
+    count, rows, finals = bfs_key(d, range(len(d.alphabet)))
+    states = range(1, count + 1)
+    final = set(finals)
+    block = refine(rows, [q in final for q in states])
     reps = dict(zip(block, states))  # one state of each block, in block order
     transitions = tuple(
-        Transformation(tuple(block[img[q - 1] - 1] for q in reps.values()))
-        for img in images
+        Transformation(tuple(block[rows[q - 1][li] - 1] for q in reps.values()))
+        for li in range(len(d.alphabet))
     )
-    finals = frozenset(block[f - 1] for f in d.finals)
-    return Dfa(len(reps), d.alphabet, transitions, finals)
+    return Dfa(len(reps), d.alphabet, transitions, frozenset(block[f - 1] for f in finals))
 
 
 def state_complexity(d: Dfa) -> int:
@@ -421,30 +409,30 @@ def state_complexity(d: Dfa) -> int:
 
 
 def bfs_key(d: Dfa, letter_order: Sequence[int]) -> tuple:
-    """Key of a DFA under state relabeling with the letter order fixed.
+    """Key of a DFA under state relabeling with the letter order fixed,
+    and the one relabeling of its reachable part, which minimize refines.
 
-    States are renumbered in BFS discovery order from the initial state,
-    visiting letters in the given order; all states must be reachable
-    (trim first). The key is (state count, rows, sorted finals), where row
-    i lists the successors of state i+1 over the letters in that order.
+    The states reachable from the initial state are renumbered in BFS
+    discovery order, visiting letters in the given order, so the initial
+    state is 1; the others are left out. The key is (reachable state count,
+    rows, sorted reachable finals), where row i lists the successors of
+    state i+1 over the letters in that order.
     """
     images = [d.transitions[li].images for li in letter_order]
     order, pos = _bfs_order(images, d.initial)
-    if len(order) != d.state_count:
-        raise ValueError("unreachable states; trim before canonicalizing")
     rows = tuple(tuple(pos[img[q - 1]] for img in images) for q in order)
-    finals = tuple(sorted(pos[f] for f in d.finals))
-    return (d.state_count, rows, finals)
+    finals = tuple(sorted(pos[f] for f in d.finals if f in pos))
+    return (len(order), rows, finals)
 
 
 def canonical_key(*dfas: Dfa, finals: bool = True) -> tuple:
-    """Key of DFAs over one alphabet, equal iff they are isomorphic under
-    state relabeling of each (initial fixed) and one joint letter renaming:
-    the least tuple of their bfs_keys over all letter orders, blind to the
-    final sets unless finals. It costs k! bfs_keys for k letters."""
-    trimmed = [trim(d) for d in dfas]
+    """Key of DFAs over one alphabet, equal iff their reachable parts are
+    isomorphic under state relabeling of each (initial fixed) and one joint
+    letter renaming: the least tuple of their bfs_keys over all letter
+    orders, blind to the final sets unless finals. It costs k! bfs_keys for
+    k letters."""
     size = 3 if finals else 2
-    return min(tuple(bfs_key(d, perm)[:size] for d in trimmed)
+    return min(tuple(bfs_key(d, perm)[:size] for d in dfas)
                for perm in permutations(range(len(dfas[0].alphabet))))
 
 

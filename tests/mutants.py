@@ -25,6 +25,7 @@ CHECKPOINTS = "tests/test_reach.py::TestCheckpoints::"
 THREADED = "tests/test_reach.py::TestThreadedKernel::test_same_generation"
 DFA_FIELDS = "tests/test_automata.py::TestFileFormat::test_refusal_names_the_field"
 EAGER = "tests/test_search.py::TestAgainstEagerScan::test_same_result"
+DFA_REFUSED = "tests/test_automata.py::TestConstructorChecks::test_dfa_refused"
 
 #: (name, file under src/shufflesc, text, replacement, tests that must fail)
 MUTANTS = [
@@ -99,6 +100,18 @@ MUTANTS = [
     ("dfa_from_dict accepting repeated finals", "automata.py",
      "if len(set(finals)) != len(finals):", "if False:",
      [f"{DFA_FIELDS}[repeated_finals]"]),
+    ("bfs_key counting the unreachable states", "automata.py",
+     "    return (len(order), rows, finals)\n", "    return (d.state_count, rows, finals)\n",
+     ["tests/test_automata.py::TestCanonicalize::test_unreachable_states_left_out"]),
+    ("Dfa accepting a final state that is not an int", "automata.py",
+     """                raise ValueError(f"transformation for {x!r} has wrong degree")
+        for f in self.finals:
+            if not int_in(f, 1, self.state_count):
+""", """                raise ValueError(f"transformation for {x!r} has wrong degree")
+        for f in self.finals:
+            if not 1 <= f <= self.state_count:
+""",
+     [f"{DFA_REFUSED}[{case}]" for case in ("final_float", "final_bool")]),
 ]
 
 

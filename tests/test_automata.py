@@ -1,7 +1,7 @@
 import json
 import math
 import random
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from shufflesc.automata import (
     FormatError,
     Nfa,
     Transformation,
+    bfs_key,
     canonical_key,
     determinize,
     dfa_from_dict,
@@ -282,7 +283,39 @@ class TestArrayPath:
         assert subset_table([], 1 << 2) == ([4], [()])
 
 
+@st.composite
+def with_unreachable(draw):
+    """(d, big): a DFA d from dfa_strategy and a copy of it with 1 to 3
+    extra states, some final, whose transitions go anywhere; no state of d
+    leads to them. The states of big are shuffled, the initial with them."""
+    d = draw(dfa_strategy())
+    m, size = d.state_count, d.state_count + draw(st.integers(1, 3))
+    label = [0, *draw(st.permutations(range(1, size + 1)))]  # label[q]: q's state in big
+    images = [t.images + tuple(draw(st.integers(1, size)) for _ in range(m, size))
+              for t in d.transitions]
+    finals = {*d.finals, *(q for q in range(m + 1, size + 1) if draw(st.booleans()))}
+    transitions = []
+    for img in images:
+        moved = [0] * size
+        for q, target in enumerate(img, 1):
+            moved[label[q] - 1] = label[target]
+        transitions.append(T(tuple(moved)))
+    big = Dfa(size, d.alphabet, tuple(transitions), frozenset(label[f] for f in finals),
+              label[d.initial])
+    return d, big
+
+
 class TestCanonicalize:
+    @settings(max_examples=100, deadline=None)
+    @given(with_unreachable())
+    def test_unreachable_states_left_out(self, pair):
+        d, big = pair
+        for order in permutations(range(len(d.alphabet))):
+            assert bfs_key(big, order) == bfs_key(d, order)
+        assert canonical_key(big) == canonical_key(d)
+        assert canonical_key(big, finals=False) == canonical_key(d, finals=False)
+        assert minimize(big) == minimize(d)
+
     def _swap_states(self, d: Dfa) -> Dfa:
         # relabel 1<->2 is not allowed (initial must stay 1); swap two
         # non-initial states instead
@@ -333,7 +366,12 @@ class TestConstructorChecks:
         ((2, ("a",), (T((1, 2, 3)),), frozenset()), "transformation for 'a' has wrong degree"),
         ((2, ("a",), (T((1, 2)),), frozenset([3])), "final state 3 out of range"),
         ((2, ("a",), (T((1, 2)),), frozenset(), 3), "initial state out of range"),
-    ], ids=["states", "duplicate_letters", "one_per_letter", "degree", "final", "initial"])
+        ((True, ("a",), (T((1,)),), frozenset()), "state_count must be positive"),
+        ((2, ("a",), (T((1, 2)),), frozenset([1.5])), "final state 1.5 out of range"),
+        ((2, ("a",), (T((1, 2)),), frozenset([True])), "final state True out of range"),
+        ((2, ("a",), (T((2, 1)),), frozenset([2]), 1.0), "initial state out of range"),
+    ], ids=["states", "duplicate_letters", "one_per_letter", "degree", "final", "initial",
+            "states_bool", "final_float", "final_bool", "initial_float"])
     def test_dfa_refused(self, args, match):
         with pytest.raises(ValueError, match=match):
             Dfa(*args)
@@ -342,10 +380,25 @@ class TestConstructorChecks:
         (((frozenset([1]),),), "one transition row per state"),
         (((frozenset([1]),), ()), "one successor set per letter"),
         (((frozenset([1]),), (frozenset([3]),)), "successor 3 out of range"),
-    ], ids=["rows", "letters", "successor"])
+        (((frozenset([1.5]),), (frozenset(),)), "successor 1.5 out of range"),
+        (((frozenset([True]),), (frozenset(),)), "successor True out of range"),
+    ], ids=["rows", "letters", "successor", "successor_float", "successor_bool"])
     def test_nfa_refused(self, transitions, match):
         with pytest.raises(ValueError, match=match):
             Nfa(2, ("a",), transitions, 1, frozenset([2]))
+
+    @pytest.mark.parametrize("args, match", [
+        ((True, ("a",), ((frozenset([1]),),), 1, frozenset()), "state_count must be positive"),
+        ((2, ("a",), ((frozenset(),), (frozenset(),)), 1.0, frozenset()),
+         "initial state out of range"),
+        ((2, ("a",), ((frozenset(),), (frozenset(),)), 1, frozenset([1.5])),
+         "final state 1.5 out of range"),
+        ((2, ("a",), ((frozenset(),), (frozenset(),)), 1, frozenset([True])),
+         "final state True out of range"),
+    ], ids=["states_bool", "initial_float", "final_float", "final_bool"])
+    def test_nfa_states_not_ints_refused(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            Nfa(*args)
 
 
 class TestFileFormat:

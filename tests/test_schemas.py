@@ -2,21 +2,25 @@
 
 A valid document is mutated by dropping, adding or retyping one key of one
 of its JSON objects; wherever jsonschema refuses the result, the loader
-must refuse it too. A loader may refuse more than its schema does."""
+must refuse it too. A loader may refuse more than its schema does. The
+letters file and the checkpoint header have no schema, so each of their
+mutations must be refused."""
 
 import copy
 import importlib.resources as res
 import json
+import tempfile
 from functools import reduce
 from operator import getitem
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from shufflesc.automata import FormatError, dfa_from_dict
 from shufflesc.reach import (
-    Certificate, ReachReport, bfs_reach, certify, load_letters, verify_certificate,
+    Certificate, CheckpointError, ReachReport, bfs_reach, certify, load_letters,
+    read_checkpoint, verify_certificate,
 )
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -109,3 +113,52 @@ def test_certificate_loader_refuses_what_the_schema_refuses(doc):
         except ValueError:
             return
         assert not verify_certificate(cert)
+
+
+with tempfile.TemporaryDirectory() as tmp:
+    bfs_reach(2, 2, checkpoint_dir=tmp, max_generations=1)
+    CHECKPOINT = (Path(tmp) / "gen-000001.ckpt").read_bytes()
+HEADERS = [json.loads(CHECKPOINT[:CHECKPOINT.index(b"\n")])]
+LETTERS = [json.loads((FIXTURES / "letters_3x3.json").read_text())]
+
+
+def read_with_header(header: dict):
+    """read_checkpoint of the 2x2 generation-1 checkpoint with its header
+    line rewritten to header and its body kept."""
+    body = CHECKPOINT[CHECKPOINT.index(b"\n"):]
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "gen-000001.ckpt").write_bytes(json.dumps(header, sort_keys=True).encode()
+                                                    + body)
+        (Path(tmp) / "LATEST").write_text("gen-000001.ckpt\n")
+        return read_checkpoint(tmp, 2, 2, "full")
+
+
+def test_unmutated_header_and_letters_load():
+    assert read_with_header(HEADERS[0])[0] == 1
+    assert len(load_letters(FIXTURES / "letters_3x3.json")) == len(LETTERS[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(header=mutated(HEADERS))
+def test_checkpoint_header_mutations_refused(header):
+    assume(header != HEADERS[0])
+    with pytest.raises(CheckpointError):
+        read_with_header(header)
+
+
+@settings(max_examples=200, deadline=None)
+@given(letters=mutated(LETTERS))
+def test_letters_file_mutations_refused(letters):
+    """A dropped or added key is refused by load_letters, a retyped value
+    by load_letters or by bfs_reach, which refuses a letter of the wrong
+    degree, such as one with s = [1, 1]."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "letters.json"
+        path.write_text(json.dumps(letters))
+        try:
+            loaded = load_letters(path)
+        except ValueError:
+            return
+    assert all(set(letter) == {"s", "t"} for letter in letters)
+    with pytest.raises(ValueError):
+        bfs_reach(3, 3, loaded, max_generations=0)
