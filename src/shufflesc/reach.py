@@ -34,9 +34,11 @@ single element) run on uint64 arrays of them: a table is built from one
 array pass per batch of subsets, and only the subsets no line rule covers
 go through the permutation search one at a time. The lemmas take an
 encoding and return encodings and image tuples. A line-rule row stores only
-its kind: the verifier runs the same array pass, requires each row to name
-the rule it finds, and replays every kind in batch. Neither side builds a
-ProductSubset or a letter object; extremal_step is the step on those.
+its kind: the verifier reads the same array pass, requires each row to name
+the rule it finds, and replays every kind in batch. Both sides read one
+such pass per instance and process (_instance_rules), and one column-family
+scan (_family_scan). Neither side builds a ProductSubset or a letter
+object; extremal_step is the step on those.
 """
 
 from __future__ import annotations
@@ -49,9 +51,10 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from itertools import combinations, islice, permutations, product
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -1056,31 +1059,67 @@ class Certificate:
         return cls.from_dict(json.loads(text))
 
 
-def _valid_batches(m: int, n: int) -> Iterator[np.ndarray]:
-    """The valid encodings of (m, n) in ascending order, at most TABLE_BATCH
-    at a time."""
-    for chunk in valid_encodings(m, n):
-        for start in range(0, chunk.size, TABLE_BATCH):
-            yield chunk[start:start + TABLE_BATCH]
+class _RuleBatch:
+    """A batch encs of valid encodings of (mi, ni) with, each derived on
+    first use, rules = _first_rule(encs, mi, ni) and the table keys
+    str(enc); every array is read-only and keys is a tuple."""
+
+    def __init__(self, encs: np.ndarray, mi: int, ni: int):
+        encs.setflags(write=False)
+        self.encs, self.mi, self.ni = encs, mi, ni
+
+    @cached_property
+    def rules(self) -> tuple[np.ndarray, ...]:
+        rules = _first_rule(self.encs, self.mi, self.ni)
+        for a in rules:
+            a.setflags(write=False)
+        return rules
+
+    @cached_property
+    def keys(self) -> tuple[str, ...]:
+        return tuple(map(str, self.encs.tolist()))
+
+
+#: the _instance_rules kept so far in this process
+_SHARED_RULES: dict[tuple[int, int], tuple[_RuleBatch, ...]] = {}
+
+
+def _instance_rules(mi: int, ni: int) -> Iterable[_RuleBatch]:
+    """A _RuleBatch for each TABLE_BATCH valid encodings of (mi, ni), in
+    ascending order. Up to DEFAULT_EXHAUSTIVE_CELLS cells (the tables
+    certify builds) they are kept for the process, so a build and its
+    verification derive each once; a larger instance streams fresh ones and
+    keeps nothing."""
+    shared = _SHARED_RULES.get((mi, ni))
+    if shared is not None:
+        return shared
+    batches = (_RuleBatch(chunk[start:start + TABLE_BATCH], mi, ni)
+               for chunk in valid_encodings(mi, ni)
+               for start in range(0, chunk.size, TABLE_BATCH))
+    if mi * ni > DEFAULT_EXHAUSTIVE_CELLS:
+        return batches
+    shared = _SHARED_RULES[(mi, ni)] = tuple(batches)
+    return shared
 
 
 def _exhaustive_entry(mi: int, ni: int, gaps: list[str]) -> InstanceEntry:
     """A row for every valid subset: the name of the first line rule that
     applies (_first_rule), else its reduction by _first_reductions."""
     table: dict[str, dict] = {}
-    for batch in _valid_batches(mi, ni):
-        for enc, rule in zip(batch.tolist(), _first_rule(batch, mi, ni)[0].tolist()):
-            if rule:  # each row gets a dict of its own
-                table[str(enc)] = {"kind": _RULES[rule - 1]}
-            elif found := _first_reductions([enc], mi, ni):
+    for batch in _instance_rules(mi, ni):
+        for key, code in zip(batch.keys, batch.rules[0].tolist()):
+            if code:  # each row gets a dict of its own
+                table[key] = {"kind": _RULES[code - 1]}
+            elif found := _first_reductions([int(key)], mi, ni):
                 phi, [(pred, psi)] = found
-                table[str(enc)] = {"kind": "PERMUTATION", "pred": pred,
-                                   "letter": {"s": list(phi), "t": list(psi)}}
+                table[key] = {"kind": "PERMUTATION", "pred": pred,
+                              "letter": {"s": list(phi), "t": list(psi)}}
             else:
-                gaps.append(f"instance ({mi},{ni}): subset encoding {enc} unjustified")
+                gaps.append(f"instance ({mi},{ni}): subset encoding {key} unjustified")
     return InstanceEntry(mi, ni, STRATEGY_EXHAUSTIVE, {"justifications": table})
 
 
+@cache
 def _family_scan(
     mi: int, ni: int
 ) -> tuple[int, list[tuple[tuple[frozenset[int], ...], list[int]]]]:
@@ -1093,7 +1132,9 @@ def _family_scan(
     applies. Returns the number of representatives probed and, in scan
     order, each column set with a representative needing phi, together with
     those representatives' encodings. Column sets are taken TABLE_BATCH at
-    a time, so memory stays bounded however many there are."""
+    a time, so memory stays bounded however many there are. The builder
+    and the verifier share one scan per instance and process: no caller may
+    change its lists."""
     rows = range(1, mi + 1)
     # the nonempty subsets of Q_mi, by size, then lexicographically
     columns = [frozenset(c) for size in rows for c in combinations(rows, size)]
@@ -1218,12 +1259,12 @@ class _Tables:
 
     def rows(self, table: dict, mi: int, ni: int) -> list[list]:
         """table's row of each valid subset of (mi, ni), _ABSENT where it
-        lists none, one list per batch of _valid_batches; the listed bitmap
-        is kept from the same lookups."""
+        lists none, one list per batch of _instance_rules, looked up by its
+        keys; the listed bitmap is kept from the same lookups."""
         rows, listed = [], np.zeros(1 << mi * ni, bool)
-        for batch in _valid_batches(mi, ni):
-            rows.append([table.get(key, _ABSENT) for key in map(str, batch.tolist())])
-            listed[batch] = [row is not _ABSENT for row in rows[-1]]
+        for batch in _instance_rules(mi, ni):
+            rows.append([table.get(key, _ABSENT) for key in batch.keys])
+            listed[batch.encs] = [row is not _ABSENT for row in rows[-1]]
         self._listed[(id(table), mi, ni)] = listed
         return rows
 
@@ -1360,10 +1401,10 @@ def _check_rows(mi: int, ni: int, rows: list, encs: list[int], rule: np.ndarray,
 
 
 def _verify_exhaustive(tables: _Tables, entry: InstanceEntry, failures: list[str]) -> None:
-    """Derive each batch's line rules with _first_rule, check each row on its
-    own against them, then replay each kind in batch. A row reports at most
-    one failure, the first check it fails; failures are listed in ascending
-    order of subset."""
+    """Take each batch's line rules from _instance_rules (_first_rule's
+    arrays), check each row on its own against them, then replay each kind
+    in batch. A row reports at most one failure, the first check it fails;
+    failures are listed in ascending order of subset."""
     mi, ni = entry.m, entry.n
     table = _table(entry)
     if table is None:
@@ -1373,8 +1414,8 @@ def _verify_exhaustive(tables: _Tables, entry: InstanceEntry, failures: list[str
     rows = tables.rows(table, mi, ni)
     where = f"({mi},{ni}) subset "
     bad: dict[int, str] = {}
-    for batch, looked_up in zip(_valid_batches(mi, ni), rows):
-        rule, axis, i, j, pred = _first_rule(batch, mi, ni)
+    for derived, looked_up in zip(_instance_rules(mi, ni), rows):
+        batch, (rule, axis, i, j, pred) = derived.encs, derived.rules
         passed, edges = _check_rows(mi, ni, looked_up, batch.tolist(), rule, bad)
         shrink, contained, single = (passed & (rule == _RULES.index(kind) + 1)
                                      for kind in ("SHRINK", "CONTAINMENT", "SINGLE_ELEMENT"))
@@ -1456,6 +1497,14 @@ def verify_certificate(
     """Replay every certificate row and instance rule; True iff all of
     them hold. Nothing is taken on trust; malformed data is a failure, not
     an exception.
+
+    Of the certificate only its rows and instance data are read. What the
+    checks derive from (m', n') alone, the line rules and table keys of
+    instances of at most DEFAULT_EXHAUSTIVE_CELLS cells (_instance_rules)
+    and the column-family scans (_family_scan), is shared with certify in
+    the same process. That is no trust: they come from the same code, run
+    in this process, never from a certificate, and every row is still
+    checked against them, every edge and stored phi replayed.
 
     Pass a list to collect human-readable failure descriptions.
     """

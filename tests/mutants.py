@@ -22,6 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CERTIFY = "tests/test_reach.py::TestCertify::"
 BFS = "tests/test_reach.py::TestBfsReach::"
 CHECKPOINTS = "tests/test_reach.py::TestCheckpoints::"
+SHARED = "tests/test_reach.py::TestSharedDerivations::"
 THREADED = "tests/test_reach.py::TestThreadedKernel::test_same_generation"
 DFA_FIELDS = "tests/test_automata.py::TestFileFormat::test_refusal_names_the_field"
 EAGER = "tests/test_search.py::TestAgainstEagerScan::test_same_result"
@@ -40,6 +41,32 @@ MUTANTS = [
     ("verifier without the column Sperner limit", "reach.py",
      'if axis == "column" and ni <= sperner_limit(mi):', "if False:",
      [f"{CERTIFY}test_corrupted_instance_refused[sperner_column_too_few]"]),
+    ("verifier reading the shared derivations of (mi, mi), not (mi, ni)", "reach.py",
+     "zip(_instance_rules(mi, ni), rows)", "zip(_instance_rules(mi, mi), rows)",
+     [f"{SHARED}test_malformed_row_same_verdict[{case}]"
+      for case in ("pred_2_10", "initial_extra_field", "line_rule_uncovered")]
+     + [f"{SHARED}test_larger_table_streams"]),
+    ("shared derivations left writable", "reach.py",
+     """        encs.setflags(write=False)
+        self.encs, self.mi, self.ni = encs, mi, ni
+
+    @cached_property
+    def rules(self) -> tuple[np.ndarray, ...]:
+        rules = _first_rule(self.encs, self.mi, self.ni)
+        for a in rules:
+            a.setflags(write=False)
+""", """        self.encs, self.mi, self.ni = encs, mi, ni
+
+    @cached_property
+    def rules(self) -> tuple[np.ndarray, ...]:
+        rules = _first_rule(self.encs, self.mi, self.ni)
+""",
+     [f"{SHARED}test_shared_arrays_refuse_writes[{size}]" for size in ("1-1", "2-3", "4-4")]),
+    ("shared derivations kept above DEFAULT_EXHAUSTIVE_CELLS", "reach.py",
+     """    if mi * ni > DEFAULT_EXHAUSTIVE_CELLS:
+        return batches
+""", "",
+     [f"{SHARED}test_larger_table_streams"]),
     ("ExtremalLetter.from_dict without its unknown-key check", "reach.py",
      '_fields(obj, where, s=list, t=list)',
      '_fields({k: obj[k] for k in "st" if k in obj} if isinstance(obj, dict) else obj, '

@@ -1590,7 +1590,7 @@ class TestCertify:
         assert not verify_certificate(cert, failures)
         assert failures == ["(3,3) subset 238: PERMUTATION edge does not replay"]
 
-    @pytest.mark.parametrize("enc,corrupt,message", [
+    MALFORMED_ROWS = [
         ("238", lambda j: j.update(pred=2**10),
          "PERMUTATION predecessor 1024 is outside the grid"),
         ("238", lambda j: j.update(pred=-1),
@@ -1615,10 +1615,14 @@ class TestCertify:
          "PERMUTATION row, but CONTAINMENT applies first"),
         ("238", lambda j: j.clear() or j.update(kind="CONTAINMENT"),
          "CONTAINMENT row, but no line rule applies"),
-    ], ids=["pred_2_10", "pred_negative", "letter_degree", "letter_image_0", "letter_missing",
-            "initial_extra_field", "shrink_extra_fields", "single_extra_fields",
-            "containment_extra_fields", "not_the_first_rule", "permutation_not_the_first_rule",
-            "line_rule_uncovered"])
+    ]
+    MALFORMED_ROW_IDS = [
+        "pred_2_10", "pred_negative", "letter_degree", "letter_image_0", "letter_missing",
+        "initial_extra_field", "shrink_extra_fields", "single_extra_fields",
+        "containment_extra_fields", "not_the_first_rule", "permutation_not_the_first_rule",
+        "line_rule_uncovered"]
+
+    @pytest.mark.parametrize("enc,corrupt,message", MALFORMED_ROWS, ids=MALFORMED_ROW_IDS)
     def test_malformed_row_refused(self, enc, corrupt, message):
         cert, table = self._rows_3x3()
         corrupt(table[enc])
@@ -1983,6 +1987,112 @@ class TestCertify:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "c34f02e2e42c8c1ffc2120fa743cd4b3b47195e13c3dff388fe8bed6cb6777a8"
         )
+
+    @pytest.mark.slow
+    def test_5x7_certificate(self):
+        cert = certify(5, 7)
+        failures = []
+        assert verify_certificate(cert, failures), failures[:5]
+        entry = cert.entry(5, 7)
+        assert entry.strategy == "FAMILY"
+        assert len(entry.data["families"]) == 445
+        assert entry.data["representatives_checked"] == 18_181_870
+        text = cert.to_json() + "\n"  # the bytes of `certify 5 7 --out`
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "6c6185e05f438df9ff96bd878de1f52a1831c1265bcf03f9d2d2d30e82192e22"
+        )
+
+
+def _forget_shared():
+    """Drop the derivations that certify and verify_certificate share within
+    a process, so the next call derives them again."""
+    reach._SHARED_RULES.clear()
+    reach._family_scan.cache_clear()
+
+
+class TestSharedDerivations:
+    """certify and verify_certificate read one derivation per instance of
+    its rules, table keys and column-family scan; sharing changes no value
+    and no verdict."""
+
+    INSTANCES = [(m, n) for m in (1, 2, 3, 4) for n in (1, 2, 3, 4)]
+
+    @pytest.mark.parametrize("m,n", INSTANCES)
+    def test_rules_equal_a_fresh_derivation(self, m, n):
+        shared = reach._instance_rules(m, n)
+        assert reach._instance_rules(m, n) is shared
+        encs = np.concatenate([batch.encs for batch in shared])
+        assert encs.tolist() == np.concatenate(list(valid_encodings(m, n))).tolist()
+        for batch in shared:
+            fresh = reach._first_rule(batch.encs.copy(), m, n)
+            for kept, derived in zip(batch.rules, fresh, strict=True):
+                assert kept.dtype == derived.dtype
+                assert kept.tolist() == derived.tolist()
+            assert list(batch.keys) == list(map(str, batch.encs.tolist()))
+
+    @pytest.mark.parametrize("m,n", INSTANCES)
+    def test_shared_arrays_refuse_writes(self, m, n):
+        for batch in reach._instance_rules(m, n):
+            for a in (batch.encs, *batch.rules):
+                # writes the values already there, so that a write let
+                # through changes nothing that later tests read
+                with pytest.raises(ValueError, match="read-only"):
+                    a[:1] = a[:1]
+            with pytest.raises(TypeError):
+                batch.keys[0] = batch.keys[0]
+
+    def test_family_scan_unchanged_by_its_callers(self):
+        assert verify_certificate(certify(4, 6))
+        for m, n in [(4, 5), (4, 6)]:
+            assert reach._family_scan(m, n) is reach._family_scan(m, n)
+            assert reach._family_scan(m, n) == _family_scan_reference(m, n)
+
+    @staticmethod
+    def _shared_then_unshared(cert):
+        """verify_certificate's failures on cert, first with what certify
+        left shared, then with that dropped."""
+        shared, unshared = [], []
+        verify_certificate(cert, shared)
+        _forget_shared()
+        verify_certificate(cert, unshared)
+        return shared, unshared
+
+    @pytest.mark.parametrize("enc,corrupt,message", TestCertify.MALFORMED_ROWS,
+                             ids=TestCertify.MALFORMED_ROW_IDS)
+    def test_malformed_row_same_verdict(self, enc, corrupt, message):
+        cert, table = TestCertify._rows_3x3()
+        assert (3, 3) in reach._SHARED_RULES
+        corrupt(table[enc])
+        shared, unshared = self._shared_then_unshared(cert)
+        assert shared == unshared == [f"(3,3) subset {enc}: {message}"]
+
+    @pytest.mark.parametrize("corrupt,expected", [
+        # the first family, columns [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4]],
+        # stores phi [1, 2, 4, 3]; the identity moves no column
+        (lambda d: d["families"][0].update(phi=[1, 2, 3, 4]),
+         [f"(4,5): stored phi does not reduce representative {rep}"
+          for rep in (666407, 665415, 570183, 792174, 316014)]),
+        (lambda d: d.update(representatives_checked=14_596),
+         ["(4,5): representatives_checked is 14596, but the scan probes 14595"]),
+    ], ids=["phi_identity", "count_off_by_one"])
+    def test_family_corruption_same_verdict(self, corrupt, expected):
+        cert = certify(4, 5)
+        corrupt(cert.entry(4, 5).data)
+        shared, unshared = self._shared_then_unshared(cert)
+        assert shared == unshared == expected
+
+    def test_larger_table_streams(self):
+        # an EXHAUSTIVE entry above DEFAULT_EXHAUSTIVE_CELLS, which certify
+        # never builds: its subsets are derived batch by batch and not kept
+        cert = certify(3, 6)
+        empty = InstanceEntry(3, 6, "EXHAUSTIVE", {"justifications": {}})
+        cert.entries[cert.entries.index(cert.entry(3, 6))] = empty
+        failures = []
+        assert not verify_certificate(cert, failures)
+        assert len(failures) == 226_304
+        assert failures == [f"(3,6): valid subset {enc} has no justification"
+                            for enc in np.concatenate(list(valid_encodings(3, 6))).tolist()]
+        assert (3, 6) not in reach._SHARED_RULES
 
 
 class TestDirectSmaller:
