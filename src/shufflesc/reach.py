@@ -36,9 +36,10 @@ go through the permutation search one at a time. The lemmas take an
 encoding and return encodings and image tuples. A line-rule row stores only
 its kind: the verifier reads the same array pass, requires each row to name
 the rule it finds, and replays every kind in batch. Both sides read one
-such pass per instance and process (_instance_rules), and one column-family
-scan (_family_scan). Neither side builds a ProductSubset or a letter
-object; extremal_step is the step on those.
+such pass per instance (_instance_rules) and one column-family scan
+(_family_scan), kept from certify until verify_certificate returns.
+Neither side builds a ProductSubset or a letter object; extremal_step is
+the step on those.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from itertools import combinations, islice, permutations, product
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -1059,55 +1060,37 @@ class Certificate:
         return cls.from_dict(json.loads(text))
 
 
-class _RuleBatch:
-    """A batch encs of valid encodings of (mi, ni) with, each derived on
-    first use, rules = _first_rule(encs, mi, ni) and the table keys
-    str(enc); every array is read-only and keys is a tuple."""
+class _RuleBatch(NamedTuple):
+    """A batch of valid encodings of an instance, its _first_rule arrays
+    and its table keys str(enc)."""
 
-    def __init__(self, encs: np.ndarray, mi: int, ni: int):
-        encs.setflags(write=False)
-        self.encs, self.mi, self.ni = encs, mi, ni
-
-    @cached_property
-    def rules(self) -> tuple[np.ndarray, ...]:
-        rules = _first_rule(self.encs, self.mi, self.ni)
-        for a in rules:
-            a.setflags(write=False)
-        return rules
-
-    @cached_property
-    def keys(self) -> tuple[str, ...]:
-        return tuple(map(str, self.encs.tolist()))
+    encs: np.ndarray
+    rules: tuple[np.ndarray, ...]
+    keys: tuple[str, ...]
 
 
-#: the _instance_rules kept so far in this process
-_SHARED_RULES: dict[tuple[int, int], tuple[_RuleBatch, ...]] = {}
-
-
-def _instance_rules(mi: int, ni: int) -> Iterable[_RuleBatch]:
+@cache
+def _instance_rules(mi: int, ni: int) -> tuple[_RuleBatch, ...]:
     """A _RuleBatch for each TABLE_BATCH valid encodings of (mi, ni), in
-    ascending order. Up to DEFAULT_EXHAUSTIVE_CELLS cells (the tables
-    certify builds) they are kept for the process, so a build and its
-    verification derive each once; a larger instance streams fresh ones and
-    keeps nothing."""
-    shared = _SHARED_RULES.get((mi, ni))
-    if shared is not None:
-        return shared
-    batches = (_RuleBatch(chunk[start:start + TABLE_BATCH], mi, ni)
-               for chunk in valid_encodings(mi, ni)
-               for start in range(0, chunk.size, TABLE_BATCH))
-    if mi * ni > DEFAULT_EXHAUSTIVE_CELLS:
-        return batches
-    shared = _SHARED_RULES[(mi, ni)] = tuple(batches)
-    return shared
+    ascending order, every array read-only. Kept until verify_certificate
+    returns, so a certify and the verification after it derive each once."""
+    batches = []
+    for chunk in valid_encodings(mi, ni):
+        for start in range(0, chunk.size, TABLE_BATCH):
+            encs = chunk[start:start + TABLE_BATCH]
+            rules = _first_rule(encs, mi, ni)
+            for a in (encs, *rules):
+                a.setflags(write=False)
+            batches.append(_RuleBatch(encs, rules, tuple(map(str, encs.tolist()))))
+    return tuple(batches)
 
 
 def _exhaustive_entry(mi: int, ni: int, gaps: list[str]) -> InstanceEntry:
     """A row for every valid subset: the name of the first line rule that
     applies (_first_rule), else its reduction by _first_reductions."""
     table: dict[str, dict] = {}
-    for batch in _instance_rules(mi, ni):
-        for key, code in zip(batch.keys, batch.rules[0].tolist()):
+    for _, rules, keys in _instance_rules(mi, ni):
+        for key, code in zip(keys, rules[0].tolist()):
             if code:  # each row gets a dict of its own
                 table[key] = {"kind": _RULES[code - 1]}
             elif found := _first_reductions([int(key)], mi, ni):
@@ -1133,8 +1116,8 @@ def _family_scan(
     order, each column set with a representative needing phi, together with
     those representatives' encodings. Column sets are taken TABLE_BATCH at
     a time, so memory stays bounded however many there are. The builder
-    and the verifier share one scan per instance and process: no caller may
-    change its lists."""
+    and the verifier share one scan per instance, kept until
+    verify_certificate returns: no caller may change its lists."""
     rows = range(1, mi + 1)
     # the nonempty subsets of Q_mi, by size, then lexicographically
     columns = [frozenset(c) for size in rows for c in combinations(rows, size)]
@@ -1262,9 +1245,9 @@ class _Tables:
         lists none, one list per batch of _instance_rules, looked up by its
         keys; the listed bitmap is kept from the same lookups."""
         rows, listed = [], np.zeros(1 << mi * ni, bool)
-        for batch in _instance_rules(mi, ni):
-            rows.append([table.get(key, _ABSENT) for key in batch.keys])
-            listed[batch.encs] = [row is not _ABSENT for row in rows[-1]]
+        for encs, _, keys in _instance_rules(mi, ni):
+            rows.append([table.get(key, _ABSENT) for key in keys])
+            listed[encs] = [row is not _ABSENT for row in rows[-1]]
         self._listed[(id(table), mi, ni)] = listed
         return rows
 
@@ -1414,8 +1397,7 @@ def _verify_exhaustive(tables: _Tables, entry: InstanceEntry, failures: list[str
     rows = tables.rows(table, mi, ni)
     where = f"({mi},{ni}) subset "
     bad: dict[int, str] = {}
-    for derived, looked_up in zip(_instance_rules(mi, ni), rows):
-        batch, (rule, axis, i, j, pred) = derived.encs, derived.rules
+    for (batch, (rule, axis, i, j, pred), _), looked_up in zip(_instance_rules(mi, ni), rows):
         passed, edges = _check_rows(mi, ni, looked_up, batch.tolist(), rule, bad)
         shrink, contained, single = (passed & (rule == _RULES.index(kind) + 1)
                                      for kind in ("SHRINK", "CONTAINMENT", "SINGLE_ELEMENT"))
@@ -1500,46 +1482,54 @@ def verify_certificate(
 
     Of the certificate only its rows and instance data are read. What the
     checks derive from (m', n') alone, the line rules and table keys of
-    instances of at most DEFAULT_EXHAUSTIVE_CELLS cells (_instance_rules)
-    and the column-family scans (_family_scan), is shared with certify in
-    the same process. That is no trust: they come from the same code, run
-    in this process, never from a certificate, and every row is still
-    checked against them, every edge and stored phi replayed.
+    tabulated instances (_instance_rules) and the column-family scans
+    (_family_scan), is reused from a certify earlier in the same process
+    and dropped when this returns. That is no trust: they come from the
+    same code, run in this process, never from a certificate, and every row
+    is still checked against them, every edge and stored phi replayed.
 
-    Pass a list to collect human-readable failure descriptions.
+    Missing instances are listed up to the first 20, in (m, n) order, then
+    counted. Pass a list to collect human-readable failure descriptions.
     """
     if failures is None:
         failures = []
-    if c.m < 1 or c.n < 1:
-        failures.append(f"certificate for {c.m}x{c.n} covers no instance")
-    tables = _Tables(c.entries)
-    for mi in range(1, c.m + 1):
-        for ni in range(1, c.n + 1):
-            if (mi, ni) not in tables.covered:
-                failures.append(f"missing instance entry ({mi},{ni})")
-    for entry in c.entries:
-        mi, ni = entry.m, entry.n
-        if not (int_in(mi, 1, c.m) and int_in(ni, 1, c.n)):
-            failures.append(f"({mi},{ni}): entry outside the {c.m}x{c.n} grid")
-        elif entry.strategy == STRATEGY_EXHAUSTIVE and mi * ni > ENUM_GUARD_CELLS:
-            failures.append(f"({mi},{ni}): EXHAUSTIVE entry beyond the "
-                            f"{ENUM_GUARD_CELLS}-cell guard")
-        elif entry.strategy == STRATEGY_SPERNER:
-            axis = entry.data.get("axis") if isinstance(entry.data, dict) else None
-            if axis not in _AXES:
-                failures.append(f"({mi},{ni}): Sperner rule with unknown axis")
-                continue
-            if axis == "column" and ni <= sperner_limit(mi):
-                failures.append(f"({mi},{ni}): Sperner rule needs n > C(m, floor(m/2))")
-            if axis == "row" and mi <= sperner_limit(ni):
-                failures.append(f"({mi},{ni}): Sperner rule needs m > C(n, floor(n/2))")
-            _exact_data(entry, {"axis"}, failures)
-        elif entry.strategy == STRATEGY_EXHAUSTIVE:
-            _verify_exhaustive(tables, entry, failures)
-        elif entry.strategy == STRATEGY_FAMILY:
-            _verify_family(entry, failures)
-        else:
-            failures.append(f"({mi},{ni}): unknown strategy {entry.strategy!r}")
+    try:
+        if c.m < 1 or c.n < 1:
+            failures.append(f"certificate for {c.m}x{c.n} covers no instance")
+        tables = _Tables(c.entries)
+        missing = (f"missing instance entry ({mi},{ni})" for mi in range(1, c.m + 1)
+                   for ni in range(1, c.n + 1) if (mi, ni) not in tables.covered)
+        failures.extend(islice(missing, 20))
+        unlisted = max(c.m, 0) * max(c.n, 0) - 20 - sum(
+            int_in(mi, 1, c.m) and int_in(ni, 1, c.n) for mi, ni in tables.covered)
+        if unlisted > 0:
+            failures.append(f"... and {unlisted} more missing instance entries")
+        for entry in c.entries:
+            mi, ni = entry.m, entry.n
+            if not (int_in(mi, 1, c.m) and int_in(ni, 1, c.n)):
+                failures.append(f"({mi},{ni}): entry outside the {c.m}x{c.n} grid")
+            elif entry.strategy == STRATEGY_EXHAUSTIVE and mi * ni > ENUM_GUARD_CELLS:
+                failures.append(f"({mi},{ni}): EXHAUSTIVE entry beyond the "
+                                f"{ENUM_GUARD_CELLS}-cell guard")
+            elif entry.strategy == STRATEGY_SPERNER:
+                axis = entry.data.get("axis") if isinstance(entry.data, dict) else None
+                if axis not in _AXES:
+                    failures.append(f"({mi},{ni}): Sperner rule with unknown axis")
+                    continue
+                if axis == "column" and ni <= sperner_limit(mi):
+                    failures.append(f"({mi},{ni}): Sperner rule needs n > C(m, floor(m/2))")
+                if axis == "row" and mi <= sperner_limit(ni):
+                    failures.append(f"({mi},{ni}): Sperner rule needs m > C(n, floor(n/2))")
+                _exact_data(entry, {"axis"}, failures)
+            elif entry.strategy == STRATEGY_EXHAUSTIVE:
+                _verify_exhaustive(tables, entry, failures)
+            elif entry.strategy == STRATEGY_FAMILY:
+                _verify_family(entry, failures)
+            else:
+                failures.append(f"({mi},{ni}): unknown strategy {entry.strategy!r}")
+    finally:
+        _instance_rules.cache_clear()
+        _family_scan.cache_clear()
     return not failures
 
 

@@ -31,8 +31,11 @@ DFA_REFUSED = "tests/test_automata.py::TestConstructorChecks::test_dfa_refused"
 #: (name, file under src/shufflesc, text, replacement, tests that must fail)
 MUTANTS = [
     ("verifier without the missing-entry check", "reach.py",
-     'failures.append(f"missing instance entry ({mi},{ni})")', "pass",
+     "        failures.extend(islice(missing, 20))\n", "",
      [f"{CERTIFY}test_corrupted_instance_refused[entry_missing]"]),
+    ("verifier listing every missing instance", "reach.py",
+     "failures.extend(islice(missing, 20))", "failures.extend(missing)",
+     [f"{CERTIFY}test_missing_instances_listed_up_to_20[2000x2000]"]),
     ("verifier without the unstored-family check", "reach.py",
      '''            failures.append(f"({mi},{ni}): family {sorted(sorted(c) for c in combo)} "
                             f"needs a permutation witness but none is stored")
@@ -47,26 +50,18 @@ MUTANTS = [
       for case in ("pred_2_10", "initial_extra_field", "line_rule_uncovered")]
      + [f"{SHARED}test_larger_table_streams"]),
     ("shared derivations left writable", "reach.py",
-     """        encs.setflags(write=False)
-        self.encs, self.mi, self.ni = encs, mi, ni
-
-    @cached_property
-    def rules(self) -> tuple[np.ndarray, ...]:
-        rules = _first_rule(self.encs, self.mi, self.ni)
-        for a in rules:
-            a.setflags(write=False)
-""", """        self.encs, self.mi, self.ni = encs, mi, ni
-
-    @cached_property
-    def rules(self) -> tuple[np.ndarray, ...]:
-        rules = _first_rule(self.encs, self.mi, self.ni)
-""",
-     [f"{SHARED}test_shared_arrays_refuse_writes[{size}]" for size in ("1-1", "2-3", "4-4")]),
-    ("shared derivations kept above DEFAULT_EXHAUSTIVE_CELLS", "reach.py",
-     """    if mi * ni > DEFAULT_EXHAUSTIVE_CELLS:
-        return batches
+     """            for a in (encs, *rules):
+                a.setflags(write=False)
 """, "",
-     [f"{SHARED}test_larger_table_streams"]),
+     [f"{SHARED}test_shared_arrays_refuse_writes[{size}]" for size in ("1-1", "2-3", "4-4")]),
+    ("verify_certificate keeping the shared derivations", "reach.py",
+     """    finally:
+        _instance_rules.cache_clear()
+        _family_scan.cache_clear()
+""", """    finally:
+        pass
+""",
+     [f"{SHARED}test_nothing_kept_after_verification", f"{SHARED}test_larger_table_streams"]),
     ("ExtremalLetter.from_dict without its unknown-key check", "reach.py",
      '_fields(obj, where, s=list, t=list)',
      '_fields({k: obj[k] for k in "st" if k in obj} if isinstance(obj, dict) else obj, '

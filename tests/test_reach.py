@@ -1,10 +1,13 @@
+import gc
 import hashlib
 import json
 import math
 import random
 import re
 import threading
-from itertools import combinations, permutations, product
+import tracemalloc
+from collections import Counter
+from itertools import combinations, islice, permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -1946,6 +1949,21 @@ class TestCertify:
         assert not verify_certificate(Certificate(m, n, []), failures)
         assert failures == [f"certificate for {m}x{n} covers no instance"]
 
+    @pytest.mark.parametrize("m,n,kept,more", [
+        (4, 5, 0, 0), (3, 7, 0, 1), (5, 5, 2, 1), (2000, 2000, 0, 3_999_980),
+    ], ids=["20_missing", "21_missing", "4_kept_21_missing", "2000x2000"])
+    def test_missing_instances_listed_up_to_20(self, m, n, kept, more):
+        # the instances up to kept x kept are present; the scan stops after
+        # 20 missing, so 4,000,000 of them give 21 lines, not one each
+        entries = certify(kept, kept).entries if kept else []
+        failures = []
+        assert not verify_certificate(Certificate(m, n, entries), failures)
+        missing = ((mi, ni) for mi in range(1, m + 1) for ni in range(1, n + 1)
+                   if mi > kept or ni > kept)
+        assert failures == (
+            [f"missing instance entry ({mi},{ni})" for mi, ni in islice(missing, 20)]
+            + [f"... and {more} more missing instance entries"] * bool(more))
+
     def test_base_strategy_refused(self):
         # no instance is taken on trust: BASE is an unknown strategy
         cert = certify(3, 3)
@@ -2006,7 +2024,7 @@ class TestCertify:
 def _forget_shared():
     """Drop the derivations that certify and verify_certificate share within
     a process, so the next call derives them again."""
-    reach._SHARED_RULES.clear()
+    reach._instance_rules.cache_clear()
     reach._family_scan.cache_clear()
 
 
@@ -2061,7 +2079,9 @@ class TestSharedDerivations:
                              ids=TestCertify.MALFORMED_ROW_IDS)
     def test_malformed_row_same_verdict(self, enc, corrupt, message):
         cert, table = TestCertify._rows_3x3()
-        assert (3, 3) in reach._SHARED_RULES
+        hits = reach._instance_rules.cache_info().hits
+        reach._instance_rules(3, 3)  # certify left it for the verifier
+        assert reach._instance_rules.cache_info().hits == hits + 1
         corrupt(table[enc])
         shared, unshared = self._shared_then_unshared(cert)
         assert shared == unshared == [f"(3,3) subset {enc}: {message}"]
@@ -2081,18 +2101,62 @@ class TestSharedDerivations:
         shared, unshared = self._shared_then_unshared(cert)
         assert shared == unshared == expected
 
-    def test_larger_table_streams(self):
-        # an EXHAUSTIVE entry above DEFAULT_EXHAUSTIVE_CELLS, which certify
-        # never builds: its subsets are derived batch by batch and not kept
+    def test_nothing_kept_after_verification(self):
+        _forget_shared()
+        tracemalloc.start()
+        try:
+            cert = certify(4, 4)
+            assert verify_certificate(cert)
+            del cert
+            gc.collect()
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**19, f"{kept} bytes kept after the verification"
+        assert reach._instance_rules.cache_info().currsize == 0
+        assert reach._family_scan.cache_info().currsize == 0
+
+    @staticmethod
+    def _empty_3x6():
+        """certify(3, 6) with its 3x6 entry replaced by an EXHAUSTIVE one
+        whose table is empty."""
         cert = certify(3, 6)
         empty = InstanceEntry(3, 6, "EXHAUSTIVE", {"justifications": {}})
         cert.entries[cert.entries.index(cert.entry(3, 6))] = empty
+        return cert
+
+    @pytest.mark.parametrize("m,n,failed", [(4, 4, 0), (3, 6, 226_304)],
+                             ids=["certify_4x4", "empty_3x6"])
+    def test_each_batch_derived_once(self, monkeypatch, m, n, failed):
+        # certify and the verification after it derive each batch of line
+        # rules once, the foreign 3x6 table's too
+        _forget_shared()
+        calls, first_rule = Counter(), reach._first_rule
+
+        def counted(enc, mi, ni, rules=reach._RULES):
+            if rules is reach._RULES:  # the lemmas pass rule sets of their own
+                calls[(mi, ni)] += 1
+            return first_rule(enc, mi, ni, rules)
+
+        monkeypatch.setattr(reach, "_first_rule", counted)
+        failures = []
+        verify_certificate(self._empty_3x6() if (m, n) == (3, 6) else certify(m, n), failures)
+        assert len(failures) == failed
+        assert calls == {
+            (mi, ni): sum(-(-chunk.size // reach.TABLE_BATCH) for chunk in valid_encodings(mi, ni))
+            for mi in range(1, m + 1) for ni in range(1, n + 1)
+            if mi * ni <= reach.DEFAULT_EXHAUSTIVE_CELLS or (mi, ni) == (m, n)}
+
+    def test_larger_table_streams(self):
+        # an EXHAUSTIVE entry above DEFAULT_EXHAUSTIVE_CELLS, which certify
+        # never builds: its derivation is not kept after the verification
+        cert = self._empty_3x6()
         failures = []
         assert not verify_certificate(cert, failures)
         assert len(failures) == 226_304
         assert failures == [f"(3,6): valid subset {enc} has no justification"
                             for enc in np.concatenate(list(valid_encodings(3, 6))).tolist()]
-        assert (3, 6) not in reach._SHARED_RULES
+        assert reach._instance_rules.cache_info().currsize == 0
 
 
 class TestDirectSmaller:
