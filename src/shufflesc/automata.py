@@ -11,16 +11,18 @@ Python and number states and blocks in order of first occurrence, the
 numbering determinize and minimize return. The one Python subset BFS is
 subset_order, which memoizes each letter's steps: subset_table runs it on
 fresh memos, the exhaustive search on memos shared across multisets.
-subset_table_array steps a whole BFS generation, and refine_array a whole
-refinement round, through numpy arrays and number in sort order, of which
-subset_complexity reads only the class count. subset_complexity, which the shuffle complexity of
-one pair (the `complexity` and `okhotin` commands) goes through, takes the
-arrays for every NFA of up to 64 states, the most a uint64 subset holds,
-and the loop above that. The loop also serves determinize and the
-exhaustive search, which builds thousands of tables of a few dozen subsets
-each: numpy costs microseconds per call, and on arrays `search 2 2 4` took
-1.5 to 2.3 s instead of 0.2 to 0.3 s. The tests keep the loop as the
-reference for the arrays.
+subset_table_array steps a whole BFS generation through numpy arrays and
+numbers subsets in sort order. refine_array refines a whole round at once
+and numbers blocks in the order of a hash of their signatures; it checks
+each hash group row by row and groups a round with a collision by its byte
+rows, so the partition is exact. subset_complexity, which the shuffle
+complexity of one pair (the `complexity` and `okhotin` commands) goes
+through, reads only the class count. It takes the arrays for every NFA of
+up to 64 states, the most a uint64 subset holds, and the loop above that.
+The loop also serves determinize and the exhaustive search, which builds
+thousands of tables of a few dozen subsets each: numpy costs microseconds
+per call, and on arrays `search 2 2 4` took 1.5 to 2.3 s instead of 0.2 to
+0.3 s. The tests keep the loop as the reference for the arrays.
 
 The arrays step subsets through _step_tables, the successors on every
 letter of every value of each fixed-width chunk of an encoding, and
@@ -44,6 +46,7 @@ reports on purpose, so internal code never exposes 0-based offsets.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Sequence
@@ -196,12 +199,27 @@ ARRAY_BLOCK = 1 << 14
 DENSE_ID_CELLS = 16
 
 
+def _sorted_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """order, an argsort of keys; first[i], whether keys[order[i]] is the
+    first of its value in that order; and rank, int32, where rank[j] is 1
+    plus the number of distinct values of keys below keys[j], so that equal
+    keys share a rank and the ranks run from 1 to the number of distinct
+    keys. keys may be a void view of rows, which then compare as bytes."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    rank = np.empty(keys.size, dtype=np.int32)
+    rank[order] = np.cumsum(first, dtype=np.int32)
+    return order, first, rank
+
+
 class _SortedIds:
     """Ids of known subsets by searchsorted on their sorted encodings, read
     and written like subset_table_array's dense id array: self[x] is the id
     of each subset in x, or 0 for an unknown one, and self[x] = ids records
     unknown subsets x, which must be ascending, as a generation's new
-    subsets from np.unique are."""
+    subsets in subset_table_array are."""
 
     def __init__(self, dtype):
         self.keys = np.empty(0, dtype=dtype)
@@ -255,8 +273,8 @@ def subset_table_array(succ, start: int, cells: int) -> tuple[np.ndarray, np.nda
     up their ids among the subsets known before the generation, 0 marking a
     new one: in a dense array indexed by encoding up to DENSE_ID_CELLS
     states, by searchsorted in a _SortedIds above. The generation's new
-    subsets, deduplicated by np.unique, become the next frontier in
-    ascending order and take the next ids in that order. Returns subsets
+    subsets, ranked by _sorted_ranks, become the next frontier in ascending
+    order and take the next ids in that order. Returns subsets
     (uint32 up to 32 states, uint64 above) and the int32 table, table[i, li]
     the id of the successor of state i+1 on letter li; state 1 is start.
     """
@@ -280,8 +298,10 @@ def subset_table_array(succ, start: int, cells: int) -> tuple[np.ndarray, np.nda
             miss_at.append(lost + lo * k)
             miss.append(step[lost])
         ids = np.concatenate(ids).reshape(frontier.size, k)
-        frontier, new = np.unique(np.concatenate(miss), return_inverse=True)
-        ids.ravel()[np.concatenate(miss_at)] = new + size + 1
+        miss = np.concatenate(miss)
+        order, first, new = _sorted_ranks(miss)
+        frontier = miss[order[first]]
+        ids.ravel()[np.concatenate(miss_at)] = new + size
         table.append(ids)
         subsets.append(frontier)
         known[frontier] = np.arange(size + 1, size + 1 + frontier.size, dtype=np.int32)
@@ -356,32 +376,46 @@ def refine(table: Sequence[Sequence[int]], accepting: Iterable) -> list[int]:
         block, count = new_block, len(ids)
 
 
+#: Odd multipliers of the signature hash in refine_array, one per column of
+#: a signature; a wider signature takes them repeated. Fixed, so that a
+#: refinement numbers its blocks the same in every run. Drawn by random,
+#: not numpy.random, whose import added 9 to 18 ms to the CLI's start.
+SIGNATURE_MULTIPLIERS = np.array(
+    [bits | 1 for bits in map(random.Random(2005).getrandbits, [64] * 64)], dtype=np.uint64
+).view(np.int64)
+
+
 def refine_array(table: np.ndarray, accepting: np.ndarray) -> np.ndarray:
     """refine on arrays, for a table as subset_table_array gives it and a
     bool array of finality: the same partition, as an int32 array of block
-    numbers 1, 2, ..., numbered in the sort order of their signatures.
+    numbers 1, 2, ..., numbered in the order of their signature hashes.
 
     Each round writes the signature (block, successor blocks) of every
-    state as one row, sorts the rows as raw bytes, and numbers the distinct
-    ones. (One sort of byte rows took 0.9 ms per round at 3,392 states and
-    40 letters, where a lexsort over the 41 columns took 9.7 ms.)"""
+    state as one int32 row and hashes it to one wrapping int64, the row
+    times SIGNATURE_MULTIPLIERS, in one matmul. The states are grouped by
+    _sorted_ranks of the hashes, and each state that is not first in its
+    hash run is compared with the state before it: if any row differs (a
+    hash collision), that round groups by _sorted_ranks of the rows as raw
+    bytes instead, so every round is exact. The rounds stop when the class
+    count stops growing or reaches the state count, as a partition into
+    single states cannot split. (At 3,392 states and 40 letters a byte-row
+    sort took 0.9 ms per round, a lexsort over the 41 columns 9.7 ms.)"""
     states, k = table.shape
     block = accepting.astype(np.int32)
     count = 2 if 0 < np.count_nonzero(block) < states else 1
     signature = np.empty((states, k + 1), dtype=np.int32)
     rows = signature.view(np.dtype((np.void, signature.itemsize * (k + 1)))).ravel()
+    multipliers = np.resize(SIGNATURE_MULTIPLIERS, k + 1)
     lookup = np.zeros(states + 1, dtype=np.int32)  # lookup[q]: block of state q
-    starts = np.ones(states, dtype=bool)
     while True:
         signature[:, 0] = lookup[1:] = block
         signature[:, 1:] = lookup[table]
-        order = np.argsort(rows)
-        ordered = rows[order]
-        starts[1:] = ordered[1:] != ordered[:-1]
-        new_block = np.empty(states, dtype=np.int32)
-        new_block[order] = np.cumsum(starts, dtype=np.int32)
-        groups = np.count_nonzero(starts)
-        if groups == count:
+        order, first, new_block = _sorted_ranks(signature @ multipliers)
+        later = np.flatnonzero(~first)
+        if np.any(rows[order[later]] != rows[order[later - 1]]):
+            order, first, new_block = _sorted_ranks(rows)
+        groups = np.count_nonzero(first)
+        if groups == count or groups == states:
             return new_block
         block, count = new_block, groups
 

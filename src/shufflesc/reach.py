@@ -1181,7 +1181,8 @@ def certify(m: int, n: int) -> Certificate:
     m' <= m and n' <= n is reachable in its extremal automaton.
 
     Raises CertificationGapError with the unjustified subsets if the
-    reduction lemmas do not suffice, and ValueError unless m, n >= 1.
+    reduction lemmas do not suffice, having emptied the derivations it
+    shared (no verification follows), and ValueError unless m, n >= 1.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
@@ -1198,6 +1199,8 @@ def certify(m: int, n: int) -> Certificate:
             else:
                 entries.append(_family_entry(mi, ni, gaps))
     if gaps:
+        _instance_rules.cache_clear()
+        _family_scan.cache_clear()
         raise CertificationGapError(gaps)
     return Certificate(m, n, entries)
 

@@ -27,6 +27,7 @@ THREADED = "tests/test_reach.py::TestThreadedKernel::test_same_generation"
 DFA_FIELDS = "tests/test_automata.py::TestFileFormat::test_refusal_names_the_field"
 EAGER = "tests/test_search.py::TestAgainstEagerScan::test_same_result"
 DFA_REFUSED = "tests/test_automata.py::TestConstructorChecks::test_dfa_refused"
+ARRAY = "tests/test_automata.py::TestArrayPath::"
 
 #: (name, file under src/shufflesc, text, replacement, tests that must fail)
 MUTANTS = [
@@ -116,6 +117,15 @@ MUTANTS = [
      "steps = [(memos[multiset[0]], succ[i]) for i in dict.fromkeys(multiset)]",
      [f"{EAGER}[{case}]" for case in ("2x2x2", "2x2x3", "2x2x4", "2x3x2",
                                       "2x2x4-stop_at_bound", "2x2x4-uncapped")]),
+    ("refine_array trusting the signature hash", "automata.py",
+     """        if np.any(rows[order[later]] != rows[order[later - 1]]):
+            order, first, new_block = _sorted_ranks(rows)
+""", "",
+     [f"{ARRAY}test_refine_matches_loop_on_hash_collisions"]),
+    ("refine_array stopping one round early", "automata.py",
+     "        if groups == count or groups == states:\n",
+     "        if groups <= count + 1 or groups == states:\n",
+     [f"{ARRAY}test_refine_matches_loop"]),
     ("dfa_from_dict accepting an empty letter name", "automata.py",
      "isinstance(x, str) and x for x in alphabet", "isinstance(x, str) for x in alphabet",
      [f"{DFA_FIELDS}[empty_letter_name]"]),

@@ -2,6 +2,7 @@ import json
 import math
 import random
 from itertools import permutations, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -230,6 +231,49 @@ class TestArrayPath:
         assert block.dtype == np.int32
         assert blocks(states, block.tolist()) == blocks(states, loop_block)
         assert sorted(set(block.tolist())) == list(range(1, max(loop_block) + 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(tables(), st.sampled_from([0, 1]))
+    def test_refine_matches_loop_on_hash_collisions(self, args, multiplier):
+        # with every multiplier 0 all signatures hash alike, so each round
+        # that splits groups by byte rows; with every multiplier 1 a hash is
+        # a row sum, and rows with equal sums collide
+        table, accepting = args
+        byte_rounds = []
+        rank = automata._sorted_ranks
+        with mock.patch.object(automata, "SIGNATURE_MULTIPLIERS",
+                               np.full(1, multiplier, dtype=np.int64)), \
+                mock.patch.object(automata, "_sorted_ranks",
+                                  lambda keys: byte_rounds.append(keys.dtype.kind == "V")
+                                  or rank(keys)):
+            block = refine_array(np.array(table, dtype=np.int32), np.array(accepting))
+        loop_block = refine(table, accepting)
+        states = range(len(table))
+        assert block.dtype == np.int32
+        assert blocks(states, block.tolist()) == blocks(states, loop_block)
+        assert sorted(set(block.tolist())) == list(range(1, max(loop_block) + 1))
+        if multiplier == 0 and max(loop_block) > 1:
+            assert any(byte_rounds)
+
+    def test_refine_stops_at_discrete_partition(self, monkeypatch):
+        # a chain 1 -> 2 -> ... -> 30 -> 30, final at 30, in shuffled
+        # labels: each round splits one class off, and round 28 leaves every
+        # state alone, so no round runs to confirm it
+        states = 30
+        label = np.random.default_rng(7).permutation(states) + 1  # label[i]: chain state i+1
+        table = np.empty((states, 1), dtype=np.int32)
+        table[label - 1, 0] = label[np.minimum(np.arange(1, states + 1), states - 1)]
+        accepting = np.zeros(states, dtype=bool)
+        accepting[label[-1] - 1] = True
+        rounds = []
+        rank = automata._sorted_ranks
+        monkeypatch.setattr(automata, "_sorted_ranks", lambda keys: rounds.append(1) or rank(keys))
+        block = refine_array(table, accepting)
+        assert block.dtype == np.int32
+        assert sorted(block.tolist()) == list(range(1, states + 1))
+        loop_block = refine(table.tolist(), accepting.tolist())
+        assert blocks(range(states), block.tolist()) == blocks(range(states), loop_block)
+        assert len(rounds) == states - 2
 
     def test_generation_over_several_blocks(self):
         # letter q adds state q to any nonempty subset: generation g holds

@@ -2116,6 +2116,23 @@ class TestSharedDerivations:
         assert reach._instance_rules.cache_info().currsize == 0
         assert reach._family_scan.cache_info().currsize == 0
 
+    def test_nothing_kept_after_a_gap(self, monkeypatch):
+        # a certify that raises is followed by no verification, so it empties
+        # both caches itself; the 4x5 family entry fills the family scan's
+        _forget_shared()
+        monkeypatch.setattr(reach, "_first_reductions", lambda encs, mi, ni: None)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CertificationGapError):
+                certify(4, 5)
+            gc.collect()
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**19, f"{kept} bytes kept after the gap"
+        assert reach._instance_rules.cache_info().currsize == 0
+        assert reach._family_scan.cache_info().currsize == 0
+
     @staticmethod
     def _empty_3x6():
         """certify(3, 6) with its 3x6 entry replaced by an EXHAUSTIVE one
