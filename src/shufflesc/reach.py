@@ -34,10 +34,12 @@ single element) run on uint64 arrays of them: a table is built from one
 array pass per batch of subsets, and only the subsets no line rule covers
 go through the permutation search one at a time. The lemmas take an
 encoding and return encodings and image tuples. A line-rule row stores only
-its kind: the verifier reads the same array pass, requires each row to name
-the rule it finds, and replays every kind in batch. Both sides read one
-such pass per instance (_instance_rules) and one column-family scan
-(_family_scan), kept from certify until verify_certificate returns.
+its kind: the verifier reads the same array pass and requires each row to
+name the rule it finds; then each row that points to a smaller subset passes
+its own checks and the reference check in batch (_require). Both sides read
+one such pass per instance (_instance_rules) and one column-family scan
+(_family_scan), cached from certify until verify_certificate returns; a
+certify that no verification follows leaves them cached for the process.
 Neither side builds a ProductSubset or a letter object; extremal_step is
 the step on those.
 """
@@ -1073,7 +1075,9 @@ class _RuleBatch(NamedTuple):
 def _instance_rules(mi: int, ni: int) -> tuple[_RuleBatch, ...]:
     """A _RuleBatch for each TABLE_BATCH valid encodings of (mi, ni), in
     ascending order, every array read-only. Kept until verify_certificate
-    returns, so a certify and the verification after it derive each once."""
+    returns, so a certify and the verification after it derive each once;
+    after a certify that no verification follows, for the life of the
+    process (5.13 MiB at 4x4)."""
     batches = []
     for chunk in valid_encodings(mi, ni):
         for start in range(0, chunk.size, TABLE_BATCH):
@@ -1116,8 +1120,8 @@ def _family_scan(
     order, each column set with a representative needing phi, together with
     those representatives' encodings. Column sets are taken TABLE_BATCH at
     a time, so memory stays bounded however many there are. The builder
-    and the verifier share one scan per instance, kept until
-    verify_certificate returns: no caller may change its lists."""
+    and the verifier share one scan per instance, kept as _instance_rules'
+    batches are: no caller may change its lists."""
     rows = range(1, mi + 1)
     # the nonempty subsets of Q_mi, by size, then lexicographically
     columns = [frozenset(c) for size in rows for c in combinations(rows, size)]
@@ -1180,9 +1184,12 @@ def certify(m: int, n: int) -> Certificate:
     """Certificate that every valid subset of every instance (m', n') with
     m' <= m and n' <= n is reachable in its extremal automaton.
 
-    Raises CertificationGapError with the unjustified subsets if the
-    reduction lemmas do not suffice, having emptied the derivations it
-    shared (no verification follows), and ValueError unless m, n >= 1.
+    The derivations it shares with verify_certificate (_instance_rules,
+    _family_scan) stay cached until a verification empties them, so a
+    certificate that is never verified keeps them for the life of the
+    process. Raises CertificationGapError with the unjustified subsets if
+    the reduction lemmas do not suffice, having emptied those derivations
+    (no verification follows), and ValueError unless m, n >= 1.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
@@ -1262,85 +1269,23 @@ class _Tables:
         return self._listed[key]
 
 
-def _record_first(bad: dict[int, str], where: str, encs: np.ndarray, checks) -> np.ndarray:
-    """For each row i of a batch, record the text of the first check that
-    fails at i as bad[encs[i]]; checks are (failing mask, text of i) pairs.
-    Returns the mask of the rows that pass them all."""
+def _require(tables: _Tables, mi: int, ni: int, subs: np.ndarray, where: str,
+             encs: np.ndarray, bad: dict[int, str], checks=()) -> None:
+    """Record as bad[encs[i]] the first check that fails at row i of a batch,
+    checks being (failing mask, text of i) pairs: the row's own checks, then
+    the reference check, that subs[i], the subset of (mi, ni) that row i
+    points to, is justified there."""
+    if (mi, ni) not in tables.covered:
+        checks = [*checks, (np.ones(encs.shape, bool),
+                            lambda i: f"refers to missing instance ({mi},{ni})")]
+    elif (table := tables.covered[(mi, ni)]) is not None:  # SPERNER / FAMILY cover all
+        checks = [*checks, (~tables.listed(table, mi, ni)[subs], lambda i: (
+            f"referenced subset {int(subs[i])} of ({mi},{ni}) is unjustified"))]
     ok = np.ones(encs.shape, bool)
     for failing, text in checks:
         for i in np.flatnonzero(failing & ok).tolist():
             bad[int(encs[i])] = f"{where}{int(encs[i])}: {text(i)}"
         ok &= ~failing
-    return ok
-
-
-def _require_justified(
-    tables: _Tables, mi: int, ni: int, subs: np.ndarray, where: str,
-    encs: np.ndarray, bad: dict[int, str],
-) -> None:
-    """Record a failure for each row i whose subset subs[i] of (mi, ni) is
-    not justified there."""
-    if (mi, ni) not in tables.covered:
-        _record_first(bad, where, encs, [
-            (np.ones(encs.shape, bool), lambda i: f"refers to missing instance ({mi},{ni})")])
-        return
-    table = tables.covered[(mi, ni)]
-    if table is None:  # SPERNER / FAMILY entries cover every valid subset
-        return
-    listed = tables.listed(table, mi, ni)
-    _record_first(bad, where, encs, [(~listed[subs], lambda i: (
-        f"referenced subset {int(subs[i])} of ({mi},{ni}) is unjustified"))])
-
-
-def _require_dropped(
-    tables: _Tables, mi: int, ni: int, encs: np.ndarray, P: np.ndarray, Q: np.ndarray,
-    where: str, bad: dict[int, str],
-) -> None:
-    """Record a failure for each row i whose S without row P[i] and column
-    Q[i] (0 drops none of that axis) is not justified in the smaller
-    instance."""
-    for p, q in sorted(set(zip(P.tolist(), Q.tolist()))):
-        group = (P == p) & (Q == q)
-        _require_justified(tables, mi - (p > 0), ni - (q > 0),
-                           _drop_lines(encs[group], mi, ni, p, q), where, encs[group], bad)
-
-
-def _replay_single(tables: _Tables, mi: int, ni: int, encs: np.ndarray, P: np.ndarray,
-                   Q: np.ndarray, where: str, bad: dict[int, str]) -> None:
-    """SINGLE_ELEMENT rows, each subset encs[i] with its lone cell (P[i],
-    Q[i]): the lemma's anchor replays (once for each cell), and S without
-    row p and column q is justified in the (mi-1) x (ni-1) instance."""
-    anchored = np.zeros(encs.shape, bool)
-    for p, q in set(zip(P.tolist(), Q.tolist())):
-        s, t, power, anchor = _single_element_anchor(mi, ni, p, q)
-        probe = 1
-        for _ in range(power):
-            probe = _row_map(probe, s, mi, ni) | _col_map(probe, t, mi, ni)
-        anchored[(P == p) & (Q == q)] = probe == anchor
-    ok = _record_first(bad, where, encs, [
-        (~anchored, lambda i: "SINGLE_ELEMENT anchor does not replay")])
-    _require_dropped(tables, mi, ni, encs[ok], P[ok], Q[ok], where, bad)
-
-
-def _replay_edges(tables: _Tables, mi: int, ni: int, kind: str, encs: np.ndarray,
-                  preds: np.ndarray, s: np.ndarray, t: np.ndarray, where: str,
-                  bad: dict[int, str]) -> None:
-    """Rows of one edge kind, each subset encs[i] with its pred preds[i] and
-    letter (s[:, i], t[:, i]), uint64 image arrays of shapes (mi, N) and
-    (ni, N): pred . (s, t) = S, stepped with each row's own images, then
-    pred has fewer members than S, is valid, and is justified in the same
-    instance."""
-    if not encs.size:
-        return
-    image = _row_map(preds, s, mi, ni) | _col_map(preds, t, mi, ni)
-    ok = _record_first(bad, where, encs, [
-        (image != encs, lambda i: f"{kind} edge does not replay"),
-        (np.bitwise_count(preds) >= np.bitwise_count(encs),
-         lambda i: f"{kind} predecessor is not smaller"),
-        (((preds & row1_mask(mi, ni)) == 0) | ((preds & col1_mask(mi, ni)) == 0),
-         lambda i: f"{kind} predecessor is invalid"),
-    ])
-    _require_justified(tables, mi, ni, preds[ok], where, encs[ok], bad)
 
 
 def _check_rows(mi: int, ni: int, rows: list, encs: list[int], rule: np.ndarray,
@@ -1388,9 +1333,12 @@ def _check_rows(mi: int, ni: int, rows: list, encs: list[int], rule: np.ndarray,
 
 def _verify_exhaustive(tables: _Tables, entry: InstanceEntry, failures: list[str]) -> None:
     """Take each batch's line rules from _instance_rules (_first_rule's
-    arrays), check each row on its own against them, then replay each kind
-    in batch. A row reports at most one failure, the first check it fails;
-    failures are listed in ascending order of subset."""
+    arrays) and check each row on its own against them. Then every row that
+    refers to a subset passes through _require: the SHRINK and
+    SINGLE_ELEMENT rows by the lines (p, q) they drop, the CONTAINMENT and
+    PERMUTATION rows by kind, as edges pred . letter = S. A row reports at
+    most one failure, the first check it fails; failures are listed in
+    ascending order of subset."""
     mi, ni = entry.m, entry.n
     table = _table(entry)
     if table is None:
@@ -1404,17 +1352,38 @@ def _verify_exhaustive(tables: _Tables, entry: InstanceEntry, failures: list[str
         passed, edges = _check_rows(mi, ni, looked_up, batch.tolist(), rule, bad)
         shrink, contained, single = (passed & (rule == _RULES.index(kind) + 1)
                                      for kind in ("SHRINK", "CONTAINMENT", "SINGLE_ELEMENT"))
-        on_column = axis[shrink] == 1
-        _require_dropped(tables, mi, ni, batch[shrink], np.where(on_column, 0, i[shrink]),
-                         np.where(on_column, i[shrink], 0), where, bad)
-        _replay_single(tables, mi, ni, batch[single], i[single], j[single], where, bad)
-        _replay_edges(tables, mi, ni, "CONTAINMENT", batch[contained], pred[contained],
-                      *_point_images(mi, ni, axis[contained], i[contained], j[contained]),
-                      where, bad)
-        encs, preds, s, t = zip(*edges) if edges else ((),) * 4
-        _replay_edges(tables, mi, ni, "PERMUTATION", np.array(encs, np.uint64),
-                      np.array(preds, np.uint64), np.array(s, np.uint64).reshape(-1, mi).T,
-                      np.array(t, np.uint64).reshape(-1, ni).T, where, bad)
+        # SHRINK drops row i (axis 0, j = 0) or column i (axis 1): one of p, q
+        # is nonzero; SINGLE_ELEMENT drops row i and column j, both nonzero
+        drops = shrink | single
+        P, Q = np.where(axis == 1, 0, i), np.where(axis == 1, i, j)
+        for p, q in set(zip(P[drops].tolist(), Q[drops].tolist())):
+            group = batch[drops & (P == p) & (Q == q)]
+            checks = []
+            if p and q:  # the lemma's anchor replays
+                s, t, power, anchor = _single_element_anchor(mi, ni, p, q)
+                probe = 1
+                for _ in range(power):
+                    probe = _row_map(probe, s, mi, ni) | _col_map(probe, t, mi, ni)
+                checks = [(np.full(group.shape, probe != anchor),
+                           lambda k: "SINGLE_ELEMENT anchor does not replay")]
+            _require(tables, mi - (p > 0), ni - (q > 0), _drop_lines(group, mi, ni, p, q),
+                     where, group, bad, checks)
+        # encs, preds, and s and t as (mi, N) and (ni, N) image arrays
+        permuted = [np.array(a, np.uint64).T for a in zip(*edges)] or [np.zeros(0, np.uint64)] * 4
+        for kind, encs, preds, s, t in (
+            ("CONTAINMENT", batch[contained], pred[contained],
+             *_point_images(mi, ni, axis[contained], i[contained], j[contained])),
+            ("PERMUTATION", *permuted),
+        ):
+            if encs.size:  # pred . (s, t) = S, stepped with each row's own images
+                _require(tables, mi, ni, preds, where, encs, bad, [
+                    ((_row_map(preds, s, mi, ni) | _col_map(preds, t, mi, ni)) != encs,
+                     lambda k: f"{kind} edge does not replay"),
+                    (np.bitwise_count(preds) >= np.bitwise_count(encs),
+                     lambda k: f"{kind} predecessor is not smaller"),
+                    (((preds & row1_mask(mi, ni)) == 0) | ((preds & col1_mask(mi, ni)) == 0),
+                     lambda k: f"{kind} predecessor is invalid"),
+                ])
     failures.extend(bad[enc] for enc in sorted(bad))
     extra = len(table) - int(np.count_nonzero(tables.listed(table, mi, ni)))
     if extra:

@@ -45,6 +45,14 @@ MUTANTS = [
     ("verifier without the column Sperner limit", "reach.py",
      'if axis == "column" and ni <= sperner_limit(mi):', "if False:",
      [f"{CERTIFY}test_corrupted_instance_refused[sperner_column_too_few]"]),
+    ("verifier skipping the reference check", "reach.py",
+     "~tables.listed(table, mi, ni)[subs]", "np.zeros(encs.shape, bool)",
+     [f"{CERTIFY}test_each_replay_check_refuses[{case}]"
+      for case in ("shrink_sub_missing", "containment_pred_missing")]
+     + [f"{CERTIFY}test_single_element_drop_is_justified"]),
+    ("verifier replaying no single-element anchor", "reach.py",
+     "            if p and q:", "            if False:",
+     [f"{CERTIFY}test_single_element_anchor_is_replayed"]),
     ("verifier reading the shared derivations of (mi, mi), not (mi, ni)", "reach.py",
      "zip(_instance_rules(mi, ni), rows)", "zip(_instance_rules(mi, mi), rows)",
      [f"{SHARED}test_malformed_row_same_verdict[{case}]"

@@ -1,3 +1,4 @@
+import copy
 import gc
 import hashlib
 import json
@@ -31,6 +32,7 @@ from shufflesc.reach import (
     ExtremalLetter,
     InstanceEntry,
     ReachReport,
+    alphabet_id,
     bfs_reach,
     certify,
     direct_smaller_check,
@@ -49,7 +51,7 @@ from shufflesc.reach import (
 from shufflesc.search import SearchSpace
 from shufflesc.shuffle import (
     GridSizeError, ProductSubset, bound_f, col1_mask, count_valid_subsets, is_valid,
-    valid_encodings,
+    min_alphabet_lower_bound, valid_encodings,
 )
 
 T = Transformation
@@ -1924,6 +1926,44 @@ class TestCertify:
             f"(3,3) subset {enc}: referenced subset 6 of (2,2) is unjustified"
             for enc in (84, 98, 161)]
 
+    # A row's own checks come before the reference check: a row that fails
+    # one of them reports only that one, whatever it refers to.
+    def test_failed_edge_reports_no_reference(self):
+        cert, table = self._rows_3x3()
+        table["238"]["letter"] = {"s": [1, 2, 3], "t": [1, 2, 3]}
+        del table["332"]
+        failures = []
+        assert not verify_certificate(cert, failures)
+        assert failures == ["(3,3) subset 238: PERMUTATION edge does not replay",
+                            "(3,3): valid subset 332 has no justification"]
+
+    def test_failed_anchor_reports_no_missing_instance(self, monkeypatch):
+        # the SINGLE_ELEMENT rows of (3,3) drop into the missing (2,2)
+        cert = certify(3, 3)
+        cert.entries.remove(cert.entry(2, 2))
+
+        def stalled(m, n, p, q):
+            return [1] * m, [1] * n, 0, _single_element_anchor(m, n, p, q)[3]
+
+        monkeypatch.setattr(reach, "_single_element_anchor", stalled)
+        failures = []
+        assert not verify_certificate(cert, failures)
+        assert [f for f in failures if f.startswith("(3,3)")] == [
+            f"(3,3) subset {enc}: SINGLE_ELEMENT anchor does not replay"
+            for enc in (84, 98, 140, 161, 266, 273)]
+
+    def test_duplicate_entry_refers_through_the_first(self):
+        # the second (3,3) entry lacks 14, which its rows 78 and 398 refer
+        # to; its rows are checked against its own table, its references
+        # against the first entry's
+        cert = certify(3, 3)
+        duplicate = copy.deepcopy(cert.entry(3, 3))
+        del duplicate.data["justifications"]["14"]
+        cert.entries.append(duplicate)
+        failures = []
+        assert not verify_certificate(cert, failures)
+        assert failures == ["(3,3): valid subset 14 has no justification"]
+
     def test_containment_without_shrinking_refused(self):
         # an edge from 245, as large as 238 and justified, replays but does
         # not descend
@@ -2174,6 +2214,38 @@ class TestSharedDerivations:
         assert failures == [f"(3,6): valid subset {enc} has no justification"
                             for enc in np.concatenate(list(valid_encodings(3, 6))).tolist()]
         assert reach._instance_rules.cache_info().currsize == 0
+
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: bfs_reach(0, 2), ValueError, "m and n must be positive"),
+    (lambda: bfs_reach(2, 2, resume=True), ValueError, "resume requires a checkpoint directory"),
+    (lambda: alphabet_id("fulll"), ValueError, "alphabet must be 'full' or a letter list"),
+    (lambda: reduce_containment(2, 2, 2), ValueError,
+     "containment reduction expects a valid subset of the 2x2 grid"),
+    (lambda: reduce_single_element(2, 2, 2), ValueError,
+     "single-element reduction expects a valid subset of the 2x2 grid"),
+    (lambda: reduce_permutation(2, 2, 2, (1, 2)), ValueError,
+     "permutation reduction expects a valid subset of the 2x2 grid"),
+    (lambda: sperner_limit(0), ValueError, "m must be positive"),
+    (lambda: greedy_alphabet(5, 5), GridSizeError,
+     "greedy_alphabet exceeds the enumeration guard"),
+    (lambda: ProductSubset(0, 1, 0), ValueError, "grid dimensions must be positive"),
+    (lambda: ProductSubset(2, 2, 16), ValueError, "bits outside the grid"),
+    (lambda: bound_f(0, 3), ValueError, "m and n must be positive"),
+    (lambda: next(valid_encodings(0, 3)), ValueError, "m and n must be positive"),
+    (lambda: min_alphabet_lower_bound(1, 3), ValueError,
+     "min_alphabet_lower_bound requires m, n >= 2"),
+], ids=["bfs_reach_m_0", "bfs_reach_resume_no_directory", "alphabet_id_unknown",
+        "reduce_containment_invalid", "reduce_single_element_invalid",
+        "reduce_permutation_invalid", "sperner_limit_0", "greedy_alphabet_5x5",
+        "product_subset_m_0", "product_subset_bits_outside", "bound_f_m_0",
+        "valid_encodings_m_0", "min_alphabet_lower_bound_1x3"])
+def test_argument_guard(call, error, message):
+    # valid_encodings is a generator: its guard fires on the first next
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 class TestDirectSmaller:
